@@ -25,6 +25,7 @@ from .bundles import (
 from .kottwitz import (
     BudgetError,
     NewtonPoint,
+    _dot_text,
     automorphism_group,
     b_to_bundle,
     bundle_to_b,
@@ -134,7 +135,7 @@ def cmd_kottwitz_hasse(args) -> int:
     g = _glyphs(args.ascii)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_export(points, ascii_mode=args.ascii))
+            fh.write(_dot_text(points, edges, args.ascii))
     payload = {
         "schema": ser.SCHEMA,
         "points": [ser.point_json(p) for p in points],

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import le
 
 from .bundles import (
     BundleSpec,
@@ -112,6 +114,23 @@ def point_from_vector(vec) -> NewtonPoint:
     return NewtonPoint(tuple(classes))
 
 
+def _partial_sums(b: NewtonPoint, scale: int) -> tuple[int, ...]:
+    """Partial sums of b's slope vector times scale, a multiple of every slope
+    denominator, so that they are exact integers."""
+    sums: list[int] = []
+    acc = 0
+    for s, c in b.classes:
+        step = s.numerator * scale // s.denominator
+        for _ in range(c):
+            acc += step
+            sums.append(acc)
+    return tuple(sums)
+
+
+def _common_scale(points) -> int:
+    return lcm(*(s.denominator for p in points for s, _ in p.classes))
+
+
 def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     """Dominance order within a fixed endpoint slice.
 
@@ -121,17 +140,9 @@ def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     """
     if b1.rank != b2.rank:
         raise DomainError(f"rank mismatch: {b1.rank} vs {b2.rank}")
-    if b1.kappa != b2.kappa:
-        return False
-    v1, v2 = b1.slope_vector(), b2.slope_vector()
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for a, b in zip(v1, v2):
-        s1 += a
-        s2 += b
-        if s1 > s2:
-            return False
-    return True
+    scale = _common_scale((b1, b2))
+    s1, s2 = _partial_sums(b1, scale), _partial_sums(b2, scale)
+    return s1[-1] == s2[-1] and all(map(le, s1, s2))
 
 
 def enumerate_B(n: int, mu) -> list[NewtonPoint]:
@@ -170,46 +181,74 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
             # decrease, stay under the concave mu-polygon (endpoint checks
             # suffice), and never drop below mu_n (cannot recover afterwards).
             hi = prefix[x + dx] - y
+            if last is not None:
+                # largest dy with dy/dx < last
+                hi = min(hi, (last.numerator * dx - 1) // last.denominator)
             for dy in range(hi, lo_slope * dx - 1, -1):
                 s = Fraction(dy, dx)
-                if last is not None and s >= last:
-                    continue
                 acc.append((s, dx))
                 extend(x + dx, y + dy, s, acc)
                 acc.pop()
 
     extend(0, 0, None, [])
-    results.sort(key=lambda p: p.slope_vector(), reverse=True)
+    # integer partial sums order lexicographically as the slope vectors do
+    scale = _common_scale(results)
+    results.sort(key=lambda p: _partial_sums(p, scale), reverse=True)
     return results
 
 
 def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
-    """Covering relations (lower, upper) of the dominance order on the list."""
+    """Covering relations (lower, upper) of the dominance order on the list.
+
+    Points are ranked descending on their integer partial sums, which is a
+    linear extension of dominance, and each point's strict down-set is kept as
+    a bitmask over that ranking.  Walking the down-set of u nearest first, a
+    point is covered by u exactly when it lies in the down-set of no cover of
+    u found before it (transitive reduction against a linear extension,
+    Aho-Garey-Ullman 1972).
+    """
     pts = list(points)
     if not pts:
         return []
-    rank = pts[0].rank
-    kappa = pts[0].kappa
-    for p in pts[1:]:
-        if p.rank != rank or p.kappa != kappa:
-            raise DomainError("hasse requires points of equal rank and endpoint")
-    below = {
-        (i, j)
-        for i, a in enumerate(pts)
-        for j, b in enumerate(pts)
-        if i != j and leq(a, b)
-    }
-    edges = []
-    for i, j in below:
-        if not any((i, k) in below and (k, j) in below for k in range(len(pts))):
-            edges.append((pts[i], pts[j]))
-    edges.sort(key=lambda e: (e[0].slope_vector(), e[1].slope_vector()), reverse=True)
-    return edges
+    scale = _common_scale(pts)
+    sums = [_partial_sums(p, scale) for p in pts]
+    if len({(len(s), s[-1]) for s in sums}) > 1:
+        raise DomainError("hasse requires points of equal rank and endpoint")
+    order = sorted(range(len(pts)), key=sums.__getitem__, reverse=True)
+    pts = [pts[i] for i in order]
+    sums = [sums[i] for i in order]
+    if any(a == b for a, b in zip(sums, sums[1:])):
+        raise DomainError("hasse requires distinct points")
+    size = len(sums)
+    down = [0] * size
+    for i in range(size - 1, -1, -1):
+        # bottom up, so a point already known below i brings its down-set
+        # along and the points in it need no comparison
+        top, mask = sums[i], 0
+        for j in range(i + 1, size):
+            if not mask >> j & 1 and all(map(le, sums[j], top)):
+                mask |= 1 << j | down[j]
+        down[i] = mask
+    pairs = []
+    for i, rest in enumerate(down):
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            pairs.append((j, i))
+            rest &= (rest - 1) & ~down[j]
+    # ascending ranks = descending (lower, upper) slope vectors
+    pairs.sort()
+    return [(pts[j], pts[i]) for j, i in pairs]
 
 
 def dot_export(points, ascii_mode: bool = False) -> str:
     """DOT digraph of the covering relations; node labels carry the slope
     vector, the endpoint invariant, and the pairing value."""
+    pts = list(points)
+    return _dot_text(pts, hasse(pts), ascii_mode)
+
+
+def _dot_text(points, edges, ascii_mode: bool) -> str:
+    """dot_export's rendering, given the covering edges of the points."""
     pts = sorted(points, key=lambda p: p.slope_vector(), reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
     nu = "nu" if ascii_mode else "ν"
@@ -218,7 +257,7 @@ def dot_export(points, ascii_mode: bool = False) -> str:
     for p in pts:
         label = f"{nu}={p} {ka}={p.kappa} d={d_point(p)}"
         lines.append(f'  {names[p]} [label="{label}"];')
-    for lo, hi in hasse(pts):
+    for lo, hi in edges:
         lines.append(f"  {names[lo]} -> {names[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .bundles import DomainError
 from .kottwitz import NewtonPoint
 from .lparams import (
     Character,

@@ -138,3 +138,36 @@ def newton_points_oracle(n: int, mu) -> set[tuple[Fraction, ...]]:
 
     extend([(0, 0)])
     return out
+
+
+def leq_oracle(b1, b2) -> bool:
+    """Dominance through Fraction partial sums of the slope vectors."""
+    if b1.kappa != b2.kappa:
+        return False
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    for a, b in zip(b1.slope_vector(), b2.slope_vector()):
+        s1 += a
+        s2 += b
+        if s1 > s2:
+            return False
+    return True
+
+
+def hasse_oracle(points):
+    """Covering relations by the cubic transitive reduction of all pairs."""
+    pts = list(points)
+    if not pts:
+        return []
+    below = {
+        (i, j)
+        for i, a in enumerate(pts)
+        for j, b in enumerate(pts)
+        if i != j and leq_oracle(a, b)
+    }
+    edges = []
+    for i, j in below:
+        if not any((i, k) in below and (k, j) in below for k in range(len(pts))):
+            edges.append((pts[i], pts[j]))
+    edges.sort(key=lambda e: (e[0].slope_vector(), e[1].slope_vector()), reverse=True)
+    return edges

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -21,9 +23,20 @@ from bunncalc import (
     point_from_vector,
 )
 from conftest import bundle_specs
-from oracles import newton_points_oracle
+from oracles import hasse_oracle, newton_points_oracle
 
 F = Fraction
+
+
+def mus(n):
+    """Every dominant mu of length n with entries in 0..3."""
+    return combinations_with_replacement(range(3, -1, -1), n)
+
+
+def grade(b):
+    """(<2rho, nu_b> - def(b))/2 with def(b) = n - sum of stable multiplicities."""
+    defect = b.rank - sum(c // s.denominator for s, c in b.classes)
+    return F(d_point(b) - defect, 2)
 
 
 class TestConversion:
@@ -154,6 +167,36 @@ class TestHasse:
             for w in pts:
                 if w not in (lo, hi):
                     assert not (leq(lo, w) and leq(w, hi))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_cubic_oracle(self, n):
+        for mu in mus(n):
+            pts = enumerate_B(n, mu)
+            assert hasse(pts) == hasse_oracle(pts), mu
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_edge_raises_grade_by_one(self, n):
+        for mu in mus(n):
+            for lo, hi in hasse(enumerate_B(n, mu)):
+                assert grade(hi) - grade(lo) == 1, (mu, lo, hi)
+
+    def test_shuffled_input_same_edges(self):
+        rng = random.Random(5)
+        for mu in [(3, 3, 2, 1, 0, 0), (2, 1, 1, 0, 0), (1, 0, 0, 0, 0, 0, 0)]:
+            pts = enumerate_B(len(mu), mu)
+            edges = hasse(pts)
+            for _ in range(3):
+                rng.shuffle(pts)
+                assert hasse(pts) == edges
+
+    def test_mixed_endpoints_rejected(self):
+        with pytest.raises(DomainError):
+            hasse(enumerate_B(2, (1, 0)) + enumerate_B(2, (2, 0)))
+
+    def test_duplicate_points_rejected(self):
+        pts = enumerate_B(3, (1, 0, 0))
+        with pytest.raises(DomainError):
+            hasse(pts + pts[:1])
 
     def test_dot_export_is_deterministic(self):
         pts = enumerate_B(3, (1, 0, 0))

@@ -97,6 +97,12 @@ class TestHecke:
         assert [chi for chi, _, _ in dec.terms] == [(3, 0), (2, 1), (1, 2), (0, 3)]
         assert all(sym.dim == 1 for _, _, sym in dec.terms)
 
+    def test_repeated_character_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        dec = hecke(shape, (1, 0), make_F(shape, chi_id(2)))
+        with pytest.raises(DomainError):
+            dataclasses.replace(dec, terms=dec.terms[:1] * 2)
+
     @pytest.mark.parametrize(
         "dims,lam",
         [((1, 1), (3, 0)), ((2, 2), (1, 1, 0, 0)), ((3, 2), (1, 0, 0, 0, 0))],
@@ -150,6 +156,11 @@ class TestStalk:
 
 
 class TestEigensheaf:
+    def test_requires_distinctness_hypothesis(self):
+        shape = dataclasses.replace(LParamShape.from_dims((1, 1)), disjointness_asserted=False)
+        with pytest.raises(DomainError):
+            eigensheaf_stalk(shape, bundle_to_b(parse_bundle("O^2")))
+
     def test_orbit_count(self):
         shape = LParamShape.from_dims((1, 1, 1))
         b = bundle_to_b(parse_bundle("O(1)^2+O"))
