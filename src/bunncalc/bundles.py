@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Slope = Fraction
@@ -174,24 +175,30 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
 
     ``classes`` lists (slope, entry count) with slopes strictly decreasing and
     each class of integral total degree; the value is
-    sum_{i<j} m_i m_j (lam_i - lam_j), always an integer.
+    sum_{i<j} m_i m_j (lam_i - lam_j), always an integer.  It is computed on
+    the slopes scaled by the lcm of their denominators, then divided exactly.
     """
-    slopes = [Fraction(s) for s, _ in classes]
-    if any(a >= b for a, b in zip(slopes[1:], slopes)):
+    slopes = [s if isinstance(s, Fraction) else Fraction(s) for s, _ in classes]
+    scale = lcm(*(s.denominator for s in slopes))
+    scaled = [s.numerator * (scale // s.denominator) for s in slopes]
+    if any(a >= b for a, b in zip(scaled[1:], scaled)):
         raise DomainError("slope classes must be strictly decreasing")
-    for s, m in classes:
+    for s, (_, m) in zip(slopes, classes):
         if m < 1:
             raise DomainError(f"class count must be >= 1, got {m}")
-        if (Fraction(s) * m).denominator != 1:
+        if s.numerator * m % s.denominator:
             raise DomainError(
-                f"class {slope_str(Fraction(s))}^({m}) has fractional total degree"
+                f"class {slope_str(s)}^({m}) has fractional total degree"
             )
-    total = Fraction(0)
-    for i, (si, mi) in enumerate(classes):
-        for sj, mj in classes[i + 1 :]:
-            total += mi * mj * (Fraction(si) - Fraction(sj))
-    assert total.denominator == 1
-    return int(total)
+    # class i pairs with the counts after it positively, before it negatively
+    total = 0
+    before = 0
+    after = sum(m for _, m in classes)
+    for x, (_, m) in zip(scaled, classes):
+        after -= m
+        total += m * x * (after - before)
+        before += m
+    return total // scale
 
 
 def rho_pairing_bundle(b: BundleSpec) -> int:

@@ -1,17 +1,19 @@
 """Weight multiplicities, Levi branching, and centralizer-isotypic slices of
 highest-weight representations of GL_n.
 
-Multiplicities come from triangular-pattern enumeration; branching to a block
-Levi is extracted from the weight character by repeatedly splitting off the
-lexicographically largest remaining weight.  Everything is exact and desk
+Multiplicities are counted over triangular (Gelfand-Tsetlin) patterns one row
+length at a time, from the bottom row up, without visiting the patterns one
+by one.  Branching to a block Levi walks the block-dominant weights of the
+character once, in descending lexicographic order, splitting off each
+remaining weight's product representation.  Everything is exact and desk
 scale by design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .bundles import DomainError
 from .kottwitz import BudgetError
@@ -19,7 +21,7 @@ from .lparams import Character, LParamShape
 
 HighestWeight = tuple[int, ...]
 
-# caps for pattern enumeration; weight size is measured after the
+# caps on weight counting; weight size is measured after the
 # determinant-twist normalization
 MAX_N = 8
 MAX_WEIGHT_SIZE = 12
@@ -41,48 +43,28 @@ def dual_weight(lam) -> HighestWeight:
 
 
 def weyl_dim(lam, m: int) -> int:
-    """prod_{a<b} (lam_a - lam_b + b - a)/(b - a)."""
+    """prod_{a<b} (lam_a - lam_b + b - a)/(b - a), as one exact division."""
     lam = check_dominant(lam, m)
-    out = Fraction(1)
+    num = 1
+    den = 1
     for a in range(m):
         for b in range(a + 1, m):
-            out *= Fraction(lam[a] - lam[b] + b - a, b - a)
-    assert out.denominator == 1
-    return int(out)
+            num *= lam[a] - lam[b] + b - a
+            den *= b - a
+    return num // den
 
 
-def _gt_weights(top: HighestWeight):
-    """Yield the weight of every interlacing triangular pattern under ``top``."""
+def _rows(top: HighestWeight, k: int):
+    """Every row of length ``k`` that a triangular pattern under ``top`` has.
 
-    def rows_below(upper):
-        # one entry shorter, interlacing: upper[i] >= lower[i] >= upper[i+1];
-        # weak decrease of the lower row is then automatic
-        k = len(upper) - 1
-        cur = [0] * k
-
-        def fill(i):
-            if i == k:
-                yield tuple(cur)
-                return
-            for v in range(upper[i], upper[i + 1] - 1, -1):
-                cur[i] = v
-                yield from fill(i + 1)
-
-        yield from fill(0)
-
-    def descend(upper, sums):
-        sums = sums + [sum(upper)]
-        if len(upper) == 1:
-            yield sums
-            return
-        for lower in rows_below(upper):
-            yield from descend(lower, sums)
-
-    for sums in descend(tuple(top), []):
-        # sums lists row totals top row first; successive differences give the
-        # weight coordinates from the top down
-        incr = [a - b for a, b in zip(sums, sums[1:] + [0])]
-        yield tuple(incr[::-1])
+    Entry i lies between top[i] and top[i + len(top) - k]; conversely every
+    weakly decreasing row within those bounds lies in some pattern.
+    """
+    shift = len(top) - k
+    bounds = [range(top[i], top[i + shift] - 1, -1) for i in range(k)]
+    for row in product(*bounds):
+        if all(a >= b for a, b in zip(row, row[1:])):
+            yield row
 
 
 @lru_cache(maxsize=None)
@@ -95,10 +77,26 @@ def _weight_mults_cached(n: int, lam: HighestWeight) -> tuple[tuple[HighestWeigh
             f"weight enumeration out of budget: n={n} (max {MAX_N}), "
             f"normalized size {sum(norm)} (max {MAX_WEIGHT_SIZE})"
         )
-    counts: dict[HighestWeight, int] = {}
-    for w in _gt_weights(norm):
-        shifted = tuple(x + c for x in w)
-        counts[shifted] = counts.get(shifted, 0) + 1
+    # level maps each row of length k to the weight -> count dict of the
+    # patterns from that row down; weight coordinate k is |row k| - |row k-1|
+    level = {row: {row: 1} for row in _rows(norm, 1)}
+    for k in range(2, n + 1):
+        upper = {}
+        for row in _rows(norm, k):
+            total = sum(row)
+            acc: dict[HighestWeight, int] = {}
+            # rows interlacing from below: row[i] >= lower[i] >= row[i+1]
+            below = [range(row[i], row[i + 1] - 1, -1) for i in range(k - 1)]
+            for lower in product(*below):
+                tail = (total - sum(lower),)
+                for w, cnt in level[lower].items():
+                    key = w + tail
+                    acc[key] = acc.get(key, 0) + cnt
+            upper[row] = acc
+        level = upper
+    counts = level[norm]
+    if c:
+        counts = {tuple(x + c for x in w): cnt for w, cnt in counts.items()}
     return tuple(sorted(counts.items()))
 
 
@@ -106,24 +104,10 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     """Map weight -> multiplicity for r_lam on GL_n.
 
     Dominant lam may have negative entries; they are absorbed into a
-    determinant twist (subtract lam_n, enumerate, shift every weight back).
+    determinant twist (subtract lam_n, count, shift every weight back).
     """
     lam = check_dominant(lam, n)
     return dict(_weight_mults_cached(n, lam))
-
-
-def _product_weight_char(parts: tuple[tuple[int, HighestWeight], ...]) -> dict:
-    """Weight character of an outer tensor product across blocks."""
-    acc: dict[tuple[int, ...], int] = {(): 1}
-    for m, lam in parts:
-        block = weight_multiplicities(m, lam)
-        nxt: dict[tuple[int, ...], int] = {}
-        for w0, c0 in acc.items():
-            for w1, c1 in block.items():
-                key = w0 + w1
-                nxt[key] = nxt.get(key, 0) + c0 * c1
-        acc = nxt
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +118,12 @@ def levi_branching(
 
     Returns ((lam^(1), ..., lam^(r)), mult) pairs, descending lexicographically
     on the concatenated weights.  The character of the restriction is invariant
-    under each block's permutations, so its largest remaining weight is a tuple
-    of per-block dominant highest weights; split it off with its full product
-    character and repeat until nothing is left.
+    under each block's permutations, so its block-dominant weights (every
+    block piece weakly decreasing) determine it.  Walk those once in
+    descending lexicographic order: a weight's remaining count is the
+    multiplicity of the product representation it is the highest weight of,
+    and subtracting the block-dominant part of that product's character
+    changes only weights further down the walk.
     """
     lam = check_dominant(lam, n)
     blocks = tuple(int(b) for b in blocks)
@@ -149,30 +136,41 @@ def levi_branching(
             (tuple(tuple(x + c for x in w) for w in ws), mult)
             for ws, mult in shifted
         )
-    char = dict(weight_multiplicities(n, lam))
     cuts = []
     start = 0
     for b in blocks:
         cuts.append((start, start + b))
         start += b
+    descents = [i for a, b in cuts for i in range(a, b - 1)]
+    left = {
+        w: cnt
+        for w, cnt in weight_multiplicities(n, lam).items()
+        if all(w[i] >= w[i + 1] for i in descents)
+    }
+    # block piece -> dominant weights of its character, with multiplicities
+    piece_dominant: dict[HighestWeight, list] = {}
     out = []
-    while char:
-        w = max(char)
-        mult = char[w]
+    for w in sorted(left, reverse=True):
+        mult = left[w]
+        if not mult:
+            continue
         ws = tuple(w[a:b] for a, b in cuts)
-        for piece in ws:
-            check_dominant(piece)
-        term = _product_weight_char(tuple(zip(blocks, ws)))
-        for tw, tc in term.items():
-            left = char.get(tw, 0) - mult * tc
-            if left < 0:
-                raise AssertionError("branching extraction went negative")
-            if left:
-                char[tw] = left
-            else:
-                char.pop(tw, None)
         out.append((ws, mult))
-    out.sort(key=lambda t: tuple(x for w in t[0] for x in w), reverse=True)
+        term = {(): 1}
+        for piece in ws:
+            dom = piece_dominant.get(piece)
+            if dom is None:
+                dom = piece_dominant[piece] = [
+                    (v, cnt)
+                    for v, cnt in weight_multiplicities(len(piece), piece).items()
+                    if all(a >= b for a, b in zip(v, v[1:]))
+                ]
+            term = {v0 + v1: c0 * c1 for v0, c0 in term.items() for v1, c1 in dom}
+        for v, cnt in term.items():
+            rest = left[v] - mult * cnt
+            if rest < 0:
+                raise AssertionError("branching extraction went negative")
+            left[v] = rest
     return tuple(out)
 
 

@@ -4,7 +4,10 @@ Schur polynomials are expanded through the Jacobi-Trudi determinant over
 complete homogeneous polynomials (no pattern enumeration), and admissible
 Newton points are re-derived from concave lattice paths with an explicit
 pointwise bound check.  Both paths are deliberately different from the
-library's own algorithms.
+library's own algorithms.  The Hasse diagram, weight multiplicity and Levi
+branching oracles are the library's earlier, slower implementations: the
+cubic transitive reduction, one visit per triangular pattern, and extraction
+against the whole character.
 """
 
 from __future__ import annotations
@@ -171,3 +174,104 @@ def hasse_oracle(points):
             edges.append((pts[i], pts[j]))
     edges.sort(key=lambda e: (e[0].slope_vector(), e[1].slope_vector()), reverse=True)
     return edges
+
+
+def _gt_weights(top):
+    """Yield the weight of every interlacing triangular pattern under ``top``."""
+
+    def rows_below(upper):
+        # one entry shorter, interlacing: upper[i] >= lower[i] >= upper[i+1];
+        # weak decrease of the lower row is then automatic
+        k = len(upper) - 1
+        cur = [0] * k
+
+        def fill(i):
+            if i == k:
+                yield tuple(cur)
+                return
+            for v in range(upper[i], upper[i + 1] - 1, -1):
+                cur[i] = v
+                yield from fill(i + 1)
+
+        yield from fill(0)
+
+    def descend(upper, sums):
+        sums = sums + [sum(upper)]
+        if len(upper) == 1:
+            yield sums
+            return
+        for lower in rows_below(upper):
+            yield from descend(lower, sums)
+
+    for sums in descend(tuple(top), []):
+        # sums lists row totals top row first; successive differences give the
+        # weight coordinates from the top down
+        incr = [a - b for a, b in zip(sums, sums[1:] + [0])]
+        yield tuple(incr[::-1])
+
+
+def weight_mults_oracle(n: int, lam) -> dict[tuple[int, ...], int]:
+    """Weight multiplicities by visiting every triangular pattern, one at a
+    time, after the determinant twist that makes the last entry 0."""
+    lam = tuple(lam)
+    assert len(lam) == n
+    c = lam[-1]
+    norm = tuple(x - c for x in lam)
+    counts: dict[tuple[int, ...], int] = {}
+    for w in _gt_weights(norm):
+        shifted = tuple(x + c for x in w)
+        counts[shifted] = counts.get(shifted, 0) + 1
+    return counts
+
+
+def _product_weight_char(parts) -> dict:
+    """Weight character of an outer tensor product across blocks."""
+    acc: dict[tuple[int, ...], int] = {(): 1}
+    for m, lam in parts:
+        block = weight_mults_oracle(m, lam)
+        nxt: dict[tuple[int, ...], int] = {}
+        for w0, c0 in acc.items():
+            for w1, c1 in block.items():
+                key = w0 + w1
+                nxt[key] = nxt.get(key, 0) + c0 * c1
+        acc = nxt
+    return acc
+
+
+def levi_branching_oracle(n: int, lam, blocks):
+    """Branching by splitting the largest remaining weight off the whole
+    character, together with its full product character, until nothing is
+    left."""
+    lam = tuple(lam)
+    c = lam[-1]
+    if c != 0:
+        shifted = levi_branching_oracle(n, tuple(x - c for x in lam), blocks)
+        return tuple(
+            (tuple(tuple(x + c for x in w) for w in ws), mult)
+            for ws, mult in shifted
+        )
+    char = weight_mults_oracle(n, lam)
+    cuts = []
+    start = 0
+    for b in blocks:
+        cuts.append((start, start + b))
+        start += b
+    out = []
+    while char:
+        w = max(char)
+        mult = char[w]
+        ws = tuple(w[a:b] for a, b in cuts)
+        for piece in ws:
+            assert all(a >= b for a, b in zip(piece, piece[1:]))
+        term = _product_weight_char(tuple(zip(blocks, ws)))
+        for tw, tc in term.items():
+            left = char.get(tw, 0) - mult * tc
+            if left < 0:
+                raise AssertionError("branching extraction went negative")
+            if left:
+                char[tw] = left
+            else:
+                char.pop(tw, None)
+        out.append((ws, mult))
+    out.sort(key=lambda t: tuple(x for w in t[0] for x in w), reverse=True)
+    return tuple(out)

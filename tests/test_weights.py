@@ -15,7 +15,12 @@ from bunncalc import (
 )
 from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
-from oracles import branching_expansion, schur_monomials
+from oracles import (
+    branching_expansion,
+    levi_branching_oracle,
+    schur_monomials,
+    weight_mults_oracle,
+)
 
 
 def all_compositions(n, max_parts=None):
@@ -33,6 +38,32 @@ def all_compositions(n, max_parts=None):
 
     rec(n, [])
     return out
+
+
+def normalized_weights(n, max_size):
+    """Every dominant weight of length n with last entry 0 and size <= max_size."""
+    out = []
+
+    def rec(acc, rem):
+        if len(acc) == n - 1:
+            out.append(tuple(acc) + (0,))
+            return
+        for v in range(min(rem, acc[-1] if acc else rem), -1, -1):
+            rec(acc + [v], rem - v)
+
+    rec([], max_size)
+    return out
+
+
+def branched_dim(terms, blocks):
+    """Total dimension of a branching: sum of mult * prod of block dimensions."""
+    total = 0
+    for ws, mult in terms:
+        prod = 1
+        for w, m in zip(ws, blocks):
+            prod *= weyl_dim(w, m)
+        total += mult * prod
+    return total
 
 
 class TestWeylDim:
@@ -104,6 +135,36 @@ class TestWeightMultiplicities:
         assert mult == {tuple(x - 1 for x in w): m for w, m in shifted.items()}
 
 
+class TestAgainstPatternOracles:
+    """The row-by-row count and the block-dominant walk against the earlier
+    pattern-by-pattern enumeration and whole-character extraction."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_weight_and_block_split(self, n):
+        for lam in normalized_weights(n, 5):
+            for shift in (0, -2):
+                lam_s = tuple(x + shift for x in lam)
+                assert weight_multiplicities(n, lam_s) == weight_mults_oracle(n, lam_s)
+                for blocks in all_compositions(n):
+                    assert levi_branching(n, lam_s, blocks) == levi_branching_oracle(
+                        n, lam_s, blocks
+                    )
+
+
+class TestBudgetEdge:
+    """The largest inputs the weight budget admits finish in about a second."""
+
+    def test_largest_dimension_in_budget(self):
+        lam = (7, 4, 1, 0, 0, 0, 0, 0)
+        total = sum(weight_multiplicities(8, lam).values())
+        assert total == weyl_dim(lam, 8) == 1537536
+
+    def test_torus_branch_at_budget_edge(self):
+        lam = (5, 3, 2, 1, 1, 0, 0, 0)
+        blocks = (1,) * 8
+        assert branched_dim(levi_branching(8, lam, blocks), blocks) == weyl_dim(lam, 8)
+
+
 class TestLeviBranching:
     def test_standard_splits_into_block_standards(self):
         terms = levi_branching(5, (1, 0, 0, 0, 0), (2, 3))
@@ -144,13 +205,7 @@ class TestLeviBranching:
     @pytest.mark.parametrize("n,blocks", [(4, (2, 2)), (5, (2, 2, 1)), (6, (3, 3))])
     def test_dimension_identity(self, n, blocks):
         lam = (2, 1) + (0,) * (n - 2)
-        total = 0
-        for ws, mult in levi_branching(n, lam, blocks):
-            prod = 1
-            for w, m in zip(ws, blocks):
-                prod *= weyl_dim(w, m)
-            total += mult * prod
-        assert total == weyl_dim(lam, n)
+        assert branched_dim(levi_branching(n, lam, blocks), blocks) == weyl_dim(lam, n)
 
     @given(st.integers(2, 6), st.data())
     def test_minuscule_multiplicity_free(self, n, data):
