@@ -109,10 +109,6 @@ def bundle(*parts: tuple[int, int, int]) -> BundleSpec:
     return normalize_bundle([(reduce_slope(n, d), m) for n, d, m in parts])
 
 
-def rank_degree(b: BundleSpec) -> tuple[int, int]:
-    return b.rank, b.deg
-
-
 @dataclass(frozen=True)
 class Polygon:
     """Concave piecewise-linear path from (0,0); vertices left to right."""
@@ -283,12 +279,3 @@ def bundle_to_json(b: BundleSpec) -> dict:
             {"num": s.numerator, "den": s.denominator, "mult": m} for s, m in b.parts
         ]
     }
-
-
-def bundle_from_json(data: dict) -> BundleSpec:
-    return normalize_bundle(
-        [
-            (reduce_slope(p["num"], p["den"]), p["mult"])
-            for p in data["parts"]
-        ]
-    )

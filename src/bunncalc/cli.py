@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 domain error (violated precondition is named),
 2 parse/usage error.  Output is deterministic for fixed inputs; ``--json``
 switches to the machine schema, ``--ascii`` replaces the math glyphs.
+
+Each command computes its result once and returns only the view asked for:
+the JSON document (built in ``serialize``) under ``--json``, else its text
+lines.  A command whose exit code depends on the result returns the pair
+(view, exit code).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from . import serialize as ser
 from .bundles import (
     DomainError,
     ParseError,
-    bundle_to_json,
     format_bundle,
     hn_polygon,
     pairing_note,
@@ -24,18 +28,17 @@ from .bundles import (
 )
 from .kottwitz import (
     BudgetError,
-    NewtonPoint,
     _dot_text,
     automorphism_group,
     b_to_bundle,
     bundle_to_b,
-    d_point,
     dot_export,
     enumerate_B,
     hasse,
     kappa_exponents,
     modulus_exponents,
     parabolic_type,
+    point_label,
 )
 from .lparams import LParamShape, b_to_chis, chi_to_bundle, component_shape, make_F
 from .shtuka import (
@@ -48,12 +51,7 @@ from .shtuka import (
     shtuka_cohomology,
 )
 from .spectral import eigensheaf_stalk, hecke, spectral_act, stalk, verify_eigen
-from .weights import (
-    dual_weight,
-    levi_branching,
-    sigma_chi,
-    weight_multiplicities,
-)
+from .weights import dual_weight, levi_branching, sigma_chi, weight_multiplicities
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -63,42 +61,33 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _glyphs(ascii_mode: bool) -> dict[str, str]:
-    if ascii_mode:
-        return {"nu": "nu", "kappa": "kappa", "d": "d", "oplus": " + ", "chi": "chi"}
-    return {"nu": "ν", "kappa": "κ", "d": "d", "oplus": " ⊕ ", "chi": "χ"}
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _point_line(b: NewtonPoint, g: dict) -> str:
-    return f"{g['nu']}={b} {g['kappa']}={b.kappa} d={d_point(b)}"
-
-
 def _shape(args) -> LParamShape:
-    torsion = _ints(args.torsion) if getattr(args, "torsion", None) else None
+    torsion = _ints(args.torsion) if args.torsion else None
     return LParamShape.from_dims(_ints(args.dims), torsion=torsion)
+
+
+def _nu(args) -> str:
+    return "nu" if args.ascii else "ν"
+
+
+def _chi(args) -> str:
+    return "chi" if args.ascii else "χ"
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_bundle(args) -> int:
+def cmd_bundle(args):
     e = parse_bundle(args.expr)
-    g = _glyphs(args.ascii)
+    if args.json:
+        return ser.bundle_report_json(e)
     b = bundle_to_b(e)
     lines = [
         f"bundle: {format_bundle(e, pretty=not args.ascii)}",
         f"rank={e.rank} deg={e.deg}",
         "hn vertices: "
         + " ".join(f"({slope_str(x)},{slope_str(y)})" for x, y in hn_polygon(e).vertices),
-        _point_line(b, g),
+        point_label(b, args.ascii),
         f"parabolic type: {parabolic_type(b)}",
         f"automorphisms: {automorphism_group(e).describe(args.ascii)}",
         f"modulus exponents: {modulus_exponents(e)}",
@@ -107,230 +96,151 @@ def cmd_bundle(args) -> int:
     note = pairing_note(e.slope_classes())
     if note:
         lines.append(note)
-    _emit(args, ser.bundle_report_json(e), lines)
-    return 0
+    return lines
 
 
-def cmd_kottwitz_enum(args) -> int:
+def cmd_kottwitz_enum(args):
     mu = _ints(args.mu)
     points = enumerate_B(args.n, mu)
-    g = _glyphs(args.ascii)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dot_export(points, ascii_mode=args.ascii))
-    payload = {
-        "schema": ser.SCHEMA,
-        "n": args.n,
-        "mu": list(mu),
-        "points": [ser.point_json(p) for p in points],
-    }
-    _emit(args, payload, [f"{len(points)} points"] + [_point_line(p, g) for p in points])
-    return 0
+    if args.json:
+        return ser.enum_json(args.n, mu, points)
+    return [f"{len(points)} points"] + [point_label(p, args.ascii) for p in points]
 
 
-def cmd_kottwitz_hasse(args) -> int:
-    mu = _ints(args.mu)
-    points = enumerate_B(args.n, mu)
+def cmd_kottwitz_hasse(args):
+    points = enumerate_B(args.n, _ints(args.mu))
     edges = hasse(points)
-    g = _glyphs(args.ascii)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(_dot_text(points, edges, args.ascii))
-    payload = {
-        "schema": ser.SCHEMA,
-        "points": [ser.point_json(p) for p in points],
-        "edges": [[ser.point_json(a), ser.point_json(b)] for a, b in edges],
-    }
-    lines = [f"{len(points)} points, {len(edges)} covering edges"]
-    lines += [f"{a} -> {b}" for a, b in edges]
-    _emit(args, payload, lines)
-    return 0
+    if args.json:
+        return ser.hasse_json(points, edges)
+    return [f"{len(points)} points, {len(edges)} covering edges"] + [
+        f"{a} -> {b}" for a, b in edges
+    ]
 
 
-def cmd_chi_to_b(args) -> int:
+def cmd_chi_to_b(args):
     shape = _shape(args)
     chi = _ints(args.chi)
     e = chi_to_bundle(shape, chi)
     sheaf = make_F(shape, chi)
-    g = _glyphs(args.ascii)
-    lines = [
+    if args.json:
+        return ser.chi_to_b_json(shape, chi, e, sheaf)
+    return [
         f"bundle: {format_bundle(e, pretty=not args.ascii)}",
-        _point_line(sheaf.stratum, g),
+        point_label(sheaf.stratum, args.ascii),
         f"sheaf shift: {sheaf.shift}",
         f"rep: {sheaf.rep.describe(shape, args.ascii)}",
     ]
-    payload = {
-        "schema": ser.SCHEMA,
-        "shape": ser.shape_json(shape),
-        "chi": list(chi),
-        "bundle": ser.bundle_report_json(e),
-        "sheaf": ser.sheaf_json(sheaf),
-    }
-    _emit(args, payload, lines)
-    return 0
 
 
-def cmd_b_to_chis(args) -> int:
+def cmd_b_to_chis(args):
     shape = _shape(args)
     e = parse_bundle(args.bundle)
     chis = b_to_chis(shape, bundle_to_b(e))
-    payload = {
-        "schema": ser.SCHEMA,
-        "shape": ser.shape_json(shape),
-        "bundle": bundle_to_json(e),
-        "chis": [list(c) for c in chis],
-    }
-    lines = [f"{len(chis)} characters"] + [str(tuple(c)) for c in chis]
-    _emit(args, payload, lines)
-    return 0
+    if args.json:
+        return ser.b_to_chis_json(shape, e, chis)
+    return [f"{len(chis)} characters"] + [str(tuple(c)) for c in chis]
 
 
-def cmd_shape(args) -> int:
+def cmd_shape(args):
     shape = _shape(args)
     desc = component_shape(shape)
-    payload = {
-        "schema": ser.SCHEMA,
-        "shape": ser.shape_json(shape),
-        "r": desc.r,
-        "torsion": list(desc.torsion),
-        "stack": desc.stack,
-        "closed_point_law": desc.closed_point_law,
-    }
-    _emit(args, payload, [str(desc)])
-    return 0
+    if args.json:
+        return ser.component_shape_json(shape, desc)
+    return [str(desc)]
 
 
-def cmd_weights_mult(args) -> int:
+def cmd_weights_mult(args):
     lam = _ints(args.lam)
     mults = weight_multiplicities(args.n, lam)
+    if args.json:
+        return ser.multiplicities_json(args.n, lam, mults)
     items = sorted(mults.items(), reverse=True)
-    payload = {
-        "schema": ser.SCHEMA,
-        "n": args.n,
-        "weight": list(lam),
-        "dim": sum(mults.values()),
-        "multiplicities": [{"weight": list(w), "mult": m} for w, m in items],
-    }
-    lines = [f"dim {sum(mults.values())}"] + [f"{w}: {m}" for w, m in items]
-    _emit(args, payload, lines)
-    return 0
+    return [f"dim {sum(mults.values())}"] + [f"{w}: {m}" for w, m in items]
 
 
-def cmd_weights_branch(args) -> int:
+def cmd_weights_branch(args):
     lam = _ints(args.lam)
     blocks = _ints(args.blocks)
     terms = levi_branching(args.n, lam, blocks)
-    payload = {
-        "schema": ser.SCHEMA,
-        "n": args.n,
-        "weight": list(lam),
-        "blocks": list(blocks),
-        "terms": [
-            {"weights": [list(w) for w in ws], "mult": m} for ws, m in terms
-        ],
-    }
-    lines = [f"{len(terms)} terms"] + [
+    if args.json:
+        return ser.branching_json(args.n, lam, blocks, terms)
+    return [f"{len(terms)} terms"] + [
         f"{' x '.join(str(w) for w in ws)}  mult {m}" for ws, m in terms
     ]
-    _emit(args, payload, lines)
-    return 0
 
 
-def cmd_weights_sigma(args) -> int:
+def cmd_weights_sigma(args):
     shape = _shape(args)
     lam = _ints(args.lam)
     chi = _ints(args.chi)
     sym = sigma_chi(shape, lam, chi)
-    payload = {
-        "schema": ser.SCHEMA,
-        "shape": ser.shape_json(shape),
-        "weight": list(lam),
-        "chi": list(chi),
-        "sigma": ser.weil_json(sym),
-    }
-    _emit(args, payload, [f"sigma = {sym.describe(args.ascii)}", f"dim {sym.dim}"])
-    return 0
+    if args.json:
+        return ser.sigma_json(shape, lam, chi, sym)
+    return [f"sigma = {sym.describe(args.ascii)}", f"dim {sym.dim}"]
 
 
-def cmd_spectral_act(args) -> int:
+def cmd_spectral_act(args):
     shape = _shape(args)
-    chi = _ints(args.chi)
-    xi = _ints(args.xi)
-    out = spectral_act(shape, chi, make_F(shape, xi))
-    g = _glyphs(args.ascii)
-    lines = [
-        _point_line(out.stratum, g),
+    out = spectral_act(shape, _ints(args.chi), make_F(shape, _ints(args.xi)))
+    if args.json:
+        return ser.act_json(out)
+    return [
+        point_label(out.stratum, args.ascii),
         f"shift: {out.shift}",
         f"rep: {out.rep.describe(shape, args.ascii)}",
     ]
-    _emit(
-        args,
-        {"schema": ser.SCHEMA, "sheaf": ser.sheaf_json(out)},
-        lines,
-    )
-    return 0
 
 
-def cmd_spectral_hecke(args) -> int:
+def cmd_spectral_hecke(args):
     shape = _shape(args)
-    lam = _ints(args.lam)
-    xi = _ints(args.xi)
-    dec = hecke(shape, lam, make_F(shape, xi))
-    g = _glyphs(args.ascii)
+    dec = hecke(shape, _ints(args.lam), make_F(shape, _ints(args.xi)))
     if args.stalk:
         b = bundle_to_b(parse_bundle(args.stalk))
         picked = stalk(dec, b)
-        payload = {
-            "schema": ser.SCHEMA,
-            "stratum": ser.point_json(b),
-            "terms": [
-                {"sheaf": ser.sheaf_json(s), "sigma": ser.weil_json(w)}
-                for s, w in picked
-            ],
-        }
-        lines = [f"{len(picked)} terms at {g['nu']}={b}"] + [
+        if args.json:
+            return ser.stalk_json(b, picked)
+        return [f"{len(picked)} terms at {_nu(args)}={b}"] + [
             f"shift {s.shift}  sigma {w.describe(args.ascii)}" for s, w in picked
         ]
-        _emit(args, payload, lines)
-        return 0
-    lines = [f"{len(dec.terms)} terms, total dim {dec.total_dim}"]
-    for chi, sheaf, sym in dec.terms:
-        lines.append(
-            f"{g['chi']}={tuple(chi)}  {g['nu']}={sheaf.stratum}  shift {sheaf.shift}"
-            f"  sigma {sym.describe(args.ascii)}"
-        )
-    _emit(args, ser.hecke_json(dec), lines)
-    return 0
+    if args.json:
+        return ser.hecke_json(dec)
+    return [f"{len(dec.terms)} terms, total dim {dec.total_dim}"] + [
+        f"{_chi(args)}={tuple(chi)}  {_nu(args)}={sheaf.stratum}  shift {sheaf.shift}"
+        f"  sigma {sym.describe(args.ascii)}"
+        for chi, sheaf, sym in dec.terms
+    ]
 
 
-def cmd_spectral_eigensheaf(args) -> int:
+def cmd_spectral_eigensheaf(args):
     shape = _shape(args)
     b = bundle_to_b(parse_bundle(args.bundle))
     st = eigensheaf_stalk(shape, b)
-    g = _glyphs(args.ascii)
-    lines = [f"{st.count} pieces at {g['nu']}={b}"] + [
+    if args.json:
+        return ser.eigenstalk_json(st)
+    return [f"{st.count} pieces at {_nu(args)}={b}"] + [
         f"shift {p.shift}  rep {p.rep.describe(shape, args.ascii)}" for p in st.pieces
     ]
-    _emit(args, ser.eigenstalk_json(st), lines)
-    return 0
 
 
-def cmd_spectral_verify(args) -> int:
+def cmd_spectral_verify(args):
     shape = _shape(args)
     lam = _ints(args.lam)
     strata = [bundle_to_b(parse_bundle(s)) for s in args.strata.split(";") if s]
     ok = verify_eigen(shape, lam, strata)
-    payload = {
-        "schema": ser.SCHEMA,
-        "weight": list(lam),
-        "strata": [ser.point_json(b) for b in strata],
-        "eigen": ok,
-    }
-    _emit(args, payload, [f"eigen identity: {'holds' if ok else 'FAILS'}"])
-    return 0 if ok else 1
+    if args.json:
+        view = ser.verify_json(lam, strata, ok)
+    else:
+        view = [f"eigen identity: {'holds' if ok else 'FAILS'}"]
+    return view, 0 if ok else 1
 
 
-def cmd_shtuka(args) -> int:
+def cmd_shtuka(args):
     shape = _shape(args)
     xi = _ints(args.xi)
     target = bundle_to_b(parse_bundle(args.target))
@@ -339,24 +249,23 @@ def cmd_shtuka(args) -> int:
     else:
         weight, direction = dual_weight(_ints(args.mu_inv)), "inverse"
     out = shtuka_cohomology(shape, xi, target, weight, direction)
-    _emit(args, ser.cohomology_json(out), _cohomology_lines(out, shape, args.ascii))
-    return 0
+    return _cohomology_view(args, shape, out)
 
 
-def cmd_hv(args) -> int:
+def cmd_hv(args):
     shape = _shape(args)
-    xi = _ints(args.xi)
-    out = harris_viehmann(shape, xi, _ints(args.mu_inv))
-    _emit(args, ser.cohomology_json(out), _cohomology_lines(out, shape, args.ascii))
-    return 0
+    out = harris_viehmann(shape, _ints(args.xi), _ints(args.mu_inv))
+    return _cohomology_view(args, shape, out)
 
 
-def _cohomology_lines(out, shape, ascii_mode: bool) -> list[str]:
+def _cohomology_view(args, shape, out):
+    if args.json:
+        return ser.cohomology_json(out)
     lines = [f"direction: {out.direction}", f"{len(out.pieces)} pieces"]
     for p in out.pieces:
-        sigma = p.sigma.describe(ascii_mode, dual=p.sigma_dual)
+        sigma = p.sigma.describe(args.ascii, dual=p.sigma_dual)
         lines.append(
-            f"rep {p.rep.describe(shape, ascii_mode)}  sigma {sigma}"
+            f"rep {p.rep.describe(shape, args.ascii)}  sigma {sigma}"
             f"  shift {p.shift}  tate {p.tate}"
         )
         if p.induction:
@@ -366,11 +275,12 @@ def _cohomology_lines(out, shape, ascii_mode: bool) -> list[str]:
     return lines
 
 
-def cmd_boyer(args) -> int:
-    eb = parse_bundle(args.b)
-    ebp = parse_bundle(args.bprime)
-    mu = _ints(args.mu)
-    f = boyer_factorize(eb, ebp, mu, args.split)
+def cmd_boyer(args):
+    f = boyer_factorize(
+        parse_bundle(args.b), parse_bundle(args.bprime), _ints(args.mu), args.split
+    )
+    if args.json:
+        return ser.boyer_json(f)
     lines = [
         f"direction: {f.direction}",
         f"split rank {f.split_rank}: mu1={f.mu1} mu2={f.mu2}",
@@ -380,69 +290,132 @@ def cmd_boyer(args) -> int:
         f"G_target: {f.g_target.describe(args.ascii)}",
         f"parabolic in {f.parabolic_group} "
         f"({'proper' if f.parabolic_proper else 'whole group'}), Levi "
-        + (" x " if args.ascii else " × ").join(
-            g.describe(args.ascii) for g in f.levi
-        ),
+        + (" x " if args.ascii else " × ").join(g.describe(args.ascii) for g in f.levi),
         f"pairings: whole {f.rho_whole}, parts {f.rho_part1} + {f.rho_part2}",
         f"d = {f.d}, h = {f.h}",
         f"twist exponents: {f.kappa_twist}",
     ]
-    lines += [f"note: {n}" for n in f.notes]
-    _emit(args, ser.boyer_json(f), lines)
-    return 0
+    return lines + [f"note: {n}" for n in f.notes]
 
 
-def cmd_modif_targets(args) -> int:
+def cmd_modif_targets(args):
     out = modification_targets_rank_one(args.n, args.nprime)
-    payload = {
-        "schema": ser.SCHEMA,
-        "n": args.n,
-        "nprime": args.nprime,
-        "targets": [ser.bundle_report_json(e)["bundle"] for e in out],
-    }
-    lines = [f"{len(out)} sources"] + [
-        format_bundle(e, pretty=not args.ascii) for e in out
-    ]
-    _emit(args, payload, lines)
-    return 0
+    if args.json:
+        return ser.modif_targets_json(args.n, args.nprime, out)
+    return [f"{len(out)} sources"] + [format_bundle(e, pretty=not args.ascii) for e in out]
 
 
-def cmd_modif_necessary(args) -> int:
-    eb = parse_bundle(args.b)
-    ebp = parse_bundle(args.bprime)
-    ok = modification_necessary(eb, ebp, _ints(args.mu))
-    payload = {"schema": ser.SCHEMA, "necessary_conditions_pass": ok}
-    _emit(args, payload, [f"necessary conditions: {'pass' if ok else 'fail'}"])
-    return 0
+def cmd_modif_necessary(args):
+    ok = modification_necessary(parse_bundle(args.b), parse_bundle(args.bprime), _ints(args.mu))
+    if args.json:
+        return ser.modif_necessary_json(ok)
+    return [f"necessary conditions: {'pass' if ok else 'fail'}"]
 
 
-def cmd_igusa(args) -> int:
+def cmd_igusa(args):
     shape = _shape(args)
+    mu = _ints(args.mu)
     b = bundle_to_b(parse_bundle(args.b))
-    out = igusa_cohomology(shape, _ints(args.mu), b)
-    mp = mantovan_pieces(shape, _ints(args.mu), b)
-    g = _glyphs(args.ascii)
+    out = igusa_cohomology(shape, mu, b)
+    mp = mantovan_pieces(shape, mu, b)
+    if args.json:
+        return ser.igusa_json(out, mp)
     lines = [
-        f"stratum {g['nu']}={out.stratum}, middle degree {out.degree}",
+        f"stratum {_nu(args)}={out.stratum}, middle degree {out.degree}",
         f"{out.count} pieces, each {out.multiplicity_symbol} * (half-modulus twist) "
         f"x {out.similitude_symbol}",
     ]
-    for chi, rep in out.pieces:
-        lines.append(f"{g['chi']}={tuple(chi)}: {rep.describe(shape, args.ascii)}")
+    lines += [
+        f"{_chi(args)}={tuple(chi)}: {rep.describe(shape, args.ascii)}" for chi, rep in out.pieces
+    ]
     lines.append(f"graded piece: {mp.text}")
-    lines += [f"note: {n}" for n in out.notes]
-    payload = ser.igusa_json(out)
-    payload["mantovan"] = ser.mantovan_json(mp)
-    _emit(args, payload, lines)
-    return 0
+    return lines + [f"note: {n}" for n in out.notes]
 
 
 # ------------------------------------------------------------------ parser
 
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit the JSON schema")
-    p.add_argument("--ascii", action="store_true", help="plain-ASCII output")
+# key -> (option string, add_argument keywords)
+_OPTIONS = {
+    "expr": ("expr", {}),
+    "n": ("-n", _INT),
+    "nprime": ("--nprime", _INT),
+    "split": ("--split", _INT),
+    "mu": ("--mu", _REQUIRED),
+    "mu_inv": ("--mu-inv", _REQUIRED),
+    "mu_forward": ("--mu", {"help": "forward direction weight"}),
+    "mu_inverse": ("--mu-inv", {"help": "inverse direction weight"}),
+    "dims": ("--dims", _REQUIRED),
+    "torsion": ("--torsion", {}),
+    "chi": ("--chi", _REQUIRED),
+    "xi": ("--xi", _REQUIRED),
+    "lam": ("--lambda", {"dest": "lam", "required": True}),
+    "blocks": ("--blocks", _REQUIRED),
+    "bundle": ("--bundle", _REQUIRED),
+    "b": ("--b", _REQUIRED),
+    "b_stratum": ("--b", {"required": True, "help": "stratum as a bundle expression"}),
+    "bprime": ("--bprime", _REQUIRED),
+    "dot": ("--dot", {"help": "write a DOT digraph to this path"}),
+    "stalk": ("--stalk", {"help": "restrict to the stratum of this bundle"}),
+    "strata": ("--strata", {"required": True, "help": "';'-separated bundle expressions"}),
+    "target": ("--target", {"required": True, "help": "target stratum as a bundle"}),
+    "json": ("--json", {"action": "store_true", "help": "emit the JSON schema"}),
+    "ascii": ("--ascii", {"action": "store_true", "help": "plain-ASCII output"}),
+}
+
+_SHAPE = ("dims", "torsion")
+_HECKE = _SHAPE + ("lam", "xi", "stalk")
+
+# (command path, help, handler, option keys); a tuple of keys is a required
+# mutually exclusive group, and a row without a handler holds subcommands
+_COMMANDS = [
+    (("bundle",), "invariants of a bundle expression", cmd_bundle, ("expr",)),
+    (("kottwitz",), "Newton point enumeration and poset", None, ()),
+    (("kottwitz", "enum"), "points under a dominant cocharacter", cmd_kottwitz_enum,
+     ("n", "mu", "dot")),
+    (("kottwitz", "hasse"), "covering edges of the dominance order", cmd_kottwitz_hasse,
+     ("n", "mu", "dot")),
+    (("chi-to-b",), "stratum and sheaf symbol of a character", cmd_chi_to_b, _SHAPE + ("chi",)),
+    (("b-to-chis",), "characters of a stratum", cmd_b_to_chis, _SHAPE + ("bundle",)),
+    (("shape",), "component shape of a parameter skeleton", cmd_shape, _SHAPE),
+    (("weights",), "weight multiplicities and branching", None, ()),
+    (("weights", "mult"), "weight multiplicities", cmd_weights_mult, ("n", "lam")),
+    (("weights", "branch"), "restriction to a block Levi", cmd_weights_branch,
+     ("n", "lam", "blocks")),
+    (("weights", "sigma"), "isotypic slice of a weight representation", cmd_weights_sigma,
+     _SHAPE + ("lam", "chi")),
+    (("spectral",), "character action and operator decompositions", None, ()),
+    (("spectral", "act"), "translate a canonical symbol by a character", cmd_spectral_act,
+     _SHAPE + ("chi", "xi")),
+    (("spectral", "hecke"), "operator decomposition", cmd_spectral_hecke, _HECKE),
+    (("spectral", "stalk"), "operator decomposition restricted to a stratum",
+     cmd_spectral_hecke, _HECKE),
+    (("spectral", "eigensheaf"), "eigen-stalk at a stratum", cmd_spectral_eigensheaf,
+     _SHAPE + ("bundle",)),
+    (("spectral", "verify"), "termwise eigen identity on a stratum window",
+     cmd_spectral_verify, _SHAPE + ("lam", "strata")),
+    (("hecke",), "alias for 'spectral hecke'", cmd_spectral_hecke, _HECKE),
+    (("shtuka",), "stalk of an operator with shift/twist ledger", cmd_shtuka,
+     _SHAPE + ("xi", "target", ("mu_forward", "mu_inverse"))),
+    (("hv",), "basic-stratum output with induction presentation", cmd_hv,
+     _SHAPE + ("xi", "mu_inv")),
+    (("boyer",), "factor a modification space along a split", cmd_boyer,
+     ("b", "bprime", "mu", "split")),
+    (("modif",), "rank-one modification sources / necessary checks", None, ()),
+    (("modif", "targets"), "sources of an elementary modification", cmd_modif_targets,
+     ("n", "nprime")),
+    (("modif", "necessary"), "necessary-only existence checks", cmd_modif_necessary,
+     ("b", "bprime", "mu")),
+    (("igusa",), "middle-degree isotypic output at a stratum", cmd_igusa,
+     _SHAPE + ("mu", "b_stratum")),
+]
+
+
+def _add_option(parser, key: str) -> None:
+    flag, kwargs = _OPTIONS[key]
+    parser.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,157 +424,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact slope calculus, Newton strata, and character/stratum "
         "bookkeeping for spectral Hecke actions",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bundle", help="invariants of a bundle expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(func=cmd_bundle)
-
-    kw = sub.add_parser("kottwitz", help="Newton point enumeration and poset")
-    ksub = kw.add_subparsers(dest="subcommand", required=True)
-    p = ksub.add_parser("enum", help="points under a dominant cocharacter")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--dot", help="write a DOT digraph to this path")
-    _add_common(p)
-    p.set_defaults(func=cmd_kottwitz_enum)
-    p = ksub.add_parser("hasse", help="covering edges of the dominance order")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--dot", help="write a DOT digraph to this path")
-    _add_common(p)
-    p.set_defaults(func=cmd_kottwitz_hasse)
-
-    p = sub.add_parser("chi-to-b", help="stratum and sheaf symbol of a character")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--chi", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_chi_to_b)
-
-    p = sub.add_parser("b-to-chis", help="characters of a stratum")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--bundle", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_b_to_chis)
-
-    p = sub.add_parser("shape", help="component shape of a parameter skeleton")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    _add_common(p)
-    p.set_defaults(func=cmd_shape)
-
-    w = sub.add_parser("weights", help="weight multiplicities and branching")
-    wsub = w.add_subparsers(dest="subcommand", required=True)
-    p = wsub.add_parser("mult", help="weight multiplicities")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_weights_mult)
-    p = wsub.add_parser("branch", help="restriction to a block Levi")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--blocks", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_weights_branch)
-    p = wsub.add_parser("sigma", help="isotypic slice of a weight representation")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--chi", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_weights_sigma)
-
-    sp = sub.add_parser("spectral", help="character action and operator decompositions")
-    ssub = sp.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("act", help="translate a canonical symbol by a character")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--xi", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral_act)
-
-    def _hecke_parser(parser):
-        parser.add_argument("--dims", required=True)
-        parser.add_argument("--torsion")
-        parser.add_argument("--lambda", dest="lam", required=True)
-        parser.add_argument("--xi", required=True)
-        parser.add_argument("--stalk", help="restrict to the stratum of this bundle")
-        _add_common(parser)
-        parser.set_defaults(func=cmd_spectral_hecke)
-
-    _hecke_parser(ssub.add_parser("hecke", help="operator decomposition"))
-    p = ssub.add_parser("stalk", help="operator decomposition restricted to a stratum")
-    _hecke_parser(p)
-    _hecke_parser(sub.add_parser("hecke", help="alias for 'spectral hecke'"))
-
-    p = ssub.add_parser("eigensheaf", help="eigen-stalk at a stratum")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--bundle", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral_eigensheaf)
-
-    p = ssub.add_parser("verify", help="termwise eigen identity on a stratum window")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--strata", required=True, help="';'-separated bundle expressions")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectral_verify)
-
-    p = sub.add_parser("shtuka", help="stalk of an operator with shift/twist ledger")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--target", required=True, help="target stratum as a bundle")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", help="forward direction weight")
-    group.add_argument("--mu-inv", dest="mu_inv", help="inverse direction weight")
-    _add_common(p)
-    p.set_defaults(func=cmd_shtuka)
-
-    p = sub.add_parser("hv", help="basic-stratum output with induction presentation")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--xi", required=True)
-    p.add_argument("--mu-inv", dest="mu_inv", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_hv)
-
-    p = sub.add_parser("boyer", help="factor a modification space along a split")
-    p.add_argument("--b", required=True)
-    p.add_argument("--bprime", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--split", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_boyer)
-
-    m = sub.add_parser("modif", help="rank-one modification sources / necessary checks")
-    msub = m.add_subparsers(dest="subcommand", required=True)
-    p = msub.add_parser("targets", help="sources of an elementary modification")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_modif_targets)
-    p = msub.add_parser("necessary", help="necessary-only existence checks")
-    p.add_argument("--b", required=True)
-    p.add_argument("--bprime", required=True)
-    p.add_argument("--mu", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_modif_necessary)
-
-    p = sub.add_parser("igusa", help="middle-degree isotypic output at a stratum")
-    p.add_argument("--dims", required=True)
-    p.add_argument("--torsion")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--b", required=True, help="stratum as a bundle expression")
-    _add_common(p)
-    p.set_defaults(func=cmd_igusa)
-
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for path, help_text, func, keys in _COMMANDS:
+        p = subparsers[path[:-1]].add_parser(path[-1], help=help_text)
+        if func is None:
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for key in keys + ("json", "ascii"):
+            if isinstance(key, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for member in key:
+                    _add_option(group, member)
+            else:
+                _add_option(p, key)
+        p.set_defaults(func=func)
     return top
 
 
@@ -635,13 +471,20 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        return args.func(args)
+        view = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    view, code = view if isinstance(view, tuple) else (view, 0)
+    if isinstance(view, dict):
+        print(json.dumps(view, indent=2))
+    else:
+        for line in view:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

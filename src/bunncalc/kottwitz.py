@@ -67,9 +67,8 @@ class NewtonPoint:
 
     @property
     def kappa(self) -> int:
-        total = sum(Fraction(s) * c for s, c in self.classes)
-        assert total.denominator == 1
-        return int(total)
+        # exact: __post_init__ checks that den(s) divides c
+        return sum(s.numerator * (c // s.denominator) for s, c in self.classes)
 
     def slope_vector(self) -> tuple[Fraction, ...]:
         out: list[Fraction] = []
@@ -98,6 +97,12 @@ def b_to_bundle(b: NewtonPoint) -> BundleSpec:
 def d_point(b: NewtonPoint) -> int:
     """<2rho, nu_b> evaluated on the point's slope classes."""
     return rho_pairing(b.classes)
+
+
+def point_label(b: NewtonPoint, ascii_mode: bool = False) -> str:
+    """The point's slope vector, endpoint invariant and pairing value."""
+    nu, ka = ("nu", "kappa") if ascii_mode else ("ν", "κ")
+    return f"{nu}={b} {ka}={b.kappa} d={d_point(b)}"
 
 
 def point_from_vector(vec) -> NewtonPoint:
@@ -166,31 +171,27 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     lo_slope = mu[-1] if n else 0
 
     results: list[NewtonPoint] = []
-
-    def extend(x: int, y: int, last: Fraction | None, acc: list[tuple[Fraction, int]]):
+    # depth-first over partial paths: segments acc of (rise, run) reach (x, y)
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    while stack:
+        x, y, acc = stack.pop()
         if x == n:
             if y == total:
-                results.append(NewtonPoint(tuple(acc)))
+                results.append(NewtonPoint(tuple((Fraction(dy, dx), dx) for dy, dx in acc)))
                 if len(results) > budget:
-                    raise BudgetError(
-                        f"enumeration exceeded budget of {budget} points"
-                    )
-            return
+                    raise BudgetError(f"enumeration exceeded budget of {budget} points")
+            continue
         for dx in range(1, n - x + 1):
             # slope of the next maximal segment is dy/dx; classes strictly
             # decrease, stay under the concave mu-polygon (endpoint checks
             # suffice), and never drop below mu_n (cannot recover afterwards).
             hi = prefix[x + dx] - y
-            if last is not None:
-                # largest dy with dy/dx < last
-                hi = min(hi, (last.numerator * dx - 1) // last.denominator)
+            if acc:
+                # largest dy with dy/dx < the previous slope
+                last_dy, last_dx = acc[-1]
+                hi = min(hi, (last_dy * dx - 1) // last_dx)
             for dy in range(hi, lo_slope * dx - 1, -1):
-                s = Fraction(dy, dx)
-                acc.append((s, dx))
-                extend(x + dx, y + dy, s, acc)
-                acc.pop()
-
-    extend(0, 0, None, [])
+                stack.append((x + dx, y + dy, acc + ((dy, dx),)))
     # integer partial sums order lexicographically as the slope vectors do
     scale = _common_scale(results)
     results.sort(key=lambda p: _partial_sums(p, scale), reverse=True)
@@ -251,12 +252,9 @@ def _dot_text(points, edges, ascii_mode: bool) -> str:
     """dot_export's rendering, given the covering edges of the points."""
     pts = sorted(points, key=lambda p: p.slope_vector(), reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
-    nu = "nu" if ascii_mode else "ν"
-    ka = "kappa" if ascii_mode else "κ"
     lines = ["digraph kottwitz {"]
     for p in pts:
-        label = f"{nu}={p} {ka}={p.kappa} d={d_point(p)}"
-        lines.append(f'  {names[p]} [label="{label}"];')
+        lines.append(f'  {names[p]} [label="{point_label(p, ascii_mode)}"];')
     for lo, hi in edges:
         lines.append(f"  {names[lo]} -> {names[hi]};")
     lines.append("}")

@@ -125,9 +125,6 @@ class RepSymbol:
     slope_classes: tuple[tuple[Slope, frozenset[int]], ...]
     group: InnerFormGroup
 
-    def members_by_slope(self) -> dict[Slope, frozenset[int]]:
-        return {s: mem for s, mem in self.slope_classes}
-
     def describe(self, shape: LParamShape, ascii_mode: bool = False) -> str:
         boxtimes = " x " if ascii_mode else " ⊠ "
         parts = []
@@ -214,57 +211,34 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
         raise DomainError(f"rank mismatch: point has {b.rank}, shape has {shape.n}")
     e = b_to_bundle(b)
     slopes = [s for s, _ in e.parts]
-    remaining = [m * s.denominator for s, m in e.parts]
     order = sorted(range(shape.r), key=lambda i: -shape.components[i].dim)
     budget = enumeration_budget()
 
     out: list[Character] = []
-    assign: dict[int, int] = {}
-
-    def backtrack(pos: int) -> None:
-        if pos == shape.r:
-            if all(r == 0 for r in remaining):
-                chi = [0] * shape.r
-                for i, cls in assign.items():
-                    d = Fraction(slopes[cls]) * shape.components[i].dim
-                    chi[i] = int(d)
-                out.append(tuple(chi))
+    # depth-first: the first len(chi) components of order are placed, and
+    # remaining is the rank each class still has to host
+    stack = [((), tuple(m * s.denominator for s, m in e.parts))]
+    while stack:
+        chi, remaining = stack.pop()
+        if len(chi) == shape.r:
+            if not any(remaining):
+                placed = dict(zip(order, chi))
+                out.append(tuple(placed[i] for i in range(shape.r)))
                 if len(out) > budget:
                     raise BudgetError(f"character enumeration exceeded {budget}")
-            return
-        i = order[pos]
-        ni = shape.components[i].dim
+            continue
+        ni = shape.components[order[len(chi)]].dim
         for cls, s in enumerate(slopes):
-            if ni % Fraction(s).denominator != 0:
-                continue
-            if remaining[cls] < ni:
-                continue
-            remaining[cls] -= ni
-            assign[i] = cls
-            backtrack(pos + 1)
-            del assign[i]
-            remaining[cls] += ni
-
-    backtrack(0)
+            if ni % s.denominator == 0 and remaining[cls] >= ni:
+                rest = remaining[:cls] + (remaining[cls] - ni,) + remaining[cls + 1 :]
+                stack.append((chi + (s.numerator * ni // s.denominator,), rest))
     return sorted(set(out))
 
 
 def check_a1(shape: LParamShape) -> bool:
-    """Label distinctness plus the caller's disjointness assertion flag."""
-    labels = [c.label for c in shape.components]
-    return len(set(labels)) == len(labels) and shape.disjointness_asserted
-
-
-def a2_separates(shape: LParamShape, chi: Character, chi2: Character) -> bool:
-    """Separation of Frobenius-eigenvalue data under formal independence.
-
-    With the unramified twist coordinates treated as independent symbols, the
-    eigenvalue multisets of two characters are disjoint exactly when their
-    exponent signatures differ.
-    """
-    chi = shape.check_chi(chi)
-    chi2 = shape.check_chi(chi2)
-    return chi != chi2
+    """The caller's disjointness assertion flag (label distinctness is
+    enforced when the shape is built)."""
+    return shape.disjointness_asserted
 
 
 @dataclass(frozen=True)
@@ -281,7 +255,7 @@ class ComponentShape:
 def component_shape(shape: LParamShape) -> ComponentShape:
     """Connected-component description: a trivially-acted torus quotient."""
     if not check_a1(shape):
-        raise DomainError("component description requires pairwise distinct components")
+        raise DomainError("component description requires the distinctness hypothesis")
     r = shape.r
     torsion = tuple(c.torsion for c in shape.components)
     if r == 1:

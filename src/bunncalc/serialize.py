@@ -9,9 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bundles import BundleSpec, Polygon, bundle_to_json, format_bundle
-from .kottwitz import CharacterExponents, InnerFormGroup, NewtonPoint
-from .lparams import LParamShape, RepSymbol, SheafSymbol
+from .bundles import BundleSpec, Polygon, bundle_to_json, format_bundle, hn_polygon, pairing_note
+from .kottwitz import (
+    CharacterExponents,
+    InnerFormGroup,
+    NewtonPoint,
+    automorphism_group,
+    bundle_to_b,
+    d_point,
+    kappa_exponents,
+    modulus_exponents,
+    parabolic_type,
+)
+from .lparams import Character, ComponentShape, LParamShape, RepSymbol, SheafSymbol
 from .shtuka import (
     BoyerFactorization,
     CohomologyOutput,
@@ -186,7 +196,7 @@ def boyer_json(f: BoyerFactorization) -> dict:
     }
 
 
-def igusa_json(out: IgusaOutput) -> dict:
+def igusa_json(out: IgusaOutput, mp: MantovanPiece) -> dict:
     return {
         "schema": SCHEMA,
         "stratum": point_json(out.stratum),
@@ -198,6 +208,7 @@ def igusa_json(out: IgusaOutput) -> dict:
             {"chi": list(chi), "rep": rep_json(rep)} for chi, rep in out.pieces
         ],
         "notes": list(out.notes),
+        "mantovan": mantovan_json(mp),
     }
 
 
@@ -214,16 +225,6 @@ def mantovan_json(p: MantovanPiece) -> dict:
 
 
 def bundle_report_json(e: BundleSpec) -> dict:
-    from .kottwitz import (
-        automorphism_group,
-        bundle_to_b,
-        d_point,
-        kappa_exponents,
-        modulus_exponents,
-        parabolic_type,
-    )
-    from .bundles import hn_polygon, pairing_note
-
     b = bundle_to_b(e)
     out = {
         "schema": SCHEMA,
@@ -244,3 +245,116 @@ def bundle_report_json(e: BundleSpec) -> dict:
     if note:
         out["notes"] = [note]
     return out
+
+
+def enum_json(n: int, mu, points) -> dict:
+    return {
+        "schema": SCHEMA,
+        "n": n,
+        "mu": list(mu),
+        "points": [point_json(p) for p in points],
+    }
+
+
+def hasse_json(points, edges) -> dict:
+    return {
+        "schema": SCHEMA,
+        "points": [point_json(p) for p in points],
+        "edges": [[point_json(a), point_json(b)] for a, b in edges],
+    }
+
+
+def chi_to_b_json(shape: LParamShape, chi: Character, e: BundleSpec, sheaf: SheafSymbol) -> dict:
+    return {
+        "schema": SCHEMA,
+        "shape": shape_json(shape),
+        "chi": list(chi),
+        "bundle": bundle_report_json(e),
+        "sheaf": sheaf_json(sheaf),
+    }
+
+
+def b_to_chis_json(shape: LParamShape, e: BundleSpec, chis) -> dict:
+    return {
+        "schema": SCHEMA,
+        "shape": shape_json(shape),
+        "bundle": bundle_to_json(e),
+        "chis": [list(c) for c in chis],
+    }
+
+
+def component_shape_json(shape: LParamShape, desc: ComponentShape) -> dict:
+    return {
+        "schema": SCHEMA,
+        "shape": shape_json(shape),
+        "r": desc.r,
+        "torsion": list(desc.torsion),
+        "stack": desc.stack,
+        "closed_point_law": desc.closed_point_law,
+    }
+
+
+def multiplicities_json(n: int, lam, mults: dict) -> dict:
+    return {
+        "schema": SCHEMA,
+        "n": n,
+        "weight": list(lam),
+        "dim": sum(mults.values()),
+        "multiplicities": [
+            {"weight": list(w), "mult": m} for w, m in sorted(mults.items(), reverse=True)
+        ],
+    }
+
+
+def branching_json(n: int, lam, blocks, terms) -> dict:
+    return {
+        "schema": SCHEMA,
+        "n": n,
+        "weight": list(lam),
+        "blocks": list(blocks),
+        "terms": [{"weights": [list(w) for w in ws], "mult": m} for ws, m in terms],
+    }
+
+
+def sigma_json(shape: LParamShape, lam, chi: Character, sym: WeilSymbol) -> dict:
+    return {
+        "schema": SCHEMA,
+        "shape": shape_json(shape),
+        "weight": list(lam),
+        "chi": list(chi),
+        "sigma": weil_json(sym),
+    }
+
+
+def act_json(sheaf: SheafSymbol) -> dict:
+    return {"schema": SCHEMA, "sheaf": sheaf_json(sheaf)}
+
+
+def stalk_json(b: NewtonPoint, picked) -> dict:
+    return {
+        "schema": SCHEMA,
+        "stratum": point_json(b),
+        "terms": [{"sheaf": sheaf_json(s), "sigma": weil_json(w)} for s, w in picked],
+    }
+
+
+def verify_json(lam, strata, ok: bool) -> dict:
+    return {
+        "schema": SCHEMA,
+        "weight": list(lam),
+        "strata": [point_json(b) for b in strata],
+        "eigen": ok,
+    }
+
+
+def modif_targets_json(n: int, nprime: int, targets) -> dict:
+    return {
+        "schema": SCHEMA,
+        "n": n,
+        "nprime": nprime,
+        "targets": [bundle_to_json(e) for e in targets],
+    }
+
+
+def modif_necessary_json(ok: bool) -> dict:
+    return {"schema": SCHEMA, "necessary_conditions_pass": ok}

@@ -36,6 +36,7 @@ from .kottwitz import (
     b_to_bundle,
     bundle_to_b,
     d_point,
+    enumerate_B,
     kappa_exponents,
     point_from_vector,
 )
@@ -44,6 +45,7 @@ from .lparams import (
     LParamShape,
     RepSymbol,
     b_to_chis,
+    check_a1,
     chi_id,
     chi_inv,
     chi_to_bundle,
@@ -202,10 +204,7 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
     xi = shape.check_chi(xi)
     mu_inv_weight = check_dominant(mu_inv_weight, shape.n)
     source_bundle = chi_to_bundle(shape, xi)
-    b_xi = bundle_to_b(source_bundle)
-    if xi not in b_to_chis(shape, bundle_to_b(source_bundle)):
-        raise DomainError("character is not realized on its own stratum")
-    d_src = d_point(b_xi)
+    d_src = d_point(bundle_to_b(source_bundle))
     sigma = sigma_chi(shape, mu_inv_weight, chi_inv(xi))
     tate = Fraction(rho_weight(mu_inv_weight), 2)
     ledger = (
@@ -347,14 +346,6 @@ def _kappa_twist(whole: BundleSpec, part1: BundleSpec, part2: BundleSpec) -> Cha
             exps.append((idx, whole_exp[s] - e))
             idx += 1
     return CharacterExponents(tuple(exps))
-
-
-def boyer_applicable(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> bool:
-    try:
-        boyer_factorize(eb, ebp, mu, m)
-        return True
-    except DomainError:
-        return False
 
 
 def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactorization:
@@ -503,9 +494,6 @@ def igusa_cohomology(shape: LParamShape, mu, b: NewtonPoint) -> IgusaOutput:
     sum over the characters of the stratum of the half-modulus twist of their
     representation symbols times a fixed similitude character.
     """
-    from .kottwitz import enumerate_B
-    from .lparams import check_a1
-
     mu = check_dominant(mu, shape.n)
     if not is_minuscule(mu):
         raise DomainError("cocharacter must be minuscule")

@@ -20,6 +20,7 @@ from .lparams import (
     SheafSymbol,
     b_to_chis,
     character_of_sheaf,
+    check_a1,
     chi_id,
     chi_inv,
     chi_mul,
@@ -96,7 +97,7 @@ class EigensheafStalk:
 
 def eigensheaf_stalk(shape: LParamShape, b: NewtonPoint) -> EigensheafStalk:
     """All canonical symbols supported on b: one per character of the stratum."""
-    if not shape.disjointness_asserted:
+    if not check_a1(shape):
         raise DomainError("eigen-stalk bookkeeping requires the distinctness hypothesis")
     pieces = tuple(make_F(shape, chi) for chi in b_to_chis(shape, b))
     return EigensheafStalk(stratum=b, pieces=pieces)

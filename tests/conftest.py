@@ -1,3 +1,4 @@
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,3 +51,15 @@ def shape_and_chi(draw, max_r: int = 4, max_dim: int = 4, max_d: int = 5):
         )
     )
     return shape, tuple(chi)
+
+
+def unreachable_after(call) -> int:
+    """Objects the cyclic collector finds unreachable after call() runs with
+    automatic collection off, that is, what call() left behind in cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -107,7 +107,7 @@ SCRIPT_NAMES = sorted(p.stem for p in SCRIPTS.glob("*.py"))
 
 
 @contextlib.contextmanager
-def _session(workdir: Path):
+def _captured(workdir: Path):
     """Run in workdir at COLUMNS=80, capturing stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     old_cwd, old_columns = os.getcwd(), os.environ.get("COLUMNS")
@@ -129,7 +129,7 @@ def run_case(argv: list[str], workdir: Path) -> dict[str, object]:
     dot = workdir / DOT
     if dot.exists():
         dot.unlink()
-    with _session(workdir) as (out, err):
+    with _captured(workdir) as (out, err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse: --help and usage errors
@@ -146,7 +146,7 @@ def run_script(name: str, workdir: Path) -> bytes:
     old_argv = sys.argv
     sys.argv = [str(SCRIPTS / f"{name}.py")]
     try:
-        with _session(workdir) as (out, _):
+        with _captured(workdir) as (out, _):
             runpy.run_path(sys.argv[0], run_name="__main__")
     finally:
         sys.argv = old_argv
@@ -185,7 +185,8 @@ def test_text_views_do_not_serialize(monkeypatch, tmp_path):
         return raiser
 
     for name, fn in list(vars(ser).items()):
-        if callable(fn) and getattr(fn, "__module__", None) == ser.__name__ and not name.startswith("_"):
+        public = not name.startswith("_") and getattr(fn, "__module__", None) == ser.__name__
+        if callable(fn) and public:
             monkeypatch.setattr(ser, name, refuse(name))
     for case_id, argv in CASES.items():
         if "--json" not in argv:

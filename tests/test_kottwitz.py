@@ -22,7 +22,7 @@ from bunncalc import (
     parse_bundle,
     point_from_vector,
 )
-from conftest import bundle_specs
+from conftest import bundle_specs, unreachable_after
 from oracles import hasse_oracle, newton_points_oracle
 
 F = Fraction
@@ -116,6 +116,9 @@ class TestEnumerate:
             (F(1, 2), F(1, 2), F(0)),
             (F(1, 3), F(1, 3), F(1, 3)),
         ]
+
+    def test_leaves_no_reference_cycles(self):
+        assert unreachable_after(lambda: enumerate_B(5, (2, 1, 0, 0, 0))) == 0
 
     def test_central_mu_is_singleton(self):
         pts = enumerate_B(4, (0, 0, 0, 0))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bunncalc import (
     DomainError,
-    a2_separates,
     b_to_chis,
     bundle_to_b,
     check_a1,
@@ -21,7 +20,7 @@ from bunncalc import (
     parse_bundle,
 )
 from bunncalc.lparams import Component, LParamShape, character_of_rep, character_of_sheaf
-from conftest import shape_and_chi
+from conftest import shape_and_chi, unreachable_after
 
 F = Fraction
 
@@ -64,6 +63,11 @@ class TestChiToBundle:
     def test_identity_character(self):
         shape = LParamShape.from_dims((2, 3))
         assert chi_to_bundle(shape, (0, 0)) == parse_bundle("O^5")
+
+    def test_length_mismatch_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        with pytest.raises(DomainError):
+            chi_to_bundle(shape, (1, 0, 0))
 
     @given(shape_and_chi())
     def test_rank_and_degree(self, data):
@@ -126,6 +130,11 @@ class TestRepAndSheaf:
 
 
 class TestBToChis:
+    def test_leaves_no_reference_cycles(self):
+        shape = LParamShape.from_dims((1, 1, 1))
+        b = bundle_to_b(parse_bundle("O(1)^2+O"))
+        assert unreachable_after(lambda: b_to_chis(shape, b)) == 0
+
     def test_multinomial_count(self):
         shape = LParamShape.from_dims((1, 1, 1, 1))
         b = bundle_to_b(parse_bundle("O(2)^2+O(1)+O"))
@@ -167,23 +176,6 @@ class TestHypotheses:
         shape = LParamShape.from_dims((2, 3))
         flagged = LParamShape(shape.components, disjointness_asserted=False)
         assert not check_a1(flagged)
-
-    def test_a2_same_character(self):
-        shape = LParamShape.from_dims((1, 1))
-        assert not a2_separates(shape, (1, 0), (1, 0))
-
-    def test_a2_unit_characters(self):
-        shape = LParamShape.from_dims((1, 1))
-        assert a2_separates(shape, (1, 0), (0, 1))
-
-    def test_a2_equal_degree(self):
-        shape = LParamShape.from_dims((1, 1))
-        assert a2_separates(shape, (2, 0), (1, 1))
-
-    def test_a2_length_mismatch(self):
-        shape = LParamShape.from_dims((1, 1))
-        with pytest.raises(DomainError):
-            a2_separates(shape, (1, 0, 0), (0, 1))
 
 
 class TestComponentShape:

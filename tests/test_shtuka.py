@@ -10,7 +10,6 @@ from bunncalc import (
     DomainError,
     automorphism_group,
     b_to_bundle,
-    boyer_applicable,
     boyer_factorize,
     bundle_to_b,
     chi_inv,
@@ -265,18 +264,11 @@ class TestBoyer:
         assert total == 0
 
     def test_applicable_wrapper(self):
-        assert boyer_applicable(
-            parse_bundle(ILLUSTRATION_1["b"]),
-            parse_bundle(ILLUSTRATION_1["bprime"]),
-            ILLUSTRATION_1["mu"],
-            4,
-        )
-        assert not boyer_applicable(
-            parse_bundle(ILLUSTRATION_1["b"]),
-            parse_bundle(ILLUSTRATION_1["bprime"]),
-            ILLUSTRATION_1["mu"],
-            5,
-        )
+        eb = parse_bundle(ILLUSTRATION_1["b"])
+        ebp = parse_bundle(ILLUSTRATION_1["bprime"])
+        assert boyer_factorize(eb, ebp, ILLUSTRATION_1["mu"], 4).split_rank == 4
+        with pytest.raises(DomainError):
+            boyer_factorize(eb, ebp, ILLUSTRATION_1["mu"], 5)
 
 
 class TestModifications:
