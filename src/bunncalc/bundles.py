@@ -97,7 +97,8 @@ def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
         empty = False
         if m < 1:
             raise DomainError(f"multiplicity must be >= 1, got {m}")
-        merged[Fraction(s)] = merged.get(Fraction(s), 0) + m
+        s = Fraction(s)
+        merged[s] = merged.get(s, 0) + m
     if empty:
         raise DomainError("empty summand list")
     parts = tuple(sorted(merged.items(), key=lambda p: p[0], reverse=True))

@@ -250,7 +250,9 @@ def dot_export(points, ascii_mode: bool = False) -> str:
 
 def _dot_text(points, edges, ascii_mode: bool) -> str:
     """dot_export's rendering, given the covering edges of the points."""
-    pts = sorted(points, key=lambda p: p.slope_vector(), reverse=True)
+    # integer partial sums order lexicographically as the slope vectors do
+    scale = _common_scale(points)
+    pts = sorted(points, key=lambda p: _partial_sums(p, scale), reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
     lines = ["digraph kottwitz {"]
     for p in pts:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .bundles import BundleSpec, DomainError, Slope, normalize_bundle, slope_str
+from .bundles import BundleSpec, DomainError, Slope, slope_str
 from .kottwitz import (
     BudgetError,
     InnerFormGroup,
@@ -107,14 +107,35 @@ class LParamShape:
         return chi
 
 
+def _slope_classes(shape: LParamShape, chi: Character) -> list[tuple[Slope, list[int]]]:
+    """Components grouped by the slope d_i/n_i, slopes strictly decreasing.
+
+    The grouping runs on the reduced integer pair (d/g, n/g), g = gcd(d, n),
+    and builds one Fraction per distinct slope.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (d, comp) in enumerate(zip(chi, shape.components)):
+        g = gcd(d, comp.dim)
+        groups.setdefault((d // g, comp.dim // g), []).append(i)
+    scale = lcm(*(q for _, q in groups))
+    keys = sorted(groups, key=lambda pq: pq[0] * (scale // pq[1]), reverse=True)
+    return [(Fraction(p, q), groups[p, q]) for p, q in keys]
+
+
+def _classes_bundle(shape: LParamShape, classes) -> BundleSpec:
+    """Component i contributes O(s) with multiplicity n_i / den(s)."""
+    return BundleSpec(
+        tuple(
+            (s, sum(shape.components[i].dim for i in members) // s.denominator)
+            for s, members in classes
+        )
+    )
+
+
 def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
     """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
     chi = shape.check_chi(chi)
-    parts = []
-    for d, comp in zip(chi, shape.components):
-        g = gcd(abs(d), comp.dim) if d != 0 else comp.dim
-        parts.append((Fraction(d, comp.dim), g))
-    return normalize_bundle(parts)
+    return _classes_bundle(shape, _slope_classes(shape, chi))
 
 
 @dataclass(frozen=True)
@@ -136,16 +157,12 @@ class RepSymbol:
 
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     chi = shape.check_chi(chi)
-    e = chi_to_bundle(shape, chi)
-    fibers: dict[Fraction, set[int]] = {}
-    for i, (d, comp) in enumerate(zip(chi, shape.components)):
-        fibers.setdefault(Fraction(d, comp.dim), set()).add(i)
-    classes = tuple(
-        (s, frozenset(fibers[s]))
-        for s in sorted(fibers, reverse=True)
-    )
+    classes = _slope_classes(shape, chi)
+    e = _classes_bundle(shape, classes)
     return RepSymbol(
-        stratum=bundle_to_b(e), slope_classes=classes, group=automorphism_group(e)
+        stratum=bundle_to_b(e),
+        slope_classes=tuple((s, frozenset(members)) for s, members in classes),
+        group=automorphism_group(e),
     )
 
 

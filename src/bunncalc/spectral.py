@@ -4,13 +4,17 @@ the resulting operator decompositions, and eigen-stalk bookkeeping.
 On the orbit of canonical symbols the action of a character is a pure
 translation: acting by chi on the symbol of xi yields the symbol of chi*xi.
 An operator attached to a highest weight decomposes into these translations
-weighted by the isotypic slices of the weight representation.
+weighted by the isotypic slices of the weight representation; one pass over
+the weight's branching to the component blocks sorts its terms into the
+slices.  The eigen check decomposes every source of a stratum window, and
+builds each translated symbol once per check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .bundles import DomainError
 from .kottwitz import NewtonPoint
@@ -26,7 +30,7 @@ from .lparams import (
     chi_mul,
     make_F,
 )
-from .weights import WeilSymbol, check_dominant, levi_branching, sigma_chi
+from .weights import WeilSymbol, check_dominant, levi_branching
 
 
 def spectral_act(shape: LParamShape, chi: Character, sheaf: SheafSymbol) -> SheafSymbol:
@@ -63,21 +67,31 @@ class HeckeDecomposition:
 def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     """Decompose the weight-lam operator applied to a canonical symbol.
 
-    Every character with a nonzero isotypic slice contributes the translated
-    symbol paired with that slice.  Terms are ordered by descending character.
+    One pass over the branching of r_lam to the component blocks groups its
+    terms by their character chi (the per-block central characters); each
+    group, in branching order, is the isotypic slice of chi and is paired
+    with the translated symbol.  Terms are ordered by descending character.
     """
+    return _hecke(shape, lam, sheaf, partial(make_F, shape))
+
+
+def _hecke(shape: LParamShape, lam, sheaf: SheafSymbol, sheaf_of) -> HeckeDecomposition:
+    """hecke's body; ``sheaf_of`` maps a character to its canonical symbol."""
     lam = check_dominant(lam, shape.n)
     xi = character_of_sheaf(shape, sheaf)
-    chis: set[Character] = set()
-    for ws, _ in levi_branching(shape.n, lam, shape.dims):
-        chis.add(tuple(sum(w) for w in ws))
-    terms = []
-    for chi in sorted(chis, reverse=True):
-        sym = sigma_chi(shape, lam, chi)
-        if sym.is_zero:
-            continue
-        terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
-    return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=tuple(terms))
+    slices: dict[Character, list] = {}
+    for ws, mult in levi_branching(shape.n, lam, shape.dims):
+        slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
+    labels = tuple(c.label for c in shape.components)
+    terms = tuple(
+        (
+            chi,
+            sheaf_of(chi_mul(chi, xi)),
+            WeilSymbol(blocks=shape.dims, labels=labels, terms=tuple(slices[chi])),
+        )
+        for chi in sorted(slices, reverse=True)
+    )
+    return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=terms)
 
 
 def stalk(dec: HeckeDecomposition, b: NewtonPoint) -> list[tuple[SheafSymbol, WeilSymbol]]:
@@ -112,22 +126,35 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     characters can contribute at b; they are exactly eta * chi^{-1} for eta a
     character of b and chi a character with nonzero slice, so the check runs
     over that window.
+
+    Every source is decomposed afresh through hecke's path, with its
+    canonical shape checked.  The sources of a window share most of their
+    translated symbols, so the call builds each character's symbol once, in
+    a memo that lives only as long as the call.
     """
     lam = check_dominant(lam, shape.n)
-    dec_id = hecke(shape, lam, make_F(shape, chi_id(shape.r)))
+    memo: dict[Character, SheafSymbol] = {}
+
+    def sheaf_of(chi: Character) -> SheafSymbol:
+        sheaf = memo.get(chi)
+        if sheaf is None:
+            sheaf = memo[chi] = make_F(shape, chi)
+        return sheaf
+
+    dec_id = _hecke(shape, lam, sheaf_of(chi_id(shape.r)), sheaf_of)
     slice_chis = [(chi, sym) for chi, _, sym in dec_id.terms]
     for b in strata:
         etas = b_to_chis(shape, b)
         rhs: Counter = Counter()
         sources: set[Character] = set()
         for eta in etas:
-            piece = make_F(shape, eta)
+            piece = sheaf_of(eta)
             for chi, sym in slice_chis:
                 rhs[(piece, sym)] += 1
                 sources.add(chi_mul(eta, chi_inv(chi)))
         lhs: Counter = Counter()
         for xi in sorted(sources):
-            for sheaf, sym in stalk(hecke(shape, lam, make_F(shape, xi)), b):
+            for sheaf, sym in stalk(_hecke(shape, lam, sheaf_of(xi), sheaf_of), b):
                 lhs[(sheaf, sym)] += 1
         if lhs != rhs:
             return False

@@ -53,6 +53,38 @@ def shape_and_chi(draw, max_r: int = 4, max_dim: int = 4, max_d: int = 5):
     return shape, tuple(chi)
 
 
+def all_compositions(n, max_parts=None):
+    out = []
+
+    def rec(rem, acc):
+        if rem == 0:
+            if acc:
+                out.append(tuple(acc))
+            return
+        if max_parts is not None and len(acc) == max_parts:
+            return
+        for k in range(1, rem + 1):
+            rec(rem - k, acc + [k])
+
+    rec(n, [])
+    return out
+
+
+def normalized_weights(n, max_size):
+    """Every dominant weight of length n with last entry 0 and size <= max_size."""
+    out = []
+
+    def rec(acc, rem):
+        if len(acc) == n - 1:
+            out.append(tuple(acc) + (0,))
+            return
+        for v in range(min(rem, acc[-1] if acc else rem), -1, -1):
+            rec(acc + [v], rem - v)
+
+    rec([], max_size)
+    return out
+
+
 def unreachable_after(call) -> int:
     """Objects the cyclic collector finds unreachable after call() runs with
     automatic collection off, that is, what call() left behind in cycles."""

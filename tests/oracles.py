@@ -4,10 +4,12 @@ Schur polynomials are expanded through the Jacobi-Trudi determinant over
 complete homogeneous polynomials (no pattern enumeration), and admissible
 Newton points are re-derived from concave lattice paths with an explicit
 pointwise bound check.  Both paths are deliberately different from the
-library's own algorithms.  The Hasse diagram, weight multiplicity and Levi
-branching oracles are the library's earlier, slower implementations: the
-cubic transitive reduction, one visit per triangular pattern, and extraction
-against the whole character.
+library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
+branching, Hecke decomposition and character dictionary oracles are the
+library's earlier, slower implementations: the cubic transitive reduction,
+one visit per triangular pattern, extraction against the whole character, a
+slice filter over every branching term per character, and bundles merged
+through Fraction slopes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
+
+from bunncalc.bundles import normalize_bundle
+from bunncalc.kottwitz import automorphism_group, bundle_to_b
+from bunncalc.lparams import RepSymbol, character_of_sheaf, chi_mul, make_F
+from bunncalc.spectral import HeckeDecomposition
+from bunncalc.weights import check_dominant, levi_branching, sigma_chi
 
 Monomials = dict[tuple[int, ...], int]
 
@@ -275,3 +284,46 @@ def levi_branching_oracle(n: int, lam, blocks):
         out.append((ws, mult))
     out.sort(key=lambda t: tuple(x for w in t[0] for x in w), reverse=True)
     return tuple(out)
+
+
+def chi_to_bundle_oracle(shape, chi):
+    """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
+    chi = shape.check_chi(chi)
+    parts = []
+    for d, comp in zip(chi, shape.components):
+        g = gcd(abs(d), comp.dim) if d != 0 else comp.dim
+        parts.append((Fraction(d, comp.dim), g))
+    return normalize_bundle(parts)
+
+
+def chi_to_rep_oracle(shape, chi):
+    """The representation symbol from one Fraction slope per component."""
+    chi = shape.check_chi(chi)
+    e = chi_to_bundle_oracle(shape, chi)
+    fibers: dict[Fraction, set[int]] = {}
+    for i, (d, comp) in enumerate(zip(chi, shape.components)):
+        fibers.setdefault(Fraction(d, comp.dim), set()).add(i)
+    classes = tuple(
+        (s, frozenset(fibers[s]))
+        for s in sorted(fibers, reverse=True)
+    )
+    return RepSymbol(
+        stratum=bundle_to_b(e), slope_classes=classes, group=automorphism_group(e)
+    )
+
+
+def hecke_oracle(shape, lam, sheaf):
+    """The Hecke decomposition with one sigma_chi filter over every branching
+    term per character, and one make_F per term."""
+    lam = check_dominant(lam, shape.n)
+    xi = character_of_sheaf(shape, sheaf)
+    chis: set = set()
+    for ws, _ in levi_branching(shape.n, lam, shape.dims):
+        chis.add(tuple(sum(w) for w in ws))
+    terms = []
+    for chi in sorted(chis, reverse=True):
+        sym = sigma_chi(shape, lam, chi)
+        if sym.is_zero:
+            continue
+        terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
+    return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=tuple(terms))

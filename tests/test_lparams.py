@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -20,7 +21,8 @@ from bunncalc import (
     parse_bundle,
 )
 from bunncalc.lparams import Component, LParamShape, character_of_rep, character_of_sheaf
-from conftest import shape_and_chi, unreachable_after
+from conftest import all_compositions, shape_and_chi, unreachable_after
+from oracles import chi_to_rep_oracle
 
 F = Fraction
 
@@ -75,6 +77,21 @@ class TestChiToBundle:
         e = chi_to_bundle(shape, chi)
         assert e.rank == shape.n
         assert e.deg == sum(chi)
+
+
+class TestAgainstFractionOracle:
+    """The integer slope grouping against one Fraction slope per component
+    merged through normalize_bundle."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_character(self, n):
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            # entries -4..4 for four or five components would take about ten
+            # seconds; -2..2 already merges equal slopes across them
+            bound = 4 if shape.r <= 3 else 2
+            for chi in product(range(-bound, bound + 1), repeat=shape.r):
+                assert chi_to_rep(shape, chi) == chi_to_rep_oracle(shape, chi)
 
 
 class TestRepAndSheaf:

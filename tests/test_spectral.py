@@ -1,5 +1,7 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -17,13 +19,17 @@ from bunncalc import (
     hecke,
     make_F,
     parse_bundle,
+    sigma_chi,
     spectral_act,
     stalk,
     verify_eigen,
     weyl_dim,
 )
+import bunncalc.spectral as spectral
+import bunncalc.weights as weights
 from bunncalc.lparams import LParamShape
-from conftest import shape_and_chi
+from conftest import all_compositions, normalized_weights, shape_and_chi
+from oracles import hecke_oracle
 
 F = Fraction
 
@@ -125,6 +131,33 @@ class TestHecke:
             assert sheaf.tate_twist == 0
 
 
+class TestAgainstSliceOracle:
+    """The one-pass grouping by character against a sigma_chi filter over
+    every branching term per character."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_weight_and_block_split(self, n):
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            f = make_F(shape, chi_id(shape.r))
+            for lam in normalized_weights(n, 4):
+                for shift in (0, -2):
+                    lam_s = tuple(x + shift for x in lam)
+                    assert hecke(shape, lam_s, f) == hecke_oracle(shape, lam_s, f)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_source(self, n):
+        lam = (1,) + (0,) * (n - 1)
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            # entries -2..2 for four or five components would take about
+            # ten seconds; the source only enters through the translation
+            bound = 2 if shape.r <= 3 else 1
+            for xi in product(range(-bound, bound + 1), repeat=shape.r):
+                f = make_F(shape, xi)
+                assert hecke(shape, lam, f) == hecke_oracle(shape, lam, f)
+
+
 class TestStalk:
     def test_unreachable_stratum_empty(self):
         shape = LParamShape.from_dims((1, 1))
@@ -194,3 +227,51 @@ class TestEigensheaf:
             bundle_to_b(parse_bundle("O(1)+O^2")),
         ]
         assert verify_eigen(shape, (1, 1, 0), strata)
+
+
+class TestVerifyEigenWork:
+    """What one verify_eigen call computes, counted rather than timed."""
+
+    def test_one_symbol_per_character_and_no_slice_filter(self, monkeypatch):
+        shape = LParamShape.from_dims((1, 2, 2))
+        lam = (3, 1, 0, 0, 0)
+        dec = hecke(shape, lam, make_F(shape, chi_id(3)))
+        strata = sorted({sheaf.stratum for _, sheaf, _ in dec.terms}, key=str)[:6]
+        built: Counter = Counter()
+        filtered: Counter = Counter()
+
+        def counting_make_F(shape_, chi):
+            built[chi] += 1
+            return make_F(shape_, chi)
+
+        def counting_sigma_chi(*args):
+            filtered["calls"] += 1
+            return sigma_chi(*args)
+
+        monkeypatch.setattr(spectral, "make_F", counting_make_F)
+        monkeypatch.setattr(spectral, "sigma_chi", counting_sigma_chi, raising=False)
+        monkeypatch.setattr(weights, "sigma_chi", counting_sigma_chi)
+        assert verify_eigen(shape, lam, strata)
+        assert len(built) > 100
+        assert max(built.values()) == 1
+        built.clear()
+        hecke(shape, lam, make_F(shape, (1, 0, -1)))
+        assert sum(built.values()) == len(dec.terms)
+        assert not filtered
+
+    def test_wrong_translation_fails(self, monkeypatch):
+        # (1, 0) gets the symbol of (0, 1), which lies on another stratum; a
+        # check that stopped looking at the translated symbols would pass
+        shape = LParamShape.from_dims((2, 1))
+        strata = [
+            bundle_to_b(parse_bundle("O^3")),
+            bundle_to_b(parse_bundle("O(1/2)+O")),
+            bundle_to_b(parse_bundle("O(1)+O^2")),
+        ]
+        assert verify_eigen(shape, (1, 0, 0), strata)
+
+        def wrong_make_F(shape_, chi):
+            return make_F(shape_, (0, 1) if chi == (1, 0) else chi)
+
+        monkeypatch.setattr(spectral, "make_F", wrong_make_F)
+        assert not verify_eigen(shape, (1, 0, 0), strata)

@@ -15,44 +15,13 @@ from bunncalc import (
 )
 from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
+from conftest import all_compositions, normalized_weights
 from oracles import (
     branching_expansion,
     levi_branching_oracle,
     schur_monomials,
     weight_mults_oracle,
 )
-
-
-def all_compositions(n, max_parts=None):
-    out = []
-
-    def rec(rem, acc):
-        if rem == 0:
-            if acc:
-                out.append(tuple(acc))
-            return
-        if max_parts is not None and len(acc) == max_parts:
-            return
-        for k in range(1, rem + 1):
-            rec(rem - k, acc + [k])
-
-    rec(n, [])
-    return out
-
-
-def normalized_weights(n, max_size):
-    """Every dominant weight of length n with last entry 0 and size <= max_size."""
-    out = []
-
-    def rec(acc, rem):
-        if len(acc) == n - 1:
-            out.append(tuple(acc) + (0,))
-            return
-        for v in range(min(rem, acc[-1] if acc else rem), -1, -1):
-            rec(acc + [v], rem - v)
-
-    rec([], max_size)
-    return out
 
 
 def branched_dim(terms, blocks):
