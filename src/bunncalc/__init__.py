@@ -5,7 +5,6 @@ from .bundles import (
     BundleSpec,
     DomainError,
     ParseError,
-    Polygon,
     Slope,
     bundle,
     format_bundle,

@@ -2,8 +2,9 @@
 
 A bundle is a finite direct sum of stable pieces O(lam), one isomorphism class
 per rational slope lam = p/q in lowest terms; O(p/q) has rank q and degree p.
-All arithmetic is exact (``fractions.Fraction``); floats never appear, so
-equality tests on slopes, polygons and pairings are reliable.
+Slopes are exact (``fractions.Fraction``), HN polygons are integer vertex
+tuples, and dominance of slope polygons compares integer partial sums of
+slope vectors scaled by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ def reduce_slope(num: int, den: int) -> Slope:
     return Fraction(num, den)
 
 
+def check_slope(s) -> None:
+    if not isinstance(s, Fraction):
+        raise DomainError(f"slope {s!r} is not an exact rational")
+
+
 def slope_str(s: Slope) -> str:
     if s.denominator == 1:
         return str(s.numerator)
@@ -58,8 +64,7 @@ class BundleSpec:
         if not self.parts:
             raise DomainError("a bundle must have at least one summand")
         for s, m in self.parts:
-            if not isinstance(s, Fraction):
-                raise DomainError(f"slope {s!r} is not an exact rational")
+            check_slope(s)
             if m < 1:
                 raise DomainError(f"multiplicity must be >= 1, got {m}")
         slopes = [s for s, _ in self.parts]
@@ -77,9 +82,6 @@ class BundleSpec:
     def slope_classes(self) -> tuple[tuple[Slope, int], ...]:
         """(slope, entry count) pairs, where the count is mult * den(slope)."""
         return tuple((s, m * s.denominator) for s, m in self.parts)
-
-    def direct_sum(self, other: "BundleSpec") -> "BundleSpec":
-        return normalize_bundle(list(self.parts) + list(other.parts))
 
     def twist(self, a: int) -> "BundleSpec":
         """Tensor by the degree-a line bundle: every slope shifts by a."""
@@ -110,61 +112,35 @@ def bundle(*parts: tuple[int, int, int]) -> BundleSpec:
     return normalize_bundle([(reduce_slope(n, d), m) for n, d, m in parts])
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """Concave piecewise-linear path from (0,0); vertices left to right."""
-
-    vertices: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        v = self.vertices
-        if len(v) < 2 or v[0] != (Fraction(0), Fraction(0)):
-            raise DomainError("polygon must start at (0,0) and have >= 2 vertices")
-        xs = [p[0] for p in v]
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise DomainError("polygon abscissae must strictly increase")
-        slopes = [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(v, v[1:])
-        ]
-        if any(a >= b for a, b in zip(slopes[1:], slopes)):
-            raise DomainError("polygon must be concave (strictly decreasing slopes)")
-
-    @property
-    def endpoint(self) -> tuple[Fraction, Fraction]:
-        return self.vertices[-1]
-
-    def value_at(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        if x < 0 or x > self.vertices[-1][0]:
-            raise DomainError(f"abscissa {x} outside polygon span")
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
-
-    def lies_above(self, other: "Polygon") -> bool:
-        """Pointwise >= comparison; spans must agree.
-
-        Both polygons have integer breakpoints, so comparing at the integer
-        abscissae is equivalent to the pointwise statement.
-        """
-        if self.endpoint[0] != other.endpoint[0]:
-            raise DomainError("polygon spans differ")
-        n = int(self.endpoint[0])
-        return all(self.value_at(x) >= other.value_at(x) for x in range(n + 1))
-
-
-def hn_polygon(b: BundleSpec) -> Polygon:
-    """One segment per slope class; breakpoints are lattice points."""
-    x = Fraction(0)
-    y = Fraction(0)
+def hn_polygon(b: BundleSpec) -> tuple[tuple[int, int], ...]:
+    """Vertices (rank, degree) of the HN polygon from (0, 0), one segment per
+    slope class; breakpoints are lattice points."""
+    x = y = 0
     verts = [(x, y)]
     for s, m in b.parts:
         x += m * s.denominator
         y += m * s.numerator
         verts.append((x, y))
-    return Polygon(tuple(verts))
+    return tuple(verts)
+
+
+def common_scale(class_lists: Iterable[Sequence[tuple[Slope, int]]]) -> int:
+    """The lcm of the slope denominators over several lists of slope classes."""
+    return lcm(*(s.denominator for classes in class_lists for s, _ in classes))
+
+
+def partial_sums(classes: Sequence[tuple[Slope, int]], scale: int) -> tuple[int, ...]:
+    """Partial sums of the slope vector of (slope, entry count) classes times
+    scale, a multiple of every slope denominator, as exact integers.  A polygon
+    lies under another of equal rank iff each partial sum is <= the other's."""
+    sums: list[int] = []
+    acc = 0
+    for s, c in classes:
+        step = s.numerator * scale // s.denominator
+        for _ in range(c):
+            acc += step
+            sums.append(acc)
+    return tuple(sums)
 
 
 def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
@@ -175,12 +151,11 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
     sum_{i<j} m_i m_j (lam_i - lam_j), always an integer.  It is computed on
     the slopes scaled by the lcm of their denominators, then divided exactly.
     """
-    slopes = [s if isinstance(s, Fraction) else Fraction(s) for s, _ in classes]
-    scale = lcm(*(s.denominator for s in slopes))
-    scaled = [s.numerator * (scale // s.denominator) for s in slopes]
+    scale = common_scale((classes,))
+    scaled = [s.numerator * (scale // s.denominator) for s, _ in classes]
     if any(a >= b for a, b in zip(scaled[1:], scaled)):
         raise DomainError("slope classes must be strictly decreasing")
-    for s, (_, m) in zip(slopes, classes):
+    for s, m in classes:
         if m < 1:
             raise DomainError(f"class count must be >= 1, got {m}")
         if s.numerator * m % s.denominator:
@@ -217,7 +192,7 @@ _FLAGGED_CLASSES = (
 
 def pairing_note(classes: Sequence[tuple[Slope, int]]) -> str | None:
     """Annotation for the known tabulated-value discrepancy, else None."""
-    cl = tuple((Fraction(s), m) for s, m in classes)
+    cl = tuple(classes)
     negated = tuple((-s, m) for s, m in reversed(cl))
     if cl == _FLAGGED_CLASSES or negated == _FLAGGED_CLASSES:
         return (

@@ -24,7 +24,6 @@ from .bundles import (
     hn_polygon,
     pairing_note,
     parse_bundle,
-    slope_str,
 )
 from .kottwitz import (
     BudgetError,
@@ -86,7 +85,7 @@ def cmd_bundle(args):
         f"bundle: {format_bundle(e, pretty=not args.ascii)}",
         f"rank={e.rank} deg={e.deg}",
         "hn vertices: "
-        + " ".join(f"({slope_str(x)},{slope_str(y)})" for x, y in hn_polygon(e).vertices),
+        + " ".join(f"({x},{y})" for x, y in hn_polygon(e)),
         point_label(b, args.ascii),
         f"parabolic type: {parabolic_type(b)}",
         f"automorphisms: {automorphism_group(e).describe(args.ascii)}",

@@ -12,15 +12,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import le
 
 from .bundles import (
     BundleSpec,
     DomainError,
     Slope,
-    normalize_bundle,
-    reduce_slope,
+    check_slope,
+    common_scale,
+    partial_sums,
     rho_pairing,
     slope_str,
 )
@@ -50,16 +50,17 @@ class NewtonPoint:
     def __post_init__(self) -> None:
         if not self.classes:
             raise DomainError("a Newton point needs at least one slope class")
+        for s, c in self.classes:
+            check_slope(s)
+            if c < 1:
+                raise DomainError(f"class count must be >= 1, got {c}")
+            if c % s.denominator != 0:
+                raise DomainError(
+                    f"breakpoints not integral: den({slope_str(s)}) does not divide {c}"
+                )
         slopes = [s for s, _ in self.classes]
         if any(a >= b for a, b in zip(slopes[1:], slopes)):
             raise DomainError("Newton point slopes must be strictly decreasing")
-        for s, c in self.classes:
-            if c < 1:
-                raise DomainError(f"class count must be >= 1, got {c}")
-            if c % Fraction(s).denominator != 0:
-                raise DomainError(
-                    f"breakpoints not integral: den({slope_str(Fraction(s))}) does not divide {c}"
-                )
 
     @property
     def rank(self) -> int:
@@ -73,7 +74,7 @@ class NewtonPoint:
     def slope_vector(self) -> tuple[Fraction, ...]:
         out: list[Fraction] = []
         for s, c in self.classes:
-            out.extend([Fraction(s)] * c)
+            out.extend([s] * c)
         return tuple(out)
 
     def __str__(self) -> str:
@@ -87,11 +88,7 @@ def bundle_to_b(e: BundleSpec) -> NewtonPoint:
 
 
 def b_to_bundle(b: NewtonPoint) -> BundleSpec:
-    parts = []
-    for s, c in reversed(b.classes):
-        q = Fraction(s).denominator
-        parts.append((reduce_slope(-s.numerator, q), c // q))
-    return normalize_bundle(parts)
+    return BundleSpec(tuple((-s, c // s.denominator) for s, c in reversed(b.classes)))
 
 
 def d_point(b: NewtonPoint) -> int:
@@ -119,23 +116,6 @@ def point_from_vector(vec) -> NewtonPoint:
     return NewtonPoint(tuple(classes))
 
 
-def _partial_sums(b: NewtonPoint, scale: int) -> tuple[int, ...]:
-    """Partial sums of b's slope vector times scale, a multiple of every slope
-    denominator, so that they are exact integers."""
-    sums: list[int] = []
-    acc = 0
-    for s, c in b.classes:
-        step = s.numerator * scale // s.denominator
-        for _ in range(c):
-            acc += step
-            sums.append(acc)
-    return tuple(sums)
-
-
-def _common_scale(points) -> int:
-    return lcm(*(s.denominator for p in points for s, _ in p.classes))
-
-
 def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     """Dominance order within a fixed endpoint slice.
 
@@ -145,8 +125,8 @@ def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     """
     if b1.rank != b2.rank:
         raise DomainError(f"rank mismatch: {b1.rank} vs {b2.rank}")
-    scale = _common_scale((b1, b2))
-    s1, s2 = _partial_sums(b1, scale), _partial_sums(b2, scale)
+    scale = common_scale((b1.classes, b2.classes))
+    s1, s2 = partial_sums(b1.classes, scale), partial_sums(b2.classes, scale)
     return s1[-1] == s2[-1] and all(map(le, s1, s2))
 
 
@@ -193,8 +173,8 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
             for dy in range(hi, lo_slope * dx - 1, -1):
                 stack.append((x + dx, y + dy, acc + ((dy, dx),)))
     # integer partial sums order lexicographically as the slope vectors do
-    scale = _common_scale(results)
-    results.sort(key=lambda p: _partial_sums(p, scale), reverse=True)
+    scale = common_scale(p.classes for p in results)
+    results.sort(key=lambda p: partial_sums(p.classes, scale), reverse=True)
     return results
 
 
@@ -211,8 +191,8 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     pts = list(points)
     if not pts:
         return []
-    scale = _common_scale(pts)
-    sums = [_partial_sums(p, scale) for p in pts]
+    scale = common_scale(p.classes for p in pts)
+    sums = [partial_sums(p.classes, scale) for p in pts]
     if len({(len(s), s[-1]) for s in sums}) > 1:
         raise DomainError("hasse requires points of equal rank and endpoint")
     order = sorted(range(len(pts)), key=sums.__getitem__, reverse=True)
@@ -251,8 +231,8 @@ def dot_export(points, ascii_mode: bool = False) -> str:
 def _dot_text(points, edges, ascii_mode: bool) -> str:
     """dot_export's rendering, given the covering edges of the points."""
     # integer partial sums order lexicographically as the slope vectors do
-    scale = _common_scale(points)
-    pts = sorted(points, key=lambda p: _partial_sums(p, scale), reverse=True)
+    scale = common_scale(p.classes for p in points)
+    pts = sorted(points, key=lambda p: partial_sums(p.classes, scale), reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
     lines = ["digraph kottwitz {"]
     for p in pts:
@@ -277,14 +257,15 @@ class InnerFormGroup:
     def __post_init__(self) -> None:
         if not self.factors:
             raise DomainError("automorphism group needs at least one factor")
-        for m, _ in self.factors:
+        for m, s in self.factors:
             if m < 1:
                 raise DomainError(f"factor size must be >= 1, got {m}")
+            check_slope(s)
 
     @property
     def ranks(self) -> tuple[int, ...]:
         """Rank each factor contributes inside GL_n: m * den(inv)."""
-        return tuple(m * Fraction(s).denominator for m, s in self.factors)
+        return tuple(m * s.denominator for m, s in self.factors)
 
     def __str__(self) -> str:
         return self.describe()
@@ -293,7 +274,6 @@ class InnerFormGroup:
         times = " x " if ascii_mode else " × "
         out = []
         for m, s in self.factors:
-            s = Fraction(s)
             if s.denominator == 1:
                 out.append(f"GL_{m}")
             elif m == 1:
@@ -313,9 +293,9 @@ def automorphism_group(e: BundleSpec) -> InnerFormGroup:
 class CharacterExponents:
     """Exponents e_i of a character prod_i |det_i|^{e_i} of an inner form group."""
 
-    exps: tuple[tuple[int, Fraction], ...]
+    exps: tuple[tuple[int, int], ...]
 
-    def vector(self) -> tuple[Fraction, ...]:
+    def vector(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.exps)
 
     def negate(self) -> "CharacterExponents":
@@ -340,7 +320,7 @@ def modulus_exponents(e: BundleSpec) -> CharacterExponents:
     for i, r in enumerate(ranks):
         after = total - before - r
         # bundle order is the reverse of the nu_b order, so the sign flips
-        exps.append((i, Fraction(before - after)))
+        exps.append((i, before - after))
         before += r
     return CharacterExponents(tuple(exps))
 

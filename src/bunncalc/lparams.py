@@ -80,6 +80,8 @@ class LParamShape:
             labels = tuple(f"phi{i + 1}" for i in range(len(dims)))
         if torsion is None:
             torsion = (1,) * len(dims)
+        if not len(labels) == len(torsion) == len(dims):
+            raise DomainError(f"{len(dims)} dims need as many labels and torsion numbers")
         comps = tuple(
             Component(label=l, dim=d, torsion=k)
             for l, d, k in zip(labels, dims, torsion)
@@ -143,14 +145,14 @@ class RepSymbol:
     """Representation symbol: the stratum plus the component partition by slope."""
 
     stratum: NewtonPoint
-    slope_classes: tuple[tuple[Slope, frozenset[int]], ...]
+    slope_classes: tuple[tuple[Slope, tuple[int, ...]], ...]
     group: InnerFormGroup
 
     def describe(self, shape: LParamShape, ascii_mode: bool = False) -> str:
         boxtimes = " x " if ascii_mode else " ⊠ "
         parts = []
         for s, members in self.slope_classes:
-            labels = "+".join(shape.components[i].label for i in sorted(members))
+            labels = "+".join(shape.components[i].label for i in members)
             parts.append(f"pi[{labels}]@{slope_str(s)}")
         return boxtimes.join(parts)
 
@@ -161,7 +163,7 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     e = _classes_bundle(shape, classes)
     return RepSymbol(
         stratum=bundle_to_b(e),
-        slope_classes=tuple((s, frozenset(members)) for s, members in classes),
+        slope_classes=tuple((s, tuple(members)) for s, members in classes),
         group=automorphism_group(e),
     )
 
@@ -198,12 +200,12 @@ def character_of_rep(shape: LParamShape, rep: RepSymbol) -> Character:
             if i in seen or not 0 <= i < shape.r:
                 raise DomainError("invalid component partition in representation symbol")
             seen.add(i)
-            d = Fraction(s) * shape.components[i].dim
+            d = s * shape.components[i].dim
             if d.denominator != 1:
                 raise DomainError(
-                    f"slope {slope_str(Fraction(s))} is not integral on component {i + 1}"
+                    f"slope {slope_str(s)} is not integral on component {i + 1}"
                 )
-            chi[i] = int(d)
+            chi[i] = d.numerator
     if len(seen) != shape.r:
         raise DomainError("representation symbol does not cover all components")
     return tuple(chi)

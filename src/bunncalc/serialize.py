@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bundles import BundleSpec, Polygon, bundle_to_json, format_bundle, hn_polygon, pairing_note
+from .bundles import BundleSpec, bundle_to_json, format_bundle, hn_polygon, pairing_note
 from .kottwitz import (
     CharacterExponents,
     InnerFormGroup,
@@ -35,8 +35,7 @@ from .weights import WeilSymbol
 SCHEMA = "bunncalc/1"
 
 
-def frac_json(x: Fraction) -> dict:
-    x = Fraction(x)
+def frac_json(x: Fraction | int) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
@@ -51,8 +50,8 @@ def point_json(b: NewtonPoint) -> dict:
     }
 
 
-def polygon_json(p: Polygon) -> dict:
-    return {"vertices": [[frac_json(x), frac_json(y)] for x, y in p.vertices]}
+def polygon_json(vertices: tuple[tuple[int, int], ...]) -> dict:
+    return {"vertices": [[frac_json(x), frac_json(y)] for x, y in vertices]}
 
 
 def group_json(g: InnerFormGroup) -> dict:
@@ -75,7 +74,7 @@ def rep_json(rep: RepSymbol) -> dict:
         "classes": [
             {
                 "slope": frac_json(s),
-                "components": sorted(i + 1 for i in members),
+                "components": [i + 1 for i in members],
             }
             for s, members in rep.slope_classes
         ],

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .bundles import (
     BundleSpec,
     DomainError,
     Slope,
-    hn_polygon,
+    common_scale,
     normalize_bundle,
     pairing_note,
+    partial_sums,
     reduce_slope,
     rho_pairing_bundle,
 )
@@ -109,10 +111,6 @@ class CohomologyOutput:
     pieces: tuple[CohomologyPiece, ...]
     twist_ledger: tuple[tuple[str, Fraction], ...]
     notes: tuple[str, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.pieces
 
 
 def _sign_convention_notes(shape: LParamShape, source_bundle: BundleSpec) -> tuple[str, ...]:
@@ -467,8 +465,10 @@ def modification_necessary(eb: BundleSpec, ebp: BundleSpec, mu) -> bool:
         raise DomainError("rank of both bundles must equal the length of mu")
     if sum(mu) != ebp.deg - eb.deg:
         return False
-    if min(mu) >= 0 and not hn_polygon(ebp).lies_above(hn_polygon(eb)):
-        return False
+    if min(mu) >= 0:
+        lower, upper = eb.slope_classes(), ebp.slope_classes()
+        scale = common_scale((lower, upper))
+        return all(map(le, partial_sums(lower, scale), partial_sums(upper, scale)))
     return True
 
 

@@ -106,6 +106,8 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     Dominant lam may have negative entries; they are absorbed into a
     determinant twist (subtract lam_n, count, shift every weight back).
     """
+    if n < 1:
+        raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
     return dict(_weight_mults_cached(n, lam))
 
@@ -125,6 +127,8 @@ def levi_branching(
     and subtracting the block-dominant part of that product's character
     changes only weights further down the walk.
     """
+    if n < 1:
+        raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
     blocks = tuple(int(b) for b in blocks)
     if sum(blocks) != n or any(b < 1 for b in blocks):

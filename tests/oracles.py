@@ -5,11 +5,12 @@ complete homogeneous polynomials (no pattern enumeration), and admissible
 Newton points are re-derived from concave lattice paths with an explicit
 pointwise bound check.  Both paths are deliberately different from the
 library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
-branching, Hecke decomposition and character dictionary oracles are the
-library's earlier, slower implementations: the cubic transitive reduction,
-one visit per triangular pattern, extraction against the whole character, a
-slice filter over every branching term per character, and bundles merged
-through Fraction slopes.
+branching, Hecke decomposition, character dictionary and polygon dominance
+oracles are the library's earlier, slower implementations: the cubic
+transitive reduction, one visit per triangular pattern, extraction against
+the whole character, a slice filter over every branching term per character,
+bundles merged through Fraction slopes, and polygons interpolated in
+Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
-from bunncalc.bundles import normalize_bundle
+from bunncalc.bundles import DomainError, normalize_bundle
 from bunncalc.kottwitz import automorphism_group, bundle_to_b
 from bunncalc.lparams import RepSymbol, character_of_sheaf, chi_mul, make_F
 from bunncalc.spectral import HeckeDecomposition
@@ -304,7 +305,7 @@ def chi_to_rep_oracle(shape, chi):
     for i, (d, comp) in enumerate(zip(chi, shape.components)):
         fibers.setdefault(Fraction(d, comp.dim), set()).add(i)
     classes = tuple(
-        (s, frozenset(fibers[s]))
+        (s, tuple(sorted(fibers[s])))
         for s in sorted(fibers, reverse=True)
     )
     return RepSymbol(
@@ -327,3 +328,28 @@ def hecke_oracle(shape, lam, sheaf):
             continue
         terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
     return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=tuple(terms))
+
+
+@lru_cache(maxsize=None)
+def _value_at(vertices, x):
+    x = Fraction(x)
+    if x < 0 or x > vertices[-1][0]:
+        raise DomainError(f"abscissa {x} outside polygon span")
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise AssertionError("unreachable")
+
+
+def hn_lies_above_oracle(upper, lower):
+    """Pointwise >= comparison of two polygons given by their vertices; spans
+    must agree.
+
+    Both polygons have integer breakpoints, so comparing at the integer
+    abscissae is equivalent to the pointwise statement.  Vertices must be
+    hashable: each interpolated value is computed once per polygon and x.
+    """
+    if upper[-1][0] != lower[-1][0]:
+        raise DomainError("polygon spans differ")
+    n = int(upper[-1][0])
+    return all(_value_at(upper, x) >= _value_at(lower, x) for x in range(n + 1))

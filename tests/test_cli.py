@@ -81,6 +81,10 @@ class TestCharacterCommands:
         code, out, _ = run(capsys, "shape", "--dims", "2,3", "--torsion", "2,3")
         assert code == 0 and "(t_1^2, t_2^3)" in out
 
+    def test_shape_torsion_length_mismatch_exit_1(self, capsys):
+        code, out, err = run(capsys, "shape", "--dims", "2,3", "--torsion", "1")
+        assert code == 1 and out == "" and "torsion" in err
+
 
 class TestWeights:
     def test_mult(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from bunncalc import (
     DomainError,
+    InnerFormGroup,
     NewtonPoint,
     automorphism_group,
     b_to_bundle,
@@ -69,6 +70,12 @@ class TestConversion:
     def test_breakpoint_invariant_enforced(self):
         with pytest.raises(DomainError):
             NewtonPoint(((F(1, 2), 3),))
+
+    def test_inexact_slopes_rejected(self):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            NewtonPoint(((0.5, 2),))
+        with pytest.raises(DomainError, match="not an exact rational"):
+            InnerFormGroup(((1, 0.5),))
 
 
 class TestLeq:

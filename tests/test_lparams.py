@@ -48,6 +48,14 @@ class TestShape:
         assert shape.n == 5 and shape.r == 2
         assert [c.label for c in shape.components] == ["phi1", "phi2"]
 
+    @pytest.mark.parametrize(
+        "labels,torsion",
+        [(None, (1,)), (None, (1, 1, 1)), (("a",), None), (("a", "b", "c"), (1, 1))],
+    )
+    def test_from_dims_length_mismatch_rejected(self, labels, torsion):
+        with pytest.raises(DomainError, match="2 dims"):
+            LParamShape.from_dims((2, 3), labels=labels, torsion=torsion)
+
 
 class TestChiToBundle:
     def test_unit_characters(self):
@@ -100,7 +108,7 @@ class TestRepAndSheaf:
         sheaf = make_F(shape, (0, 0))
         assert sheaf.stratum == bundle_to_b(parse_bundle("O^4"))
         assert sheaf.shift == 0
-        assert sheaf.rep.slope_classes == ((F(0), frozenset({0, 1})),)
+        assert sheaf.rep.slope_classes == ((F(0), (0, 1)),)
         assert sheaf.modulus_half_exponent == F(-1, 2)
         assert sheaf.tate_twist == 0
 
@@ -109,15 +117,15 @@ class TestRepAndSheaf:
         rep = chi_to_rep(shape, (2, 0))
         assert rep.stratum == bundle_to_b(parse_bundle("O(1/2)^2+O"))
         assert rep.slope_classes == (
-            (F(1, 2), frozenset({0})),
-            (F(0), frozenset({1})),
+            (F(1, 2), (0,)),
+            (F(0), (1,)),
         )
         assert make_F(shape, (2, 0)).shift == -2
 
     def test_equal_ratios_merge(self):
         shape = LParamShape.from_dims((2, 1))
         rep = chi_to_rep(shape, (2, 1))
-        assert rep.slope_classes == ((F(1), frozenset({0, 1})),)
+        assert rep.slope_classes == ((F(1), (0, 1)),)
 
     @given(shape_and_chi())
     def test_character_recovery(self, data):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -14,10 +14,12 @@ from bunncalc import (
     bundle_to_b,
     chi_inv,
     harris_viehmann,
+    hn_polygon,
     igusa_cohomology,
     mantovan_pieces,
     modification_necessary,
     modification_targets_rank_one,
+    normalize_bundle,
     parse_bundle,
     rho_pairing_bundle,
     shtuka_cohomology,
@@ -25,6 +27,7 @@ from bunncalc import (
 )
 from bunncalc.lparams import LParamShape
 from bunncalc.shtuka import is_minuscule, rho_weight
+from oracles import hn_lies_above_oracle
 
 F = Fraction
 
@@ -97,7 +100,7 @@ class TestShtukaCohomology:
         shape = LParamShape.from_dims((1, 1))
         target = bundle_to_b(parse_bundle("O(5)+O"))
         out = shtuka_cohomology(shape, (0, 0), target, (1, 0), "forward")
-        assert out.is_empty
+        assert not out.pieces
 
     def test_rank_mismatch_rejected(self):
         shape = LParamShape.from_dims((1, 1))
@@ -145,7 +148,7 @@ class TestHarrisViehmann:
     def test_degree_mismatch_gives_empty(self):
         shape = LParamShape.from_dims((1, 1))
         out = harris_viehmann(shape, (1, 0), (3, 0))
-        assert out.is_empty
+        assert not out.pieces
 
     def test_cross_module_dimension_law(self):
         rng = random.Random(7)
@@ -160,7 +163,7 @@ class TestHarrisViehmann:
             mu_inv = (0,) * (shape.n - a) + (-1,) * a
             out = harris_viehmann(shape, xi, mu_inv)
             expect = sigma_chi(shape, mu_inv, chi_inv(xi)).dim
-            got = 0 if out.is_empty else out.pieces[0].sigma.dim
+            got = out.pieces[0].sigma.dim if out.pieces else 0
             assert got == expect == (
                 0
                 if any(d > n for d, n in zip(xi, dims))
@@ -299,6 +302,36 @@ class TestModifications:
         assert modification_necessary(
             parse_bundle("O^5"), parse_bundle("O(1/5)"), (1, 0, 0, 0, 0)
         )
+
+    def test_polygon_verdict_matches_fraction_oracle(self):
+        # every bundle of rank <= 4 with slopes in [-2, 2]; the type
+        # (d, 0, ..., 0) balances degrees, so only the polygon bound decides
+        for r in range(1, 5):
+            stable = [
+                (F(p, q), q)
+                for q in range(1, r + 1)
+                for p in range(-2 * q, 2 * q + 1)
+                if gcd(p, q) == 1
+            ]
+            bundles = []
+
+            def rec(start, left, parts):
+                if not left:
+                    bundles.append(normalize_bundle(parts))
+                for k in range(start, len(stable)):
+                    if stable[k][1] <= left:
+                        rec(k, left - stable[k][1], parts + [(stable[k][0], 1)])
+
+            rec(0, r, [])
+            polygons = [hn_polygon(e) for e in bundles]
+            for eb, pb in zip(bundles, polygons):
+                for ebp, pbp in zip(bundles, polygons):
+                    d = ebp.deg - eb.deg
+                    if d >= 0:
+                        mu = (d,) + (0,) * (r - 1)
+                        assert modification_necessary(eb, ebp, mu) == hn_lies_above_oracle(
+                            pbp, pb
+                        )
 
     def test_polygon_bound(self):
         # effective type but the target polygon dips below the source's

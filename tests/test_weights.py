@@ -77,6 +77,12 @@ class TestWeightMultiplicities:
         assert sum(mult.values()) == 8
         assert mult[(1, 1, 1)] == 2
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(DomainError):
+            weight_multiplicities(0, ())
+        with pytest.raises(DomainError):
+            levi_branching(0, (), ())
+
     def test_budget_rejected(self):
         with pytest.raises(BudgetError):
             weight_multiplicities(9, (1,) + (0,) * 8)
