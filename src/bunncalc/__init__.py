@@ -2,23 +2,20 @@
 Newton strata, and the character/stratum combinatorics of spectral actions."""
 
 from .bundles import (
+    BudgetError,
     BundleSpec,
     DomainError,
     ParseError,
     Slope,
     bundle,
     format_bundle,
-    h0_vanishes,
-    h1_vanishes,
     hn_polygon,
     normalize_bundle,
     parse_bundle,
     reduce_slope,
     rho_pairing,
-    rho_pairing_bundle,
 )
 from .kottwitz import (
-    BudgetError,
     CharacterExponents,
     InnerFormGroup,
     NewtonPoint,
@@ -42,7 +39,6 @@ from .lparams import (
     RepSymbol,
     SheafSymbol,
     b_to_chis,
-    check_a1,
     chi_id,
     chi_inv,
     chi_mul,

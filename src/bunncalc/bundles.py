@@ -9,6 +9,7 @@ slope vectors scaled by the lcm of their denominators.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,21 @@ class DomainError(ValueError):
 
 class ParseError(ValueError):
     """Malformed textual input; carries the offending position."""
+
+
+class BudgetError(RuntimeError):
+    """An enumeration exceeded the configured desk-scale budget."""
+
+
+def enumeration_budget() -> int:
+    """Cap on enumerated objects, overridable via BUNNCALC_BUDGET."""
+    raw = os.environ.get("BUNNCALC_BUDGET", "")
+    if raw:
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise BudgetError(f"BUNNCALC_BUDGET is not an integer: {raw!r}") from exc
+    return 1_000_000
 
 
 def reduce_slope(num: int, den: int) -> Slope:
@@ -42,16 +58,6 @@ def slope_str(s: Slope) -> str:
     if s.denominator == 1:
         return str(s.numerator)
     return f"{s.numerator}/{s.denominator}"
-
-
-def h0_vanishes(s: Slope) -> bool:
-    """Global sections of a semistable piece of slope s vanish iff s < 0."""
-    return s < 0
-
-
-def h1_vanishes(s: Slope) -> bool:
-    """H^1 of a semistable piece of slope s vanishes iff s >= 0."""
-    return s >= 0
 
 
 @dataclass(frozen=True)
@@ -82,10 +88,6 @@ class BundleSpec:
     def slope_classes(self) -> tuple[tuple[Slope, int], ...]:
         """(slope, entry count) pairs, where the count is mult * den(slope)."""
         return tuple((s, m * s.denominator) for s, m in self.parts)
-
-    def twist(self, a: int) -> "BundleSpec":
-        """Tensor by the degree-a line bundle: every slope shifts by a."""
-        return BundleSpec(tuple((s + a, m) for s, m in self.parts))
 
     def __str__(self) -> str:
         return format_bundle(self)
@@ -173,11 +175,6 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
     return total // scale
 
 
-def rho_pairing_bundle(b: BundleSpec) -> int:
-    """<2rho, nu> of the bundle's slope vector (equal for nu and its negate)."""
-    return rho_pairing(b.slope_classes())
-
-
 # A specific rank-10 configuration for which a published worked value of the
 # pairing (26, giving defect 19) disagrees with the defining sum (27, defect
 # 20).  The formula is normative here; outputs on this exact instance carry a
@@ -212,7 +209,8 @@ def parse_bundle(text: str) -> BundleSpec:
     """Parse the summand grammar ``O(a/b)^m + O(a/b) + O^m + O``.
 
     Whitespace-insensitive; equal slopes are merged and sorted on output, so
-    ``format_bundle(parse_bundle(t))`` is the canonical form of ``t``.
+    ``format_bundle(parse_bundle(t))`` is the canonical form of ``t``.  The
+    rank may not exceed the enumeration budget.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
@@ -237,7 +235,11 @@ def parse_bundle(text: str) -> BundleSpec:
         if compact[pos] != "+":
             raise ParseError(f"expected '+' at position {pos}: {compact[pos:]!r}")
         pos += 1
-    return normalize_bundle(parts)
+    spec = normalize_bundle(parts)
+    budget = enumeration_budget()
+    if spec.rank > budget:
+        raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")
+    return spec
 
 
 def format_bundle(b: BundleSpec, pretty: bool = False) -> str:

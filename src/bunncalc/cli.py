@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (violated precondition is named),
-2 parse/usage error.  Output is deterministic for fixed inputs; ``--json``
-switches to the machine schema, ``--ascii`` replaces the math glyphs.
+Exit codes: 0 success, 1 domain or budget error (violated precondition is
+named), 2 parse/usage error, including an output path that cannot be
+written.  Output is deterministic for fixed inputs; ``--json`` switches to
+the machine schema, ``--ascii`` replaces the math glyphs.
 
 Each command computes its result once and returns only the view asked for:
 the JSON document (built in ``serialize``) under ``--json``, else its text
@@ -18,6 +19,7 @@ import sys
 
 from . import serialize as ser
 from .bundles import (
+    BudgetError,
     DomainError,
     ParseError,
     format_bundle,
@@ -26,7 +28,6 @@ from .bundles import (
     parse_bundle,
 )
 from .kottwitz import (
-    BudgetError,
     _dot_text,
     automorphism_group,
     b_to_bundle,
@@ -231,6 +232,8 @@ def cmd_spectral_verify(args):
     shape = _shape(args)
     lam = _ints(args.lam)
     strata = [bundle_to_b(parse_bundle(s)) for s in args.strata.split(";") if s]
+    if not strata:
+        raise ParseError(f"--strata names no bundle: {args.strata!r}")
     ok = verify_eigen(shape, lam, strata)
     if args.json:
         view = ser.verify_json(lam, strata, ok)
@@ -477,6 +480,9 @@ def main(argv=None) -> int:
     except (DomainError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     view, code = view if isinstance(view, tuple) else (view, 0)
     if isinstance(view, dict):
         print(json.dumps(view, indent=2))

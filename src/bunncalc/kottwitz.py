@@ -9,36 +9,22 @@ invariant kappa(b) equals -deg(E_b).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
 
 from .bundles import (
+    BudgetError,
     BundleSpec,
     DomainError,
     Slope,
     check_slope,
     common_scale,
+    enumeration_budget,
     partial_sums,
     rho_pairing,
     slope_str,
 )
-
-
-class BudgetError(RuntimeError):
-    """An enumeration exceeded the configured desk-scale budget."""
-
-
-def enumeration_budget() -> int:
-    """Cap on enumerated objects, overridable via BUNNCALC_BUDGET."""
-    raw = os.environ.get("BUNNCALC_BUDGET", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise BudgetError(f"BUNNCALC_BUDGET is not an integer: {raw!r}") from exc
-    return 1_000_000
 
 
 @dataclass(frozen=True)
@@ -262,11 +248,6 @@ class InnerFormGroup:
                 raise DomainError(f"factor size must be >= 1, got {m}")
             check_slope(s)
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """Rank each factor contributes inside GL_n: m * den(inv)."""
-        return tuple(m * s.denominator for m, s in self.factors)
-
     def __str__(self) -> str:
         return self.describe()
 
@@ -291,18 +272,13 @@ def automorphism_group(e: BundleSpec) -> InnerFormGroup:
 
 @dataclass(frozen=True)
 class CharacterExponents:
-    """Exponents e_i of a character prod_i |det_i|^{e_i} of an inner form group."""
+    """Exponents e_i of a character prod_i |det_i|^{e_i} of an inner form
+    group, e_i at the position of factor i."""
 
-    exps: tuple[tuple[int, int], ...]
-
-    def vector(self) -> tuple[int, ...]:
-        return tuple(e for _, e in self.exps)
-
-    def negate(self) -> "CharacterExponents":
-        return CharacterExponents(tuple((i, -e) for i, e in self.exps))
+    exps: tuple[int, ...]
 
     def __str__(self) -> str:
-        return "(" + ", ".join(f"e_{i + 1}={slope_str(e)}" for i, e in self.exps) + ")"
+        return "(" + ", ".join(f"e_{i}={e}" for i, e in enumerate(self.exps, 1)) + ")"
 
 
 def modulus_exponents(e: BundleSpec) -> CharacterExponents:
@@ -317,14 +293,14 @@ def modulus_exponents(e: BundleSpec) -> CharacterExponents:
     total = sum(ranks)
     exps = []
     before = 0
-    for i, r in enumerate(ranks):
+    for r in ranks:
         after = total - before - r
         # bundle order is the reverse of the nu_b order, so the sign flips
-        exps.append((i, before - after))
+        exps.append(before - after)
         before += r
     return CharacterExponents(tuple(exps))
 
 
 def kappa_exponents(e: BundleSpec) -> CharacterExponents:
     """The inverse character of the modulus: negated exponents."""
-    return modulus_exponents(e).negate()
+    return CharacterExponents(tuple(-x for x in modulus_exponents(e).exps))

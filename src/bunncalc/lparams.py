@@ -14,16 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .bundles import BundleSpec, DomainError, Slope, slope_str
-from .kottwitz import (
+from .bundles import (
     BudgetError,
+    BundleSpec,
+    DomainError,
+    Slope,
+    enumeration_budget,
+    slope_str,
+)
+from .kottwitz import (
     InnerFormGroup,
     NewtonPoint,
     automorphism_group,
     b_to_bundle,
     bundle_to_b,
     d_point,
-    enumeration_budget,
 )
 
 Character = tuple[int, ...]
@@ -48,23 +53,17 @@ class Component:
     label: str
     dim: int
     torsion: int = 1
-    frobenius_symbols: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"component dimension must be >= 1, got {self.dim}")
         if self.torsion < 1:
             raise DomainError(f"torsion number must be >= 1, got {self.torsion}")
-        if self.frobenius_symbols is not None and len(self.frobenius_symbols) != self.dim:
-            raise DomainError(
-                f"component {self.label!r} needs {self.dim} frobenius symbols"
-            )
 
 
 @dataclass(frozen=True)
 class LParamShape:
     components: tuple[Component, ...]
-    disjointness_asserted: bool = True
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -146,7 +145,11 @@ class RepSymbol:
 
     stratum: NewtonPoint
     slope_classes: tuple[tuple[Slope, tuple[int, ...]], ...]
-    group: InnerFormGroup
+
+    @property
+    def group(self) -> InnerFormGroup:
+        """The automorphism group J_b of the stratum's bundle."""
+        return automorphism_group(b_to_bundle(self.stratum))
 
     def describe(self, shape: LParamShape, ascii_mode: bool = False) -> str:
         boxtimes = " x " if ascii_mode else " ⊠ "
@@ -160,11 +163,9 @@ class RepSymbol:
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     chi = shape.check_chi(chi)
     classes = _slope_classes(shape, chi)
-    e = _classes_bundle(shape, classes)
     return RepSymbol(
-        stratum=bundle_to_b(e),
+        stratum=bundle_to_b(_classes_bundle(shape, classes)),
         slope_classes=tuple((s, tuple(members)) for s, members in classes),
-        group=automorphism_group(e),
     )
 
 
@@ -172,18 +173,20 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
 class SheafSymbol:
     """Shifted extension-by-zero of a twisted representation symbol."""
 
-    stratum: NewtonPoint
     rep: RepSymbol
     modulus_half_exponent: Fraction
     shift: int
     tate_twist: Fraction
+
+    @property
+    def stratum(self) -> NewtonPoint:
+        return self.rep.stratum
 
 
 def make_F(shape: LParamShape, chi: Character) -> SheafSymbol:
     """The sheaf of chi: half-modulus twist, shift by -<2rho, nu> of its stratum."""
     rep = chi_to_rep(shape, chi)
     return SheafSymbol(
-        stratum=rep.stratum,
         rep=rep,
         modulus_half_exponent=Fraction(-1, 2),
         shift=-d_point(rep.stratum),
@@ -254,12 +257,6 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     return sorted(set(out))
 
 
-def check_a1(shape: LParamShape) -> bool:
-    """The caller's disjointness assertion flag (label distinctness is
-    enforced when the shape is built)."""
-    return shape.disjointness_asserted
-
-
 @dataclass(frozen=True)
 class ComponentShape:
     r: int
@@ -273,8 +270,6 @@ class ComponentShape:
 
 def component_shape(shape: LParamShape) -> ComponentShape:
     """Connected-component description: a trivially-acted torus quotient."""
-    if not check_a1(shape):
-        raise DomainError("component description requires the distinctness hypothesis")
     r = shape.r
     torsion = tuple(c.torsion for c in shape.components)
     if r == 1:

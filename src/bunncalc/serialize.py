@@ -65,7 +65,7 @@ def group_json(g: InnerFormGroup) -> dict:
 
 
 def exponents_json(e: CharacterExponents) -> dict:
-    return {"exps": [{"factor": i, "exp": frac_json(v)} for i, v in e.exps]}
+    return {"exps": [{"factor": i, "exp": frac_json(v)} for i, v in enumerate(e.exps)]}
 
 
 def rep_json(rep: RepSymbol) -> dict:

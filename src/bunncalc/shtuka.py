@@ -20,15 +20,17 @@ from fractions import Fraction
 from operator import le
 
 from .bundles import (
+    BudgetError,
     BundleSpec,
     DomainError,
     Slope,
     common_scale,
+    enumeration_budget,
     normalize_bundle,
     pairing_note,
     partial_sums,
     reduce_slope,
-    rho_pairing_bundle,
+    rho_pairing,
 )
 from .kottwitz import (
     CharacterExponents,
@@ -40,14 +42,12 @@ from .kottwitz import (
     d_point,
     enumerate_B,
     kappa_exponents,
-    point_from_vector,
 )
 from .lparams import (
     Character,
     LParamShape,
     RepSymbol,
     b_to_chis,
-    check_a1,
     chi_id,
     chi_inv,
     chi_to_bundle,
@@ -65,16 +65,10 @@ from .weights import (
 
 
 def rho_weight(vec) -> int:
-    """<2rho, v> for a weakly decreasing integer vector."""
-    vec = tuple(int(x) for x in vec)
-    if not vec:
-        return 0
-    return d_point(point_from_vector(vec))
-
-
-def _as_bundle(x) -> BundleSpec:
-    """Accept either a bundle or the Newton point of one."""
-    return b_to_bundle(x) if isinstance(x, NewtonPoint) else x
+    """<2rho, v> = sum_{i<j} (v_i - v_j) for a weakly decreasing integer vector."""
+    vec = check_dominant(vec)
+    n = len(vec)
+    return sum(x * (n - 1 - 2 * i) for i, x in enumerate(vec))
 
 
 def is_minuscule(vec) -> bool:
@@ -113,7 +107,7 @@ class CohomologyOutput:
     notes: tuple[str, ...]
 
 
-def _sign_convention_notes(shape: LParamShape, source_bundle: BundleSpec) -> tuple[str, ...]:
+def _sign_convention_notes(source_bundle: BundleSpec) -> tuple[str, ...]:
     notes = []
     flagged = pairing_note(source_bundle.slope_classes())
     if flagged:
@@ -180,7 +174,7 @@ def shtuka_cohomology(
     notes = (
         "source slot normalized as half-modulus twist of the representation "
         "(the inverse |det|-character of the source stratum is absorbed)",
-    ) + _sign_convention_notes(shape, b_to_bundle(source_sheaf.stratum))
+    ) + _sign_convention_notes(b_to_bundle(source_sheaf.stratum))
     return CohomologyOutput(
         direction=direction,
         source=xi,
@@ -209,8 +203,8 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
         ("source half-modulus normalization", Fraction(-d_src)),
         ("satake normalization (tate)", tate),
     )
-    notes = _sign_convention_notes(shape, source_bundle)
-    if sigma.is_zero:
+    notes = _sign_convention_notes(source_bundle)
+    if not sigma.terms:
         return CohomologyOutput(
             direction="inverse",
             source=xi,
@@ -219,7 +213,7 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
             notes=notes + ("no isotypic content: degree of the weight does not match the character",),
         )
     sym_out, dual = _canonical_dual(sigma)
-    induction = _induction_presentation(shape, source_bundle, mu_inv_weight)
+    induction = _induction_presentation(source_bundle, mu_inv_weight)
     piece = CohomologyPiece(
         rep=chi_to_rep(shape, chi_id(shape.r)),
         modulus_half_exponent=Fraction(0),
@@ -238,9 +232,7 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
     )
 
 
-def _induction_presentation(
-    shape: LParamShape, source_bundle: BundleSpec, mu_inv_weight
-) -> str | None:
+def _induction_presentation(source_bundle: BundleSpec, mu_inv_weight) -> str | None:
     """Levi factorization with per-block minuscule cocharacters, when defined."""
     if not is_minuscule(mu_inv_weight):
         return None
@@ -333,17 +325,14 @@ def _boyer_conditions(eb: BundleSpec, ebp: BundleSpec, mu, m: int):
 
 def _kappa_twist(whole: BundleSpec, part1: BundleSpec, part2: BundleSpec) -> CharacterExponents:
     """Exponents of kappa(whole) / (kappa(part1) x kappa(part2)) on the Levi."""
-    whole_exp = {
-        s: e for (s, _), (_, e) in zip(whole.parts, kappa_exponents(whole).exps)
-    }
-    exps = []
-    idx = 0
-    for part in (part1, part2):
-        part_exp = kappa_exponents(part)
-        for (s, _), (_, e) in zip(part.parts, part_exp.exps):
-            exps.append((idx, whole_exp[s] - e))
-            idx += 1
-    return CharacterExponents(tuple(exps))
+    whole_exp = {s: e for (s, _), e in zip(whole.parts, kappa_exponents(whole).exps)}
+    return CharacterExponents(
+        tuple(
+            whole_exp[s] - e
+            for part in (part1, part2)
+            for (s, _), e in zip(part.parts, kappa_exponents(part).exps)
+        )
+    )
 
 
 def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactorization:
@@ -354,9 +343,8 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
     dimension defect and |det|-twist are computed on the target side; the
     mirrored target-parabolic variant applies when mu ends in zeros and the
     top parts agree.  Inapplicable inputs are rejected with the violated
-    condition named.  Bundles may be given as Newton points.
+    condition named.
     """
-    eb, ebp = _as_bundle(eb), _as_bundle(ebp)
     n, mu, (eb1, eb2), (ebp1, ebp2) = _boyer_conditions(eb, ebp, mu, m)
     reasons = []
 
@@ -397,9 +385,9 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
                 reasons.append("source-side split is not strict (slope repeats across it)")
             raise DomainError("no applicable factorization: " + "; ".join(reasons))
 
-    rho_whole = rho_pairing_bundle(whole)
-    rho_p1 = rho_pairing_bundle(p1)
-    rho_p2 = rho_pairing_bundle(p2)
+    rho_whole = rho_pairing(whole.slope_classes())
+    rho_p1 = rho_pairing(p1.slope_classes())
+    rho_p2 = rho_pairing(p2.slope_classes())
     d = rho_whole - rho_p1 - rho_p2
     h = rho_weight(mu) - rho_weight(mu1)
     notes = []
@@ -441,6 +429,9 @@ def modification_targets_rank_one(n: int, nprime: int) -> list[BundleSpec]:
     """
     if not 1 <= nprime <= n:
         raise DomainError(f"need 1 <= n' <= n, got n'={nprime}, n={n}")
+    budget = enumeration_budget()
+    if n - nprime + 1 > budget:
+        raise BudgetError(f"{n - nprime + 1} modification sources exceed budget of {budget}")
     out = [normalize_bundle([(Fraction(0), n)])]
     for mprime in range(1, n - nprime + 1):
         mid = n - nprime - mprime
@@ -457,9 +448,8 @@ def modification_necessary(eb: BundleSpec, ebp: BundleSpec, mu) -> bool:
 
     Checks the degree balance, and for effective mu (all entries >= 0) the
     injectivity bound: the target's slope polygon dominates the source's
-    pointwise.  Bundles may be given as Newton points.
+    pointwise.
     """
-    eb, ebp = _as_bundle(eb), _as_bundle(ebp)
     mu = check_dominant(mu)
     if eb.rank != len(mu) or ebp.rank != len(mu):
         raise DomainError("rank of both bundles must equal the length of mu")
@@ -497,8 +487,6 @@ def igusa_cohomology(shape: LParamShape, mu, b: NewtonPoint) -> IgusaOutput:
     mu = check_dominant(mu, shape.n)
     if not is_minuscule(mu):
         raise DomainError("cocharacter must be minuscule")
-    if not check_a1(shape):
-        raise DomainError("distinctness hypothesis must hold for the shape")
     admissible = enumerate_B(shape.n, dual_weight(mu))
     if b not in admissible:
         raise DomainError(

@@ -24,7 +24,6 @@ from .lparams import (
     SheafSymbol,
     b_to_chis,
     character_of_sheaf,
-    check_a1,
     chi_id,
     chi_inv,
     chi_mul,
@@ -49,7 +48,6 @@ def spectral_act(shape: LParamShape, chi: Character, sheaf: SheafSymbol) -> Shea
 class HeckeDecomposition:
     """Terms (chi, translated sheaf, isotypic slice), zero slices omitted."""
 
-    shape: LParamShape
     weight: tuple[int, ...]
     source: Character
     terms: tuple[tuple[Character, SheafSymbol, WeilSymbol], ...]
@@ -91,11 +89,15 @@ def _hecke(shape: LParamShape, lam, sheaf: SheafSymbol, sheaf_of) -> HeckeDecomp
         )
         for chi in sorted(slices, reverse=True)
     )
-    return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=terms)
+    return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
 
 def stalk(dec: HeckeDecomposition, b: NewtonPoint) -> list[tuple[SheafSymbol, WeilSymbol]]:
     """Terms of the decomposition supported on the stratum b."""
+    if b.rank != len(dec.weight):
+        raise DomainError(
+            f"stratum rank {b.rank} does not match weight length {len(dec.weight)}"
+        )
     return [(sheaf, sym) for _, sheaf, sym in dec.terms if sheaf.stratum == b]
 
 
@@ -111,8 +113,6 @@ class EigensheafStalk:
 
 def eigensheaf_stalk(shape: LParamShape, b: NewtonPoint) -> EigensheafStalk:
     """All canonical symbols supported on b: one per character of the stratum."""
-    if not check_a1(shape):
-        raise DomainError("eigen-stalk bookkeeping requires the distinctness hypothesis")
     pieces = tuple(make_F(shape, chi) for chi in b_to_chis(shape, b))
     return EigensheafStalk(stratum=b, pieces=pieces)
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .bundles import DomainError
-from .kottwitz import BudgetError
+from .bundles import BudgetError, DomainError
 from .lparams import Character, LParamShape
 
 HighestWeight = tuple[int, ...]
@@ -217,10 +216,6 @@ class WeilSymbol:
                 prod *= weyl_dim(w, m)
             total += mult * prod
         return total
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def describe(self, ascii_mode: bool = False, dual: bool = False) -> str:
         if not self.terms:

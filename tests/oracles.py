@@ -21,7 +21,7 @@ from itertools import permutations
 from math import gcd
 
 from bunncalc.bundles import DomainError, normalize_bundle
-from bunncalc.kottwitz import automorphism_group, bundle_to_b
+from bunncalc.kottwitz import bundle_to_b
 from bunncalc.lparams import RepSymbol, character_of_sheaf, chi_mul, make_F
 from bunncalc.spectral import HeckeDecomposition
 from bunncalc.weights import check_dominant, levi_branching, sigma_chi
@@ -308,9 +308,7 @@ def chi_to_rep_oracle(shape, chi):
         (s, tuple(sorted(fibers[s])))
         for s in sorted(fibers, reverse=True)
     )
-    return RepSymbol(
-        stratum=bundle_to_b(e), slope_classes=classes, group=automorphism_group(e)
-    )
+    return RepSymbol(stratum=bundle_to_b(e), slope_classes=classes)
 
 
 def hecke_oracle(shape, lam, sheaf):
@@ -324,10 +322,10 @@ def hecke_oracle(shape, lam, sheaf):
     terms = []
     for chi in sorted(chis, reverse=True):
         sym = sigma_chi(shape, lam, chi)
-        if sym.is_zero:
+        if not sym.terms:
             continue
         terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
-    return HeckeDecomposition(shape=shape, weight=lam, source=xi, terms=tuple(terms))
+    return HeckeDecomposition(weight=lam, source=xi, terms=tuple(terms))
 
 
 @lru_cache(maxsize=None)

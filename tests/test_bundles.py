@@ -5,18 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bunncalc import (
+    BudgetError,
     DomainError,
     ParseError,
     bundle,
     format_bundle,
-    h0_vanishes,
-    h1_vanishes,
     hn_polygon,
     normalize_bundle,
     parse_bundle,
     reduce_slope,
     rho_pairing,
-    rho_pairing_bundle,
 )
 from bunncalc.bundles import common_scale, pairing_note, partial_sums
 from conftest import bundle_specs
@@ -110,23 +108,6 @@ class TestPolygon:
         assert partial_sums(small, scale) == (0, 0)
 
 
-class TestCohomologyVanishing:
-    def test_negative_slope_no_sections(self):
-        assert h0_vanishes(F(-1, 2))
-
-    def test_h1_vanishes_at_zero(self):
-        assert h1_vanishes(F(0))
-
-    def test_trivial_has_sections(self):
-        assert not h0_vanishes(F(0))
-
-    @given(st.integers(-20, 20), st.integers(1, 9))
-    def test_exactly_one_fails_except_boundary(self, num, den):
-        s = reduce_slope(num, den)
-        assert h0_vanishes(s) == (s < 0)
-        assert h1_vanishes(s) == (s >= 0)
-
-
 class TestRhoPairing:
     def test_rank_four_example(self):
         assert rho_pairing([(F(3, 2), 2), (F(1, 2), 2)]) == 4
@@ -143,17 +124,18 @@ class TestRhoPairing:
 
     @given(bundle_specs())
     def test_nonnegative_and_zero_iff_semistable(self, spec):
-        v = rho_pairing_bundle(spec)
+        v = rho_pairing(spec.slope_classes())
         assert v >= 0
         assert (v == 0) == (len(spec.parts) == 1)
 
     @given(bundle_specs(), st.integers(-3, 3))
     def test_invariant_under_central_twist(self, spec, a):
-        assert rho_pairing_bundle(spec.twist(a)) == rho_pairing_bundle(spec)
+        twisted = normalize_bundle((s + a, m) for s, m in spec.parts)
+        assert rho_pairing(twisted.slope_classes()) == rho_pairing(spec.slope_classes())
 
     def test_flagged_instance_reports_formula_value(self):
         e = parse_bundle("O(3/2)+O(1/2)+O(1/3)+O^3")
-        assert rho_pairing_bundle(e) == 27
+        assert rho_pairing(e.slope_classes()) == 27
         note = pairing_note(e.slope_classes())
         assert note is not None and "26" in note and "27" in note
 
@@ -185,6 +167,13 @@ class TestGrammar:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
             parse_bundle("O(1/0)")
+
+    def test_rank_over_budget_rejected(self, monkeypatch):
+        monkeypatch.setenv("BUNNCALC_BUDGET", "4")
+        assert parse_bundle("O(1/2)+O^2").rank == 4
+        for text, rank in [("O(1/5)", 5), ("O(1/2)^2+O", 5), ("O^99999999999", 99999999999)]:
+            with pytest.raises(BudgetError, match=f"bundle rank {rank} exceeds budget of 4"):
+                parse_bundle(text)
 
     @given(bundle_specs())
     def test_round_trip(self, spec):

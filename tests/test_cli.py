@@ -60,6 +60,13 @@ class TestKottwitz:
         code, _, err = run(capsys, "kottwitz", "enum", "-n", "2", "--mu", "0,1")
         assert code == 1 and "dominant" in err
 
+    @pytest.mark.parametrize("command", ["enum", "hasse"])
+    def test_unwritable_dot_path_exit_2(self, capsys, tmp_path, command):
+        dot = str(tmp_path / "missing" / "x.dot")
+        code, out, err = run(capsys, "kottwitz", command, "-n", "2", "--mu", "1,0", "--dot", dot)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and dot in err
+
 
 class TestCharacterCommands:
     def test_chi_to_b(self, capsys):
@@ -167,6 +174,16 @@ class TestSpectral:
             "O^3;O(1/2)+O;O(1)+O^2",
         )
         assert code == 0 and "holds" in out
+
+    def test_verify_empty_window_exit_2(self, capsys):
+        args = ["--dims", "1,1", "--lambda", "3,0", "--strata", ";"]
+        code, out, err = run(capsys, "spectral", "verify", *args)
+        assert code == 2 and out == "" and "parse error" in err
+
+    def test_stalk_rank_mismatch_exit_1(self, capsys):
+        args = ["--dims", "1,1", "--lambda", "3,0", "--xi", "0,0", "--stalk", "O^3"]
+        code, out, err = run(capsys, "spectral", "stalk", *args)
+        assert code == 1 and out == "" and "rank 3" in err
 
 
 class TestShtukaCommands:
@@ -294,6 +311,19 @@ class TestBudgetEnv:
         monkeypatch.setenv("BUNNCALC_BUDGET", "1")
         code, _, err = run(capsys, "kottwitz", "enum", "-n", "4", "--mu", "2,1,0,0")
         assert code == 1 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv,quantity",
+        [
+            (("bundle", "O(1/99999999999)"), "bundle rank 99999999999"),
+            (("bundle", "O(1/2)^99999999999"), "bundle rank 199999999998"),
+            (("modif", "targets", "-n", "100000000", "--nprime", "1"), "100000000 modification sources"),
+        ],
+    )
+    def test_oversized_input_fails_at_once(self, capsys, argv, quantity):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert quantity in err and "budget of 1000000" in err
 
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("BUNNCALC_BUDGET", "soon")

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bunncalc import (
     DomainError,
+    automorphism_group,
     b_to_chis,
     bundle_to_b,
-    check_a1,
     chi_id,
     chi_inv,
     chi_mul,
@@ -38,10 +38,6 @@ class TestShape:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DomainError):
             LParamShape((Component("a", 1), Component("a", 2)))
-
-    def test_frobenius_symbol_arity(self):
-        with pytest.raises(DomainError):
-            Component("a", 2, frobenius_symbols=("x",))
 
     def test_from_dims(self):
         shape = LParamShape.from_dims((4, 1))
@@ -127,6 +123,15 @@ class TestRepAndSheaf:
         rep = chi_to_rep(shape, (2, 1))
         assert rep.slope_classes == ((F(1), (0, 1)),)
 
+    @pytest.mark.parametrize("r", range(1, 4))
+    def test_group_is_that_of_the_character_bundle(self, r):
+        for dims in product(range(1, 4), repeat=r):
+            shape = LParamShape.from_dims(dims)
+            for chi in product(range(-3, 4), repeat=r):
+                rep = chi_to_rep(shape, chi)
+                assert rep.group == automorphism_group(chi_to_bundle(shape, chi))
+                assert make_F(shape, chi).stratum == rep.stratum
+
     @given(shape_and_chi())
     def test_character_recovery(self, data):
         shape, chi = data
@@ -193,14 +198,6 @@ class TestBToChis:
         shape, chi = data
         b = bundle_to_b(chi_to_bundle(shape, chi))
         assert chi in b_to_chis(shape, b)
-
-
-class TestHypotheses:
-    def test_check_a1(self):
-        assert check_a1(LParamShape.from_dims((2, 3)))
-        shape = LParamShape.from_dims((2, 3))
-        flagged = LParamShape(shape.components, disjointness_asserted=False)
-        assert not check_a1(flagged)
 
 
 class TestComponentShape:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bunncalc import (
+    BudgetError,
     DomainError,
     automorphism_group,
     b_to_bundle,
@@ -21,7 +22,7 @@ from bunncalc import (
     modification_targets_rank_one,
     normalize_bundle,
     parse_bundle,
-    rho_pairing_bundle,
+    rho_pairing,
     shtuka_cohomology,
     sigma_chi,
 )
@@ -262,8 +263,8 @@ class TestBoyer:
         ranks = [
             m * s.denominator for g in f.kappa_twist_group for m, s in g.factors
         ]
-        assert len(ranks) == len(f.kappa_twist.vector())
-        total = sum(n * e for n, e in zip(ranks, f.kappa_twist.vector()))
+        assert len(ranks) == len(f.kappa_twist.exps)
+        total = sum(n * e for n, e in zip(ranks, f.kappa_twist.exps))
         assert total == 0
 
     def test_applicable_wrapper(self):
@@ -291,6 +292,12 @@ class TestModifications:
             assert len(targets) == n - nprime + 1
             assert parse_bundle(f"O^{n}") in targets
             assert len(set(targets)) == len(targets)
+
+    def test_source_count_over_budget(self, monkeypatch):
+        monkeypatch.setenv("BUNNCALC_BUDGET", "3")
+        assert len(modification_targets_rank_one(5, 3)) == 3
+        with pytest.raises(BudgetError, match="4 modification sources exceed budget of 3"):
+            modification_targets_rank_one(5, 2)
 
     def test_degree_mismatch_fails(self):
         assert not modification_necessary(
@@ -380,6 +387,12 @@ class TestHelpers:
         base = min(vec)
         assert is_minuscule(vec) == all(x - base in (0, 1) for x in vec)
 
+    @given(st.lists(st.integers(-4, 4), max_size=6))
+    def test_rho_weight_is_the_sum_over_pairs(self, raw):
+        vec = sorted(raw, reverse=True)
+        pairs = sum(vec[i] - vec[j] for i in range(len(vec)) for j in range(i + 1, len(vec)))
+        assert rho_weight(vec) == pairs
+
     def test_rho_weight_matches_bundle_pairing(self):
         assert rho_weight((1, 0, 0)) == 2
-        assert rho_weight((2, 1, 0)) == rho_pairing_bundle(parse_bundle("O(2)+O(1)+O"))
+        assert rho_weight((2, 1, 0)) == rho_pairing(parse_bundle("O(2)+O(1)+O").slope_classes())

@@ -164,6 +164,12 @@ class TestStalk:
         dec = hecke(shape, (1, 0), make_F(shape, chi_id(2)))
         assert stalk(dec, bundle_to_b(parse_bundle("O(5)+O"))) == []
 
+    def test_rank_mismatch_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        dec = hecke(shape, (3, 0), make_F(shape, chi_id(2)))
+        with pytest.raises(DomainError, match="rank 3"):
+            stalk(dec, bundle_to_b(parse_bundle("O^3")))
+
     def test_trivial_stratum_of_standard_needs_dual(self):
         shape = LParamShape.from_dims((1, 1))
         triv = bundle_to_b(parse_bundle("O^2"))
@@ -189,11 +195,6 @@ class TestStalk:
 
 
 class TestEigensheaf:
-    def test_requires_distinctness_hypothesis(self):
-        shape = dataclasses.replace(LParamShape.from_dims((1, 1)), disjointness_asserted=False)
-        with pytest.raises(DomainError):
-            eigensheaf_stalk(shape, bundle_to_b(parse_bundle("O^2")))
-
     def test_orbit_count(self):
         shape = LParamShape.from_dims((1, 1, 1))
         b = bundle_to_b(parse_bundle("O(1)^2+O"))
