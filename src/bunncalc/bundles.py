@@ -221,9 +221,10 @@ def parse_bundle(text: str) -> BundleSpec:
         m = _TERM_RE.match(compact, pos)
         if not m or m.end() == m.start():
             raise ParseError(f"bad bundle syntax at position {pos}: {compact[pos:]!r}")
-        num = int(m.group("num")) if m.group("num") is not None else 0
-        den = int(m.group("den")) if m.group("den") is not None else 1
-        mult = int(m.group("mult")) if m.group("mult") is not None else 1
+        try:
+            num, den, mult = (int(g) if g else d for g, d in zip(m.groups(), (0, 1, 1)))
+        except ValueError as exc:
+            raise ParseError(f"number too long in the term at position {pos}") from exc
         if den == 0:
             raise ParseError(f"zero denominator at position {pos}")
         if mult == 0:

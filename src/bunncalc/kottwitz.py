@@ -137,6 +137,7 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     lo_slope = mu[-1] if n else 0
 
     results: list[NewtonPoint] = []
+    pushed = 0
     # depth-first over partial paths: segments acc of (rise, run) reach (x, y)
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     while stack:
@@ -144,8 +145,6 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
         if x == n:
             if y == total:
                 results.append(NewtonPoint(tuple((Fraction(dy, dx), dx) for dy, dx in acc)))
-                if len(results) > budget:
-                    raise BudgetError(f"enumeration exceeded budget of {budget} points")
             continue
         for dx in range(1, n - x + 1):
             # slope of the next maximal segment is dy/dx; classes strictly
@@ -156,6 +155,12 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
                 # largest dy with dy/dx < the previous slope
                 last_dy, last_dx = acc[-1]
                 hi = min(hi, (last_dy * dx - 1) // last_dx)
+            if hi < lo_slope * dx:
+                continue
+            # every point is a pushed node, so this also bounds the output
+            pushed += hi - lo_slope * dx + 1
+            if pushed > budget:
+                raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
             for dy in range(hi, lo_slope * dx - 1, -1):
                 stack.append((x + dx, y + dy, acc + ((dy, dx),)))
     # integer partial sums order lexicographically as the slope vectors do

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import ClassVar
 
 from .bundles import (
     BudgetError,
@@ -71,6 +72,8 @@ class LParamShape:
         labels = [c.label for c in self.components]
         if len(set(labels)) != len(labels):
             raise DomainError("component labels must be pairwise distinct")
+        if self.n > enumeration_budget():
+            raise BudgetError(f"shape rank {self.n} exceeds budget of {enumeration_budget()}")
 
     @classmethod
     def from_dims(cls, dims, labels=None, torsion=None) -> "LParamShape":
@@ -141,10 +144,20 @@ def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
 
 @dataclass(frozen=True)
 class RepSymbol:
-    """Representation symbol: the stratum plus the component partition by slope."""
+    """Representation symbol: the stratum plus one component-index tuple per
+    slope class of the stratum, in decreasing bundle slope."""
 
     stratum: NewtonPoint
-    slope_classes: tuple[tuple[Slope, tuple[int, ...]], ...]
+    members: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.members) != len(self.stratum.classes):
+            raise DomainError("representation symbol needs one member tuple per slope class")
+
+    @property
+    def slope_classes(self) -> tuple[tuple[Slope, tuple[int, ...]], ...]:
+        """(bundle slope, members) per class, slopes strictly decreasing."""
+        return tuple((-s, m) for (s, _), m in zip(reversed(self.stratum.classes), self.members))
 
     @property
     def group(self) -> InnerFormGroup:
@@ -165,7 +178,7 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     classes = _slope_classes(shape, chi)
     return RepSymbol(
         stratum=bundle_to_b(_classes_bundle(shape, classes)),
-        slope_classes=tuple((s, tuple(members)) for s, members in classes),
+        members=tuple(tuple(members) for _, members in classes),
     )
 
 
@@ -174,24 +187,21 @@ class SheafSymbol:
     """Shifted extension-by-zero of a twisted representation symbol."""
 
     rep: RepSymbol
-    modulus_half_exponent: Fraction
-    shift: int
-    tate_twist: Fraction
+    modulus_half_exponent: ClassVar[Fraction] = Fraction(-1, 2)
+    tate_twist: ClassVar[Fraction] = Fraction(0)
 
     @property
     def stratum(self) -> NewtonPoint:
         return self.rep.stratum
 
+    @property
+    def shift(self) -> int:
+        return -d_point(self.rep.stratum)
+
 
 def make_F(shape: LParamShape, chi: Character) -> SheafSymbol:
     """The sheaf of chi: half-modulus twist, shift by -<2rho, nu> of its stratum."""
-    rep = chi_to_rep(shape, chi)
-    return SheafSymbol(
-        rep=rep,
-        modulus_half_exponent=Fraction(-1, 2),
-        shift=-d_point(rep.stratum),
-        tate_twist=Fraction(0),
-    )
+    return SheafSymbol(chi_to_rep(shape, chi))
 
 
 def character_of_rep(shape: LParamShape, rep: RepSymbol) -> Character:
@@ -259,8 +269,6 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
 
 @dataclass(frozen=True)
 class ComponentShape:
-    r: int
-    torsion: tuple[int, ...]
     stack: str
     closed_point_law: str
 
@@ -284,8 +292,6 @@ def component_shape(shape: LParamShape) -> ComponentShape:
             + ")"
         )
     return ComponentShape(
-        r=r,
-        torsion=torsion,
         stack=f"[G_m^{r}/G_m^{r}]" if r > 1 else "[G_m/G_m]",
         closed_point_law=coords,
     )

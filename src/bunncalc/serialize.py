@@ -286,8 +286,8 @@ def component_shape_json(shape: LParamShape, desc: ComponentShape) -> dict:
     return {
         "schema": SCHEMA,
         "shape": shape_json(shape),
-        "r": desc.r,
-        "torsion": list(desc.torsion),
+        "r": shape.r,
+        "torsion": [c.torsion for c in shape.components],
         "stack": desc.stack,
         "closed_point_law": desc.closed_point_law,
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
+from typing import ClassVar
 
 from .bundles import (
     BudgetError,
@@ -40,8 +41,9 @@ from .kottwitz import (
     b_to_bundle,
     bundle_to_b,
     d_point,
-    enumerate_B,
     kappa_exponents,
+    leq,
+    point_from_vector,
 )
 from .lparams import (
     Character,
@@ -103,7 +105,7 @@ class CohomologyOutput:
     direction: str
     source: Character
     pieces: tuple[CohomologyPiece, ...]
-    twist_ledger: tuple[tuple[str, Fraction], ...]
+    twist_ledger: tuple[tuple[str, Fraction | int], ...]
     notes: tuple[str, ...]
 
 
@@ -150,9 +152,9 @@ def shtuka_cohomology(
     tate = Fraction(rho_weight(applied), 2)
     shift = d_tgt - d_src
     ledger = (
-        ("translated symbol shift", Fraction(-d_tgt)),
-        ("source half-modulus normalization", Fraction(-d_src)),
-        ("target stratum renormalization", Fraction(2 * d_tgt)),
+        ("translated symbol shift", -d_tgt),
+        ("source half-modulus normalization", -d_src),
+        ("target stratum renormalization", 2 * d_tgt),
         ("satake normalization (tate)", tate),
     )
     pieces = []
@@ -200,33 +202,30 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
     sigma = sigma_chi(shape, mu_inv_weight, chi_inv(xi))
     tate = Fraction(rho_weight(mu_inv_weight), 2)
     ledger = (
-        ("source half-modulus normalization", Fraction(-d_src)),
+        ("source half-modulus normalization", -d_src),
         ("satake normalization (tate)", tate),
     )
     notes = _sign_convention_notes(source_bundle)
-    if not sigma.terms:
-        return CohomologyOutput(
-            direction="inverse",
-            source=xi,
-            pieces=(),
-            twist_ledger=ledger,
-            notes=notes + ("no isotypic content: degree of the weight does not match the character",),
+    pieces = []
+    if sigma.terms:
+        sym_out, dual = _canonical_dual(sigma)
+        pieces.append(
+            CohomologyPiece(
+                rep=chi_to_rep(shape, chi_id(shape.r)),
+                modulus_half_exponent=Fraction(0),
+                sigma=sym_out,
+                sigma_dual=dual,
+                shift=-d_src,
+                tate=tate,
+                induction=_induction_presentation(source_bundle, mu_inv_weight),
+            )
         )
-    sym_out, dual = _canonical_dual(sigma)
-    induction = _induction_presentation(source_bundle, mu_inv_weight)
-    piece = CohomologyPiece(
-        rep=chi_to_rep(shape, chi_id(shape.r)),
-        modulus_half_exponent=Fraction(0),
-        sigma=sym_out,
-        sigma_dual=dual,
-        shift=-d_src,
-        tate=tate,
-        induction=induction,
-    )
+    else:
+        notes += ("no isotypic content: degree of the weight does not match the character",)
     return CohomologyOutput(
         direction="inverse",
         source=xi,
-        pieces=(piece,),
+        pieces=tuple(pieces),
         twist_ledger=ledger,
         notes=notes,
     )
@@ -466,11 +465,14 @@ def modification_necessary(eb: BundleSpec, ebp: BundleSpec, mu) -> bool:
 class IgusaOutput:
     stratum: NewtonPoint
     degree: int
-    multiplicity_symbol: str
-    similitude_symbol: str
-    modulus_half_exponent: Fraction
     pieces: tuple[tuple[Character, RepSymbol], ...]
-    notes: tuple[str, ...]
+    multiplicity_symbol: ClassVar[str] = "m"
+    similitude_symbol: ClassVar[str] = "omega"
+    modulus_half_exponent: ClassVar[Fraction] = Fraction(1, 2)
+    notes: ClassVar[tuple[str, ...]] = (
+        "multiplicity m is an opaque symbol fixed by global input",
+        "distinctness and Frobenius-separation hypotheses are asserted, not verified",
+    )
 
     @property
     def count(self) -> int:
@@ -487,25 +489,11 @@ def igusa_cohomology(shape: LParamShape, mu, b: NewtonPoint) -> IgusaOutput:
     mu = check_dominant(mu, shape.n)
     if not is_minuscule(mu):
         raise DomainError("cocharacter must be minuscule")
-    admissible = enumerate_B(shape.n, dual_weight(mu))
-    if b not in admissible:
-        raise DomainError(
-            "stratum is not in the admissible set for the inverse cocharacter"
-        )
+    if b.rank != shape.n or not leq(b, point_from_vector(dual_weight(mu))):
+        raise DomainError("stratum is not in the admissible set for the inverse cocharacter")
     chis = b_to_chis(shape, b)
     pieces = tuple((chi, chi_to_rep(shape, chi)) for chi in chis)
-    return IgusaOutput(
-        stratum=b,
-        degree=d_point(b),
-        multiplicity_symbol="m",
-        similitude_symbol="omega",
-        modulus_half_exponent=Fraction(1, 2),
-        pieces=pieces,
-        notes=(
-            "multiplicity m is an opaque symbol fixed by global input",
-            "distinctness and Frobenius-separation hypotheses are asserted, not verified",
-        ),
-    )
+    return IgusaOutput(stratum=b, degree=d_point(b), pieces=pieces)
 
 
 @dataclass(frozen=True)

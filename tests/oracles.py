@@ -304,11 +304,8 @@ def chi_to_rep_oracle(shape, chi):
     fibers: dict[Fraction, set[int]] = {}
     for i, (d, comp) in enumerate(zip(chi, shape.components)):
         fibers.setdefault(Fraction(d, comp.dim), set()).add(i)
-    classes = tuple(
-        (s, tuple(sorted(fibers[s])))
-        for s in sorted(fibers, reverse=True)
-    )
-    return RepSymbol(stratum=bundle_to_b(e), slope_classes=classes)
+    members = tuple(tuple(sorted(fibers[s])) for s in sorted(fibers, reverse=True))
+    return RepSymbol(stratum=bundle_to_b(e), members=members)
 
 
 def hecke_oracle(shape, lam, sheaf):

@@ -30,6 +30,12 @@ class TestBundleCommand:
         code, _, err = run(capsys, "bundle", "O(1/2)+junk")
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize("text", ["O+O(" + "7" * 5000 + ")", "O+O^" + "7" * 5000])
+    def test_overlong_number_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "bundle", text)
+        assert code == 2 and out == ""
+        assert "parse error: number too long in the term at position 2" in err
+
     def test_flagged_note_appears(self, capsys):
         code, out, _ = run(capsys, "bundle", "O(3/2)+O(1/2)+O(1/3)+O^3", "--ascii")
         assert code == 0 and "26" in out and "27" in out
@@ -321,6 +327,19 @@ class TestBudgetEnv:
         ],
     )
     def test_oversized_input_fails_at_once(self, capsys, argv, quantity):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert quantity in err and "budget of 1000000" in err
+
+    @pytest.mark.parametrize(
+        "argv,quantity",
+        [
+            (("chi-to-b", "--dims", "99999999999", "--chi", "1"), "shape rank 99999999999"),
+            # the first step alone has 2000001 candidate segments
+            (("kottwitz", "enum", "-n", "2", "--mu", "2000000,0"), "2000001 search nodes"),
+        ],
+    )
+    def test_oversized_work_fails_before_it_starts(self, capsys, argv, quantity):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert quantity in err and "budget of 1000000" in err

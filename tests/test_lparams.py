@@ -19,8 +19,16 @@ from bunncalc import (
     component_shape,
     make_F,
     parse_bundle,
+    point_from_vector,
 )
-from bunncalc.lparams import Component, LParamShape, character_of_rep, character_of_sheaf
+from bunncalc.lparams import (
+    Component,
+    LParamShape,
+    RepSymbol,
+    SheafSymbol,
+    character_of_rep,
+    character_of_sheaf,
+)
 from conftest import all_compositions, shape_and_chi, unreachable_after
 from oracles import chi_to_rep_oracle
 
@@ -140,12 +148,22 @@ class TestRepAndSheaf:
 
     def test_malformed_sheaf_rejected(self):
         shape = LParamShape.from_dims((1, 1))
-        sheaf = make_F(shape, (1, 0))
-        import dataclasses
+        rep = make_F(shape, (1, 0)).rep
+        for stratum, members in (
+            # component 0 in both classes
+            (rep.stratum, ((0,), (0,))),
+            # slope 1/2 is not integral on a component of dimension 1
+            (point_from_vector((F(-1, 2), F(-1, 2))), ((0, 1),)),
+            # a stratum of rank 3 for a shape of rank 2
+            (point_from_vector((0, 0, 0)), ((0, 1),)),
+        ):
+            with pytest.raises(DomainError):
+                character_of_sheaf(shape, SheafSymbol(RepSymbol(stratum, members)))
 
-        broken = dataclasses.replace(sheaf, shift=sheaf.shift - 1)
-        with pytest.raises(DomainError):
-            character_of_sheaf(shape, broken)
+    def test_members_match_slope_classes(self):
+        rep = chi_to_rep(LParamShape.from_dims((1, 1)), (1, 0))
+        with pytest.raises(DomainError, match="one member tuple per slope class"):
+            RepSymbol(rep.stratum, rep.members[:1])
 
     @given(shape_and_chi(), shape_and_chi())
     @settings(max_examples=200)

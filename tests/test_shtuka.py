@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -14,6 +15,7 @@ from bunncalc import (
     boyer_factorize,
     bundle_to_b,
     chi_inv,
+    enumerate_B,
     harris_viehmann,
     hn_polygon,
     igusa_cohomology,
@@ -28,6 +30,7 @@ from bunncalc import (
 )
 from bunncalc.lparams import LParamShape
 from bunncalc.shtuka import is_minuscule, rho_weight
+from bunncalc.weights import dual_weight
 from oracles import hn_lies_above_oracle
 
 F = Fraction
@@ -370,6 +373,26 @@ class TestIgusa:
         shape = LParamShape.from_dims((1, 1))
         with pytest.raises(DomainError):
             igusa_cohomology(shape, (1, 0), bundle_to_b(parse_bundle("O(5)+O(-4)")))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_admissible_iff_in_enumerated_set(self, n):
+        # candidates: every point under a weight with entries in -1..1, so
+        # every endpoint the minuscule weights below reach, and more
+        shape = LParamShape.from_dims((n,))
+        tops = [
+            tuple(sorted(w, reverse=True))
+            for w in combinations_with_replacement((-1, 0, 1), n)
+        ]
+        candidates = {b for w in tops for b in enumerate_B(n, w)}
+        for mu in (w for w in tops if is_minuscule(w)):
+            admissible = set(enumerate_B(n, dual_weight(mu)))
+            for b in candidates:
+                try:
+                    igusa_cohomology(shape, mu, b)
+                except DomainError:
+                    assert b not in admissible
+                else:
+                    assert b in admissible
 
     def test_mantovan_labels(self):
         shape = LParamShape.from_dims((1, 1, 1))

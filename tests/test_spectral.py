@@ -19,15 +19,17 @@ from bunncalc import (
     hecke,
     make_F,
     parse_bundle,
+    point_from_vector,
     sigma_chi,
     spectral_act,
     stalk,
     verify_eigen,
     weyl_dim,
 )
+import bunncalc.kottwitz as kottwitz
 import bunncalc.spectral as spectral
 import bunncalc.weights as weights
-from bunncalc.lparams import LParamShape
+from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol
 from conftest import all_compositions, normalized_weights, shape_and_chi
 from oracles import hecke_oracle
 
@@ -58,14 +60,16 @@ class TestSpectralAct:
 
     def test_malformed_symbol_rejected(self):
         shape = LParamShape.from_dims((1, 1))
-        f = make_F(shape, (1, 0))
-        for broken in (
-            dataclasses.replace(f, shift=f.shift + 1),
-            dataclasses.replace(f, modulus_half_exponent=F(1, 2)),
-            dataclasses.replace(f, tate_twist=F(1, 2)),
+        for stratum, members in (
+            # a one-class stratum with two member tuples
+            (point_from_vector((-1, -1)), ((0,), (1,))),
+            # slope 1/2 is not integral on a component of dimension 1
+            (point_from_vector((F(-1, 2), F(-1, 2))), ((0, 1),)),
+            # the members of (1, 0) on a stratum of rank 3
+            (point_from_vector((0, 0, -1)), ((0,), (1,))),
         ):
             with pytest.raises(DomainError):
-                spectral_act(shape, (0, 1), broken)
+                spectral_act(shape, (0, 1), SheafSymbol(RepSymbol(stratum, members)))
 
     @given(shape_and_chi(max_r=3, max_dim=3, max_d=3), st.data())
     @settings(max_examples=150, deadline=None)
@@ -276,3 +280,30 @@ class TestVerifyEigenWork:
 
         monkeypatch.setattr(spectral, "make_F", wrong_make_F)
         assert not verify_eigen(shape, (1, 0, 0), strata)
+
+    def test_no_pairing_and_few_fraction_hashes(self, monkeypatch):
+        # the window is built as the benchmark's eigen window is: the first 8
+        # strata the weight carries from the identity symbol
+        shape = LParamShape.from_dims((1, 2, 2))
+        lam = (3, 1, 0, 0, 0)
+        dec = hecke(shape, lam, make_F(shape, chi_id(shape.r)))
+        strata = sorted(
+            {sheaf.stratum for _, sheaf, _ in dec.terms},
+            key=lambda p: p.slope_vector(),
+            reverse=True,
+        )[:8]
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__hash__", counted("hash", Fraction.__hash__))
+        # verify_eigen reaches the pairing only through d_point
+        monkeypatch.setattr(kottwitz, "rho_pairing", counted("pairing", kottwitz.rho_pairing))
+        assert verify_eigen(shape, lam, strata)
+        assert calls["pairing"] == 0
+        assert calls["hash"] <= 5000
