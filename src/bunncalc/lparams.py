@@ -28,7 +28,6 @@ from .kottwitz import (
     NewtonPoint,
     automorphism_group,
     b_to_bundle,
-    bundle_to_b,
     d_point,
 )
 
@@ -126,20 +125,15 @@ def _slope_classes(shape: LParamShape, chi: Character) -> list[tuple[Slope, list
     return [(Fraction(p, q), groups[p, q]) for p, q in keys]
 
 
-def _classes_bundle(shape: LParamShape, classes) -> BundleSpec:
-    """Component i contributes O(s) with multiplicity n_i / den(s)."""
-    return BundleSpec(
-        tuple(
-            (s, sum(shape.components[i].dim for i in members) // s.denominator)
-            for s, members in classes
-        )
-    )
-
-
 def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
     """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
     chi = shape.check_chi(chi)
-    return _classes_bundle(shape, _slope_classes(shape, chi))
+    return BundleSpec(
+        tuple(
+            (s, sum(shape.components[i].dim for i in members) // s.denominator)
+            for s, members in _slope_classes(shape, chi)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -176,8 +170,9 @@ class RepSymbol:
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     chi = shape.check_chi(chi)
     classes = _slope_classes(shape, chi)
+    counts = [(-s, sum(shape.components[i].dim for i in members)) for s, members in classes]
     return RepSymbol(
-        stratum=bundle_to_b(_classes_bundle(shape, classes)),
+        stratum=NewtonPoint(tuple(reversed(counts))),
         members=tuple(tuple(members) for _, members in classes),
     )
 
@@ -241,30 +236,33 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     """
     if b.rank != shape.n:
         raise DomainError(f"rank mismatch: point has {b.rank}, shape has {shape.n}")
-    e = b_to_bundle(b)
-    slopes = [s for s, _ in e.parts]
+    slopes = [-s for s, _ in reversed(b.classes)]
     order = sorted(range(shape.r), key=lambda i: -shape.components[i].dim)
     budget = enumeration_budget()
 
     out: list[Character] = []
+    pushed = 0
     # depth-first: the first len(chi) components of order are placed, and
     # remaining is the rank each class still has to host
-    stack = [((), tuple(m * s.denominator for s, m in e.parts))]
+    stack = [((), tuple(c for _, c in reversed(b.classes)))]
     while stack:
         chi, remaining = stack.pop()
         if len(chi) == shape.r:
             if not any(remaining):
                 placed = dict(zip(order, chi))
                 out.append(tuple(placed[i] for i in range(shape.r)))
-                if len(out) > budget:
-                    raise BudgetError(f"character enumeration exceeded {budget}")
             continue
         ni = shape.components[order[len(chi)]].dim
         for cls, s in enumerate(slopes):
             if ni % s.denominator == 0 and remaining[cls] >= ni:
+                # every character is a pushed node, so this also bounds the output
+                pushed += 1
+                if pushed > budget:
+                    raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
                 rest = remaining[:cls] + (remaining[cls] - ni,) + remaining[cls + 1 :]
                 stack.append((chi + (s.numerator * ni // s.denominator,), rest))
-    return sorted(set(out))
+    # class slopes are distinct, so distinct placements give distinct characters
+    return sorted(out)
 
 
 @dataclass(frozen=True)

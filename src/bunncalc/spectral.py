@@ -4,17 +4,17 @@ the resulting operator decompositions, and eigen-stalk bookkeeping.
 On the orbit of canonical symbols the action of a character is a pure
 translation: acting by chi on the symbol of xi yields the symbol of chi*xi.
 An operator attached to a highest weight decomposes into these translations
-weighted by the isotypic slices of the weight representation; one pass over
-the weight's branching to the component blocks sorts its terms into the
-slices.  The eigen check decomposes every source of a stratum window, and
-builds each translated symbol once per check.
+weighted by the isotypic slices of the weight representation.  The slices
+depend only on the shape and the weight, never on the source: one pass over
+the weight's branching to the component blocks sorts its terms into them.
+The eigen check builds the slices once per call and each translated symbol
+once per call, and still checks every source's canonical shape.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from .bundles import DomainError
 from .kottwitz import NewtonPoint
@@ -24,7 +24,6 @@ from .lparams import (
     SheafSymbol,
     b_to_chis,
     character_of_sheaf,
-    chi_id,
     chi_inv,
     chi_mul,
     make_F,
@@ -62,32 +61,33 @@ class HeckeDecomposition:
         return sum(sym.dim for _, _, sym in self.terms)
 
 
-def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
-    """Decompose the weight-lam operator applied to a canonical symbol.
+def _slices(shape: LParamShape, lam) -> list[tuple[Character, WeilSymbol]]:
+    """The isotypic slices of r_lam, as (chi, slice) in descending chi.
 
     One pass over the branching of r_lam to the component blocks groups its
     terms by their character chi (the per-block central characters); each
-    group, in branching order, is the isotypic slice of chi and is paired
-    with the translated symbol.  Terms are ordered by descending character.
+    slice keeps its terms in branching order.  lam must already be checked.
     """
-    return _hecke(shape, lam, sheaf, partial(make_F, shape))
-
-
-def _hecke(shape: LParamShape, lam, sheaf: SheafSymbol, sheaf_of) -> HeckeDecomposition:
-    """hecke's body; ``sheaf_of`` maps a character to its canonical symbol."""
-    lam = check_dominant(lam, shape.n)
-    xi = character_of_sheaf(shape, sheaf)
     slices: dict[Character, list] = {}
     for ws, mult in levi_branching(shape.n, lam, shape.dims):
         slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
     labels = tuple(c.label for c in shape.components)
-    terms = tuple(
-        (
-            chi,
-            sheaf_of(chi_mul(chi, xi)),
-            WeilSymbol(blocks=shape.dims, labels=labels, terms=tuple(slices[chi])),
-        )
+    return [
+        (chi, WeilSymbol(blocks=shape.dims, labels=labels, terms=tuple(slices[chi])))
         for chi in sorted(slices, reverse=True)
+    ]
+
+
+def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
+    """Decompose the weight-lam operator applied to a canonical symbol.
+
+    Each isotypic slice of r_lam, of character chi, is paired with the
+    translated symbol of chi * xi.  Terms are ordered by descending character.
+    """
+    lam = check_dominant(lam, shape.n)
+    xi = character_of_sheaf(shape, sheaf)
+    terms = tuple(
+        (chi, make_F(shape, chi_mul(chi, xi)), sym) for chi, sym in _slices(shape, lam)
     )
     return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
@@ -127,12 +127,12 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     character of b and chi a character with nonzero slice, so the check runs
     over that window.
 
-    Every source is decomposed afresh through hecke's path, with its
-    canonical shape checked.  The sources of a window share most of their
-    translated symbols, so the call builds each character's symbol once, in
-    a memo that lives only as long as the call.
+    The slices are built once per call and each character's symbol once per
+    call, in a memo that lives only as long as the call.  Every source's
+    symbol still has its canonical shape checked before it is translated.
     """
     lam = check_dominant(lam, shape.n)
+    slices = _slices(shape, lam)
     memo: dict[Character, SheafSymbol] = {}
 
     def sheaf_of(chi: Character) -> SheafSymbol:
@@ -141,21 +141,21 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
             sheaf = memo[chi] = make_F(shape, chi)
         return sheaf
 
-    dec_id = _hecke(shape, lam, sheaf_of(chi_id(shape.r)), sheaf_of)
-    slice_chis = [(chi, sym) for chi, _, sym in dec_id.terms]
     for b in strata:
-        etas = b_to_chis(shape, b)
         rhs: Counter = Counter()
         sources: set[Character] = set()
-        for eta in etas:
+        for eta in b_to_chis(shape, b):
             piece = sheaf_of(eta)
-            for chi, sym in slice_chis:
+            for chi, sym in slices:
                 rhs[(piece, sym)] += 1
                 sources.add(chi_mul(eta, chi_inv(chi)))
         lhs: Counter = Counter()
-        for xi in sorted(sources):
-            for sheaf, sym in stalk(_hecke(shape, lam, sheaf_of(xi), sheaf_of), b):
-                lhs[(sheaf, sym)] += 1
+        for src in sorted(sources):
+            xi = character_of_sheaf(shape, sheaf_of(src))
+            for chi, sym in slices:
+                sheaf = sheaf_of(chi_mul(chi, xi))
+                if sheaf.stratum == b:
+                    lhs[(sheaf, sym)] += 1
         if lhs != rhs:
             return False
     return True

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bunncalc import (
+    BudgetError,
     DomainError,
     automorphism_group,
     b_to_chis,
@@ -204,6 +205,15 @@ class TestBToChis:
         shape = LParamShape.from_dims((4, 2, 1))
         b = bundle_to_b(parse_bundle("O(3/4)+O(1/3)"))
         assert b_to_chis(shape, b) == []
+
+    def test_search_nodes_charged_before_output(self, monkeypatch):
+        # 11! characters: the budget trips on the pushed placements, long
+        # before the first character would have been emitted
+        monkeypatch.setenv("BUNNCALC_BUDGET", "1000")
+        shape = LParamShape.from_dims((1,) * 11)
+        b = bundle_to_b(parse_bundle("+".join(f"O({d})" for d in range(1, 12))))
+        with pytest.raises(BudgetError, match="1001 search nodes exceed budget of 1000"):
+            b_to_chis(shape, b)
 
     def test_rank_mismatch_rejected(self):
         shape = LParamShape.from_dims((1, 1))

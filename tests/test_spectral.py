@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bunncalc import (
+    BundleSpec,
     DomainError,
     bundle_to_b,
     chi_id,
@@ -304,6 +305,15 @@ class TestVerifyEigenWork:
         monkeypatch.setattr(Fraction, "__hash__", counted("hash", Fraction.__hash__))
         # verify_eigen reaches the pairing only through d_point
         monkeypatch.setattr(kottwitz, "rho_pairing", counted("pairing", kottwitz.rho_pairing))
+        for cls in (weights.WeilSymbol, BundleSpec):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        before = weights.levi_branching.cache_info()
         assert verify_eigen(shape, lam, strata)
+        after = weights.levi_branching.cache_info()
         assert calls["pairing"] == 0
         assert calls["hash"] <= 5000
+        # the slices are built once, from one branching lookup, and no
+        # symbol goes through a bundle
+        assert calls["WeilSymbol"] == len(dec.terms) == 14
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert calls["BundleSpec"] == 0
