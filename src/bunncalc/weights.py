@@ -3,10 +3,11 @@ highest-weight representations of GL_n.
 
 Multiplicities are counted over triangular (Gelfand-Tsetlin) patterns one row
 length at a time, from the bottom row up, without visiting the patterns one
-by one.  Branching to a block Levi walks the block-dominant weights of the
-character once, in descending lexicographic order, splitting off each
-remaining weight's product representation.  Everything is exact and desk
-scale by design.
+by one.  Branching to a block Levi peels off one block at a time by the
+Littlewood-Richardson rule, counting LR fillings rather than weights, and
+recurses on the remainder with a memo that lives for one call; a tail of
+size-1 blocks is the torus, whose branching is read off the row count.
+Everything is exact and desk scale by design.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def weyl_dim(lam, m: int) -> int:
     return num // den
 
 
+def _check_budget(n: int, norm: HighestWeight) -> None:
+    """Refuse ranks above MAX_N and normalized sizes above MAX_WEIGHT_SIZE."""
+    if n > MAX_N or sum(norm) > MAX_WEIGHT_SIZE:
+        raise BudgetError(
+            f"weight enumeration out of budget: n={n} (max {MAX_N}), "
+            f"normalized size {sum(norm)} (max {MAX_WEIGHT_SIZE})"
+        )
+
+
 def _rows(top: HighestWeight, k: int):
     """Every row of length ``k`` that a triangular pattern under ``top`` has.
 
@@ -71,11 +81,7 @@ def _weight_mults_cached(n: int, lam: HighestWeight) -> tuple[tuple[HighestWeigh
     lam = check_dominant(lam, n)
     c = lam[-1]
     norm = tuple(x - c for x in lam)
-    if n > MAX_N or sum(norm) > MAX_WEIGHT_SIZE:
-        raise BudgetError(
-            f"weight enumeration out of budget: n={n} (max {MAX_N}), "
-            f"normalized size {sum(norm)} (max {MAX_WEIGHT_SIZE})"
-        )
+    _check_budget(n, norm)
     # level maps each row of length k to the weight -> count dict of the
     # patterns from that row down; weight coordinate k is |row k| - |row k-1|
     level = {row: {row: 1} for row in _rows(norm, 1)}
@@ -111,6 +117,75 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     return dict(_weight_mults_cached(n, lam))
 
 
+def _lr_rows(lam, a, i, alpha, ends, content, out) -> None:
+    """Fill rows i, i + 1, ... of an LR tableau of shape lam/alpha and count
+    each finished filling in ``out`` under (alpha, content).
+
+    ``ends[v]`` is the column just past the entries <= v of row i - 1 (the
+    cells of alpha count as entries 0), so an entry v + 1 of row i must stand
+    left of it; ``content[v]`` counts the entries v + 1 in rows above i.
+    """
+    if i == len(lam) or lam[i] == 0:
+        key = (alpha + (0,) * (a - len(alpha)), content)
+        out[key] = out.get(key, 0) + 1
+        return
+    if i >= a:
+        _lr_cells(lam, a, i, alpha, ends, content, 0, 0, (0,), (), out)
+        return
+    for s in range(min(lam[i], ends[0]), -1, -1):
+        _lr_cells(lam, a, i, alpha + (s,), ends, content, 0, s, (s,), (), out)
+
+
+def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out) -> None:
+    """Place the entries v + 1 of row i from column q on, then the larger ones.
+
+    Rows weakly increase, so the entries v + 1 are one run; columns strictly
+    increase, so the run ends by ``ends[v]``; and the reading word (rows top
+    down, each right to left) stays a lattice word exactly when no row holds
+    more entries v + 1 than the rows above hold entries v beyond entries v + 1.
+    """
+    m = len(content)
+    end = lam[i]
+    if v == m:
+        _lr_rows(lam, a, i + 1, alpha, row_ends[:m], row_content, out)
+        return
+    top = min(end, max(q, ends[v]))
+    if v:
+        top = min(top, q + content[v - 1] - content[v])
+    # the largest entry fills the rest of the row
+    low = end if v == m - 1 else q
+    for stop in range(top, low - 1, -1):
+        _lr_cells(
+            lam, a, i, alpha, ends, content, v + 1, stop,
+            row_ends + (stop,), row_content + (content[v] + stop - q,), out,
+        )
+
+
+def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
+    """Branching of the partition ``lam`` to ``blocks`` as (block weights,
+    multiplicity) pairs.  ``memo`` maps each peeled remainder met so far to
+    its branching; the remainder's length fixes which tail of ``blocks`` it
+    meets.  A torus tail is read off the cached row count each time.
+    """
+    if len(blocks) == 1:
+        return (((lam,), 1),)
+    if all(b == 1 for b in blocks):
+        return ((tuple(zip(w)), cnt) for w, cnt in _weight_mults_cached(len(lam), lam))
+    out = memo.get(lam)
+    if out is None:
+        a = blocks[0]
+        m = len(lam) - a
+        peel: dict = {}
+        # the first row has no row above it to bound its columns
+        _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel)
+        out = memo[lam] = {}
+        for (alpha, beta), c in peel.items():
+            for rest, mult in _branch(beta, blocks[1:], memo):
+                key = (alpha,) + rest
+                out[key] = out.get(key, 0) + c * mult
+    return out.items()
+
+
 @lru_cache(maxsize=None)
 def levi_branching(
     n: int, lam: HighestWeight, blocks: tuple[int, ...]
@@ -118,13 +193,13 @@ def levi_branching(
     """Restrict r_lam to GL_{n_1} x ... x GL_{n_r}.
 
     Returns ((lam^(1), ..., lam^(r)), mult) pairs, descending lexicographically
-    on the concatenated weights.  The character of the restriction is invariant
-    under each block's permutations, so its block-dominant weights (every
-    block piece weakly decreasing) determine it.  Walk those once in
-    descending lexicographic order: a weight's remaining count is the
-    multiplicity of the product representation it is the highest weight of,
-    and subtracting the block-dominant part of that product's character
-    changes only weights further down the walk.
+    on the concatenated weights.  After the determinant shift that makes
+    lam a partition, peel off the first block by the Littlewood-Richardson
+    rule: alpha (x) beta occurs c^lam_{alpha,beta} times, one for each LR
+    filling of lam/alpha with content beta and entries at most n - n_1.  Then
+    branch each beta to the remaining blocks the same way, memoised for this
+    call only.  A remainder of size-1 blocks is the torus, whose terms are
+    the weight multiplicities from the rows.
     """
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
@@ -139,42 +214,8 @@ def levi_branching(
             (tuple(tuple(x + c for x in w) for w in ws), mult)
             for ws, mult in shifted
         )
-    cuts = []
-    start = 0
-    for b in blocks:
-        cuts.append((start, start + b))
-        start += b
-    descents = [i for a, b in cuts for i in range(a, b - 1)]
-    left = {
-        w: cnt
-        for w, cnt in weight_multiplicities(n, lam).items()
-        if all(w[i] >= w[i + 1] for i in descents)
-    }
-    # block piece -> dominant weights of its character, with multiplicities
-    piece_dominant: dict[HighestWeight, list] = {}
-    out = []
-    for w in sorted(left, reverse=True):
-        mult = left[w]
-        if not mult:
-            continue
-        ws = tuple(w[a:b] for a, b in cuts)
-        out.append((ws, mult))
-        term = {(): 1}
-        for piece in ws:
-            dom = piece_dominant.get(piece)
-            if dom is None:
-                dom = piece_dominant[piece] = [
-                    (v, cnt)
-                    for v, cnt in weight_multiplicities(len(piece), piece).items()
-                    if all(a >= b for a, b in zip(v, v[1:]))
-                ]
-            term = {v0 + v1: c0 * c1 for v0, c0 in term.items() for v1, c1 in dom}
-        for v, cnt in term.items():
-            rest = left[v] - mult * cnt
-            if rest < 0:
-                raise AssertionError("branching extraction went negative")
-            left[v] = rest
-    return tuple(out)
+    _check_budget(n, lam)
+    return tuple(sorted(_branch(lam, blocks, {}), reverse=True))
 
 
 def _monomial_str(w: HighestWeight, label: str, ascii_mode: bool) -> str:

@@ -8,9 +8,10 @@ library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
 branching, Hecke decomposition, character dictionary and polygon dominance
 oracles are the library's earlier, slower implementations: the cubic
 transitive reduction, one visit per triangular pattern, extraction against
-the whole character, a slice filter over every branching term per character,
-bundles merged through Fraction slopes, and polygons interpolated in
-Fractions.
+the whole character (once from the largest remaining weight, once in one
+walk over the block-dominant weights), a slice filter over every branching
+term per character, bundles merged through Fraction slopes, and polygons
+interpolated in Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from bunncalc.bundles import DomainError, normalize_bundle
 from bunncalc.kottwitz import bundle_to_b
 from bunncalc.lparams import RepSymbol, character_of_sheaf, chi_mul, make_F
 from bunncalc.spectral import HeckeDecomposition
-from bunncalc.weights import check_dominant, levi_branching, sigma_chi
+from bunncalc.weights import (
+    check_dominant,
+    levi_branching,
+    sigma_chi,
+    weight_multiplicities,
+)
 
 Monomials = dict[tuple[int, ...], int]
 
@@ -284,6 +290,63 @@ def levi_branching_oracle(n: int, lam, blocks):
                 char.pop(tw, None)
         out.append((ws, mult))
     out.sort(key=lambda t: tuple(x for w in t[0] for x in w), reverse=True)
+    return tuple(out)
+
+
+def levi_branching_extraction_oracle(n: int, lam, blocks):
+    """Branching by one walk over the block-dominant weights of the whole
+    character, in descending lexicographic order: a weight's remaining count
+    is the multiplicity of the product representation it is the highest
+    weight of, and subtracting the block-dominant part of that product's
+    character changes only weights further down the walk."""
+    if n < 1:
+        raise DomainError(f"rank n must be >= 1, got {n}")
+    lam = check_dominant(lam, n)
+    blocks = tuple(int(b) for b in blocks)
+    if sum(blocks) != n or any(b < 1 for b in blocks):
+        raise DomainError(f"blocks {blocks} do not partition {n}")
+    c = lam[-1]
+    if c != 0:
+        shifted = levi_branching_extraction_oracle(n, tuple(x - c for x in lam), blocks)
+        return tuple(
+            (tuple(tuple(x + c for x in w) for w in ws), mult)
+            for ws, mult in shifted
+        )
+    cuts = []
+    start = 0
+    for b in blocks:
+        cuts.append((start, start + b))
+        start += b
+    descents = [i for a, b in cuts for i in range(a, b - 1)]
+    left = {
+        w: cnt
+        for w, cnt in weight_multiplicities(n, lam).items()
+        if all(w[i] >= w[i + 1] for i in descents)
+    }
+    # block piece -> dominant weights of its character, with multiplicities
+    piece_dominant: dict[tuple[int, ...], list] = {}
+    out = []
+    for w in sorted(left, reverse=True):
+        mult = left[w]
+        if not mult:
+            continue
+        ws = tuple(w[a:b] for a, b in cuts)
+        out.append((ws, mult))
+        term = {(): 1}
+        for piece in ws:
+            dom = piece_dominant.get(piece)
+            if dom is None:
+                dom = piece_dominant[piece] = [
+                    (v, cnt)
+                    for v, cnt in weight_multiplicities(len(piece), piece).items()
+                    if all(a >= b for a, b in zip(v, v[1:]))
+                ]
+            term = {v0 + v1: c0 * c1 for v0, c0 in term.items() for v1, c1 in dom}
+        for v, cnt in term.items():
+            rest = left[v] - mult * cnt
+            if rest < 0:
+                raise AssertionError("branching extraction went negative")
+            left[v] = rest
     return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import comb
 
@@ -15,9 +16,11 @@ from bunncalc import (
 )
 from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
+from bunncalc.weights import _weight_mults_cached
 from conftest import all_compositions, normalized_weights
 from oracles import (
     branching_expansion,
+    levi_branching_extraction_oracle,
     levi_branching_oracle,
     schur_monomials,
     weight_mults_oracle,
@@ -89,6 +92,21 @@ class TestWeightMultiplicities:
         with pytest.raises(BudgetError):
             weight_multiplicities(2, (13, 0))
 
+    @pytest.mark.parametrize(
+        "n,lam,blocks,cap",
+        [
+            (9, (1,) + (0,) * 8, (4, 5), "n=9 (max 8)"),
+            (2, (13, 0), (1, 1), "size 13 (max 12)"),
+            (6, (13,) + (0,) * 5, (2, 2, 2), "size 13 (max 12)"),
+            (3, (14, 1, 1), (1, 1, 1), "size 13 (max 12)"),
+        ],
+    )
+    def test_branching_budget_rejected(self, n, lam, blocks, cap):
+        # the LR peel never counts the weights of lam itself, so the
+        # branching checks the budget on its own
+        with pytest.raises(BudgetError, match=re.escape(cap)):
+            levi_branching(n, lam, blocks)
+
     @pytest.mark.parametrize("n,lam", [(3, (2, 1, 0)), (4, (2, 1, 1, 0)), (2, (5, 0))])
     def test_total_is_weyl_dim(self, n, lam):
         assert sum(weight_multiplicities(n, lam).values()) == weyl_dim(lam, n)
@@ -126,13 +144,50 @@ class TestAgainstPatternOracles:
                     )
 
 
+class TestAgainstExtractionOracle:
+    """The LR peel against the walk over the block-dominant weights of the
+    whole character that it replaced."""
+
+    def test_rank_seven_two_and_three_blocks(self):
+        splits = [c for c in all_compositions(7) if len(c) in (2, 3)]
+        for lam in normalized_weights(7, 4):
+            for blocks in splits:
+                assert levi_branching(7, lam, blocks) == levi_branching_extraction_oracle(
+                    7, lam, blocks
+                )
+
+
+class TestPeelCounts:
+    """Which branchings reach the row count, counted on its cache."""
+
+    LAM = (5, 3, 2, 1, 1, 0, 0, 0)
+
+    def misses(self, blocks):
+        _weight_mults_cached.cache_clear()
+        levi_branching.cache_clear()
+        levi_branching(8, self.LAM, blocks)
+        return _weight_mults_cached.cache_info().misses
+
+    def test_two_blocks_never_count_weights(self):
+        assert self.misses((4, 4)) == 0
+
+    def test_torus_counts_the_weight_once(self):
+        assert self.misses((1,) * 8) == 1
+
+
 class TestBudgetEdge:
     """The largest inputs the weight budget admits finish in about a second."""
 
+    LAM = (7, 4, 1, 0, 0, 0, 0, 0)
+
     def test_largest_dimension_in_budget(self):
-        lam = (7, 4, 1, 0, 0, 0, 0, 0)
-        total = sum(weight_multiplicities(8, lam).values())
-        assert total == weyl_dim(lam, 8) == 1537536
+        total = sum(weight_multiplicities(8, self.LAM).values())
+        assert total == weyl_dim(self.LAM, 8) == 1537536
+
+    @pytest.mark.parametrize("blocks", [(1, 7), (4, 4), (3, 3, 2), (2, 2, 2, 2)])
+    def test_block_branch_at_largest_dimension(self, blocks):
+        terms = levi_branching(8, self.LAM, blocks)
+        assert branched_dim(terms, blocks) == weyl_dim(self.LAM, 8) == 1537536
 
     def test_torus_branch_at_budget_edge(self):
         lam = (5, 3, 2, 1, 1, 0, 0, 0)
