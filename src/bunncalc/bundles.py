@@ -3,8 +3,8 @@
 A bundle is a finite direct sum of stable pieces O(lam), one isomorphism class
 per rational slope lam = p/q in lowest terms; O(p/q) has rank q and degree p.
 Slopes are exact (``fractions.Fraction``), HN polygons are integer vertex
-tuples, and dominance of slope polygons compares integer partial sums of
-slope vectors scaled by the lcm of their denominators.
+tuples, and polygons with lattice breakpoints, as integer segments (rise,
+run), compare by their lattice tops and pair with 2rho in integers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 Slope = Fraction
@@ -126,23 +125,31 @@ def hn_polygon(b: BundleSpec) -> tuple[tuple[int, int], ...]:
     return tuple(verts)
 
 
-def common_scale(class_lists: Iterable[Sequence[tuple[Slope, int]]]) -> int:
-    """The lcm of the slope denominators over several lists of slope classes."""
-    return lcm(*(s.denominator for classes in class_lists for s, _ in classes))
+def as_int(x, what: str) -> int:
+    """x as an int; a value with a fractional part is rejected, not truncated."""
+    if x != int(x):
+        raise DomainError(f"{what} {x} is not an integer")
+    return int(x)
 
 
-def partial_sums(classes: Sequence[tuple[Slope, int]], scale: int) -> tuple[int, ...]:
-    """Partial sums of the slope vector of (slope, entry count) classes times
-    scale, a multiple of every slope denominator, as exact integers.  A polygon
-    lies under another of equal rank iff each partial sum is <= the other's."""
-    sums: list[int] = []
-    acc = 0
-    for s, c in classes:
-        step = s.numerator * scale // s.denominator
-        for _ in range(c):
-            acc += step
-            sums.append(acc)
-    return tuple(sums)
+def lattice_tops(segments: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """floor(nu(x)), x = 0..n, along the segments (rise, run) from the origin;
+    concave lattice polygons lie under each other iff their tops do."""
+    tops = [0]
+    for rise, run in segments:
+        y = tops[-1]
+        tops += [y + rise * k // run for k in range(1, run + 1)]
+    return tuple(tops)
+
+
+def segment_pairing(segments: Iterable[tuple[int, int]]) -> int:
+    """<2rho, nu> = sum_{i<j} (r_i m_j - r_j m_i) over segments (r_i, m_i), slopes decreasing."""
+    total = rise_before = run_before = 0
+    for rise, run in segments:
+        total += rise_before * run - rise * run_before
+        rise_before += rise
+        run_before += run
+    return total
 
 
 def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
@@ -150,12 +157,10 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
 
     ``classes`` lists (slope, entry count) with slopes strictly decreasing and
     each class of integral total degree; the value is
-    sum_{i<j} m_i m_j (lam_i - lam_j), always an integer.  It is computed on
-    the slopes scaled by the lcm of their denominators, then divided exactly.
+    sum_{i<j} m_i m_j (lam_i - lam_j), always an integer, computed on the
+    segments (total degree, count).
     """
-    scale = common_scale((classes,))
-    scaled = [s.numerator * (scale // s.denominator) for s, _ in classes]
-    if any(a >= b for a, b in zip(scaled[1:], scaled)):
+    if any(a >= b for (a, _), (b, _) in zip(classes[1:], classes)):
         raise DomainError("slope classes must be strictly decreasing")
     for s, m in classes:
         if m < 1:
@@ -164,15 +169,7 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
             raise DomainError(
                 f"class {slope_str(s)}^({m}) has fractional total degree"
             )
-    # class i pairs with the counts after it positively, before it negatively
-    total = 0
-    before = 0
-    after = sum(m for _, m in classes)
-    for x, (_, m) in zip(scaled, classes):
-        after -= m
-        total += m * x * (after - before)
-        before += m
-    return total // scale
+    return segment_pairing((s.numerator * m // s.denominator, m) for s, m in classes)
 
 
 # A specific rank-10 configuration for which a published worked value of the

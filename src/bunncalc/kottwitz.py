@@ -2,15 +2,16 @@
 enumeration of the points lying under a dominant cocharacter.
 
 A Newton point is a dominant rational vector with integral breakpoints,
-recorded as slope classes (slope, entry count) with den(slope) | count.  The
-dictionary between points and bundles is nu_b = (-nu_E)_dom, so the endpoint
-invariant kappa(b) equals -deg(E_b).
+recorded as the integer segments (rise, run) of its polygon; dominance reads
+its lattice tops floor(nu(x)).  The dictionary between points and bundles is
+nu_b = (-nu_E)_dom, so the endpoint invariant kappa(b) equals -deg(E_b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import le
 
 from .bundles import (
@@ -18,44 +19,48 @@ from .bundles import (
     BundleSpec,
     DomainError,
     Slope,
+    as_int,
     check_slope,
-    common_scale,
     enumeration_budget,
-    partial_sums,
-    rho_pairing,
+    lattice_tops,
+    segment_pairing,
     slope_str,
 )
 
 
 @dataclass(frozen=True)
 class NewtonPoint:
-    """Dominant slope vector as classes (slope, count), slopes strictly decreasing."""
+    """Maximal segments (rise, run) of integers, slopes rise/run strictly decreasing."""
 
-    classes: tuple[tuple[Slope, int], ...]
+    segments: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.classes:
+        if not self.segments:
             raise DomainError("a Newton point needs at least one slope class")
-        for s, c in self.classes:
-            check_slope(s)
-            if c < 1:
-                raise DomainError(f"class count must be >= 1, got {c}")
-            if c % s.denominator != 0:
-                raise DomainError(
-                    f"breakpoints not integral: den({slope_str(s)}) does not divide {c}"
-                )
-        slopes = [s for s, _ in self.classes]
-        if any(a >= b for a, b in zip(slopes[1:], slopes)):
+        for rise, run in self.segments:
+            if not (isinstance(rise, int) and isinstance(run, int)):
+                raise DomainError(f"segment ({rise!r}, {run!r}) is not a pair of integers")
+            if run < 1:
+                raise DomainError(f"class count must be >= 1, got {run}")
+        if any(r2 * m1 >= r1 * m2 for (r1, m1), (r2, m2) in zip(self.segments, self.segments[1:])):
             raise DomainError("Newton point slopes must be strictly decreasing")
 
     @property
     def rank(self) -> int:
-        return sum(c for _, c in self.classes)
+        return sum(run for _, run in self.segments)
 
     @property
     def kappa(self) -> int:
-        # exact: __post_init__ checks that den(s) divides c
-        return sum(s.numerator * (c // s.denominator) for s, c in self.classes)
+        return sum(rise for rise, _ in self.segments)
+
+    @property
+    def tops(self) -> tuple[int, ...]:
+        """floor(nu(x)) for x = 0..rank; dominance is <= entry by entry."""
+        return lattice_tops(self.segments)
+
+    @property
+    def classes(self) -> tuple[tuple[Slope, int], ...]:
+        return tuple((Fraction(rise, run), run) for rise, run in self.segments)
 
     def slope_vector(self) -> tuple[Fraction, ...]:
         out: list[Fraction] = []
@@ -69,8 +74,8 @@ class NewtonPoint:
 
 def bundle_to_b(e: BundleSpec) -> NewtonPoint:
     """Negate the bundle's slope multiset and re-sort dominantly."""
-    classes = tuple((-s, m * s.denominator) for s, m in reversed(e.parts))
-    return NewtonPoint(classes)
+    segments = tuple((-m * s.numerator, m * s.denominator) for s, m in reversed(e.parts))
+    return NewtonPoint(segments)
 
 
 def b_to_bundle(b: NewtonPoint) -> BundleSpec:
@@ -78,8 +83,8 @@ def b_to_bundle(b: NewtonPoint) -> BundleSpec:
 
 
 def d_point(b: NewtonPoint) -> int:
-    """<2rho, nu_b> evaluated on the point's slope classes."""
-    return rho_pairing(b.classes)
+    """<2rho, nu_b> evaluated on the point's segments."""
+    return segment_pairing(b.segments)
 
 
 def point_label(b: NewtonPoint, ascii_mode: bool = False) -> str:
@@ -89,31 +94,32 @@ def point_label(b: NewtonPoint, ascii_mode: bool = False) -> str:
 
 
 def point_from_vector(vec) -> NewtonPoint:
-    """Build a point from a weakly decreasing slope vector (merging runs)."""
+    """Build a point from a weakly decreasing slope vector, one segment per run."""
     entries = [Fraction(v) for v in vec]
     if any(a < b for a, b in zip(entries, entries[1:])):
         raise DomainError("slope vector must be weakly decreasing")
-    classes: list[tuple[Fraction, int]] = []
-    for v in entries:
-        if classes and classes[-1][0] == v:
-            classes[-1] = (v, classes[-1][1] + 1)
-        else:
-            classes.append((v, 1))
-    return NewtonPoint(tuple(classes))
+    segments = []
+    for s, equal in groupby(entries):
+        c = len(list(equal))
+        if c % s.denominator:
+            raise DomainError(
+                f"breakpoints not integral: den({slope_str(s)}) does not divide {c}"
+            )
+        segments.append((s.numerator * c // s.denominator, c))
+    return NewtonPoint(tuple(segments))
 
 
 def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     """Dominance order within a fixed endpoint slice.
 
-    True iff the endpoints agree and every partial sum of b1's slope vector is
-    <= the corresponding partial sum of b2's.  Points with different endpoints
-    compare as False (not an error), so poset utilities run on mixed lists.
+    True iff the endpoints agree and every lattice top of b1 is <= the
+    corresponding top of b2.  Points with different endpoints compare as
+    False (not an error), so poset utilities run on mixed lists.
     """
     if b1.rank != b2.rank:
         raise DomainError(f"rank mismatch: {b1.rank} vs {b2.rank}")
-    scale = common_scale((b1.classes, b2.classes))
-    s1, s2 = partial_sums(b1.classes, scale), partial_sums(b2.classes, scale)
-    return s1[-1] == s2[-1] and all(map(le, s1, s2))
+    t1, t2 = b1.tops, b2.tops
+    return t1[-1] == t2[-1] and all(map(le, t1, t2))
 
 
 def enumerate_B(n: int, mu) -> list[NewtonPoint]:
@@ -121,10 +127,10 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
 
     mu is a weakly decreasing integer n-tuple.  Points are produced in
     descending dominance order, ties broken lexicographically (the output is
-    sorted lexicographically descending on slope vectors, which linearizes
-    the dominance order).
+    sorted lexicographically descending on lattice tops, which is that order
+    on slope vectors and linearizes the dominance order).
     """
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(as_int(x, "mu entry") for x in mu)
     if len(mu) != n:
         raise DomainError(f"mu must have length {n}, got {len(mu)}")
     if any(a < b for a, b in zip(mu, mu[1:])):
@@ -144,7 +150,7 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
         x, y, acc = stack.pop()
         if x == n:
             if y == total:
-                results.append(NewtonPoint(tuple((Fraction(dy, dx), dx) for dy, dx in acc)))
+                results.append(NewtonPoint(acc))
             continue
         for dx in range(1, n - x + 1):
             # slope of the next maximal segment is dy/dx; classes strictly
@@ -163,17 +169,16 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
                 raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
             for dy in range(hi, lo_slope * dx - 1, -1):
                 stack.append((x + dx, y + dy, acc + ((dy, dx),)))
-    # integer partial sums order lexicographically as the slope vectors do
-    scale = common_scale(p.classes for p in results)
-    results.sort(key=lambda p: partial_sums(p.classes, scale), reverse=True)
+    # the first differing top has the sign of the first differing slope
+    results.sort(key=lambda p: p.tops, reverse=True)
     return results
 
 
 def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     """Covering relations (lower, upper) of the dominance order on the list.
 
-    Points are ranked descending on their integer partial sums, which is a
-    linear extension of dominance, and each point's strict down-set is kept as
+    Points are ranked descending on their lattice tops, which is a linear
+    extension of dominance, and each point's strict down-set is kept as
     a bitmask over that ranking.  Walking the down-set of u nearest first, a
     point is covered by u exactly when it lies in the down-set of no cover of
     u found before it (transitive reduction against a linear extension,
@@ -182,8 +187,7 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     pts = list(points)
     if not pts:
         return []
-    scale = common_scale(p.classes for p in pts)
-    sums = [partial_sums(p.classes, scale) for p in pts]
+    sums = [p.tops for p in pts]
     if len({(len(s), s[-1]) for s in sums}) > 1:
         raise DomainError("hasse requires points of equal rank and endpoint")
     order = sorted(range(len(pts)), key=sums.__getitem__, reverse=True)
@@ -221,9 +225,8 @@ def dot_export(points, ascii_mode: bool = False) -> str:
 
 def _dot_text(points, edges, ascii_mode: bool) -> str:
     """dot_export's rendering, given the covering edges of the points."""
-    # integer partial sums order lexicographically as the slope vectors do
-    scale = common_scale(p.classes for p in points)
-    pts = sorted(points, key=lambda p: partial_sums(p.classes, scale), reverse=True)
+    # lattice tops order lexicographically as the slope vectors do
+    pts = sorted(points, key=lambda p: p.tops, reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
     lines = ["digraph kottwitz {"]
     for p in pts:
@@ -236,7 +239,7 @@ def _dot_text(points, edges, ascii_mode: bool) -> str:
 
 def parabolic_type(b: NewtonPoint) -> tuple[int, ...]:
     """Block sizes of the standard Levi on which nu_b is strictly dominant."""
-    return tuple(c for _, c in b.classes)
+    return tuple(run for _, run in b.segments)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ A parameter shape is a formal direct sum of r pairwise-distinct irreducible
 components, recorded only by label, dimension and torsion number.  Characters
 of the centralizer torus are integer r-vectors; the character chi = (d_i)
 corresponds to the stratum of the bundle sum_i O(d_i/n_i)^{gcd(d_i, n_i)} and
-to the representation symbol cut out by the fibers of i -> d_i/n_i.
+to the representation symbol cut out by the fibers of i -> d_i/n_i; a fiber
+is the stratum segment (-sum d_i, sum n_i), so all of it runs in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cmp_to_key
+from math import gcd
 from typing import ClassVar
 
 from .bundles import (
@@ -20,6 +22,7 @@ from .bundles import (
     BundleSpec,
     DomainError,
     Slope,
+    as_int,
     enumeration_budget,
     slope_str,
 )
@@ -76,7 +79,7 @@ class LParamShape:
 
     @classmethod
     def from_dims(cls, dims, labels=None, torsion=None) -> "LParamShape":
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_int(d, "dimension") for d in dims)
         if labels is None:
             labels = tuple(f"phi{i + 1}" for i in range(len(dims)))
         if torsion is None:
@@ -102,7 +105,7 @@ class LParamShape:
         return tuple(c.dim for c in self.components)
 
     def check_chi(self, chi: Character) -> Character:
-        chi = tuple(int(x) for x in chi)
+        chi = tuple(as_int(x, "character entry") for x in chi)
         if len(chi) != self.r:
             raise DomainError(
                 f"character length {len(chi)} does not match {self.r} components"
@@ -110,30 +113,9 @@ class LParamShape:
         return chi
 
 
-def _slope_classes(shape: LParamShape, chi: Character) -> list[tuple[Slope, list[int]]]:
-    """Components grouped by the slope d_i/n_i, slopes strictly decreasing.
-
-    The grouping runs on the reduced integer pair (d/g, n/g), g = gcd(d, n),
-    and builds one Fraction per distinct slope.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (d, comp) in enumerate(zip(chi, shape.components)):
-        g = gcd(d, comp.dim)
-        groups.setdefault((d // g, comp.dim // g), []).append(i)
-    scale = lcm(*(q for _, q in groups))
-    keys = sorted(groups, key=lambda pq: pq[0] * (scale // pq[1]), reverse=True)
-    return [(Fraction(p, q), groups[p, q]) for p, q in keys]
-
-
 def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
     """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
-    chi = shape.check_chi(chi)
-    return BundleSpec(
-        tuple(
-            (s, sum(shape.components[i].dim for i in members) // s.denominator)
-            for s, members in _slope_classes(shape, chi)
-        )
-    )
+    return b_to_bundle(chi_to_rep(shape, chi).stratum)
 
 
 @dataclass(frozen=True)
@@ -145,7 +127,7 @@ class RepSymbol:
     members: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.members) != len(self.stratum.classes):
+        if len(self.members) != len(self.stratum.segments):
             raise DomainError("representation symbol needs one member tuple per slope class")
 
     @property
@@ -168,12 +150,22 @@ class RepSymbol:
 
 
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
+    """Components grouped by the reduced slope (d/g, n/g), g = gcd(d, n), in
+    decreasing slope by cross products; each group is one stratum segment."""
     chi = shape.check_chi(chi)
-    classes = _slope_classes(shape, chi)
-    counts = [(-s, sum(shape.components[i].dim for i in members)) for s, members in classes]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (d, comp) in enumerate(zip(chi, shape.components)):
+        g = gcd(d, comp.dim)
+        groups.setdefault((d // g, comp.dim // g), []).append(i)
+    keys = sorted(groups, key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
+    classes = [groups[k] for k in keys]
+    segments = tuple(
+        (-sum(chi[i] for i in members), sum(shape.components[i].dim for i in members))
+        for members in reversed(classes)
+    )
     return RepSymbol(
-        stratum=NewtonPoint(tuple(reversed(counts))),
-        members=tuple(tuple(members) for _, members in classes),
+        stratum=NewtonPoint(segments),
+        members=tuple(tuple(members) for members in classes),
     )
 
 
@@ -200,20 +192,18 @@ def make_F(shape: LParamShape, chi: Character) -> SheafSymbol:
 
 
 def character_of_rep(shape: LParamShape, rep: RepSymbol) -> Character:
-    """Recover chi from the slope-class partition; d_i = slope(class of i) * n_i."""
+    """Recover chi from the slope-class partition; d_i = -rise * n_i / run."""
     chi = [0] * shape.r
     seen: set[int] = set()
-    for s, members in rep.slope_classes:
+    for (rise, run), members in zip(reversed(rep.stratum.segments), rep.members):
         for i in members:
             if i in seen or not 0 <= i < shape.r:
                 raise DomainError("invalid component partition in representation symbol")
             seen.add(i)
-            d = s * shape.components[i].dim
-            if d.denominator != 1:
-                raise DomainError(
-                    f"slope {slope_str(s)} is not integral on component {i + 1}"
-                )
-            chi[i] = d.numerator
+            chi[i], frac = divmod(-rise * shape.components[i].dim, run)
+            if frac:
+                slope = slope_str(Fraction(-rise, run))
+                raise DomainError(f"slope {slope} is not integral on component {i + 1}")
     if len(seen) != shape.r:
         raise DomainError("representation symbol does not cover all components")
     return tuple(chi)
@@ -231,12 +221,12 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     """All characters whose stratum is b, in ascending lexicographic order.
 
     Components are distributed over the slope classes of the bundle of b;
-    class of slope p/q (lowest terms) may host component j only if q | n_j,
-    and the hosted dimensions must sum to the class rank.
+    the class of segment (rise, run) may host component j only if
+    run | rise * n_j, and the hosted dimensions must sum to the class rank.
     """
     if b.rank != shape.n:
         raise DomainError(f"rank mismatch: point has {b.rank}, shape has {shape.n}")
-    slopes = [-s for s, _ in reversed(b.classes)]
+    segments = tuple(reversed(b.segments))
     order = sorted(range(shape.r), key=lambda i: -shape.components[i].dim)
     budget = enumeration_budget()
 
@@ -244,7 +234,7 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     pushed = 0
     # depth-first: the first len(chi) components of order are placed, and
     # remaining is the rank each class still has to host
-    stack = [((), tuple(c for _, c in reversed(b.classes)))]
+    stack = [((), tuple(run for _, run in segments))]
     while stack:
         chi, remaining = stack.pop()
         if len(chi) == shape.r:
@@ -253,14 +243,14 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
                 out.append(tuple(placed[i] for i in range(shape.r)))
             continue
         ni = shape.components[order[len(chi)]].dim
-        for cls, s in enumerate(slopes):
-            if ni % s.denominator == 0 and remaining[cls] >= ni:
+        for cls, (rise, run) in enumerate(segments):
+            if rise * ni % run == 0 and remaining[cls] >= ni:
                 # every character is a pushed node, so this also bounds the output
                 pushed += 1
                 if pushed > budget:
                     raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
                 rest = remaining[:cls] + (remaining[cls] - ni,) + remaining[cls + 1 :]
-                stack.append((chi + (s.numerator * ni // s.denominator,), rest))
+                stack.append((chi + (-rise * ni // run,), rest))
     # class slopes are distinct, so distinct placements give distinct characters
     return sorted(out)
 

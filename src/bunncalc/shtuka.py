@@ -25,13 +25,14 @@ from .bundles import (
     BundleSpec,
     DomainError,
     Slope,
-    common_scale,
+    as_int,
     enumeration_budget,
+    lattice_tops,
     normalize_bundle,
     pairing_note,
-    partial_sums,
     reduce_slope,
     rho_pairing,
+    segment_pairing,
 )
 from .kottwitz import (
     CharacterExponents,
@@ -68,14 +69,12 @@ from .weights import (
 
 def rho_weight(vec) -> int:
     """<2rho, v> = sum_{i<j} (v_i - v_j) for a weakly decreasing integer vector."""
-    vec = check_dominant(vec)
-    n = len(vec)
-    return sum(x * (n - 1 - 2 * i) for i, x in enumerate(vec))
+    return segment_pairing((x, 1) for x in check_dominant(vec))
 
 
 def is_minuscule(vec) -> bool:
     """Entries lie in {0, 1} after subtracting the smallest one."""
-    vec = tuple(int(x) for x in vec)
+    vec = tuple(as_int(x, "weight entry") for x in vec)
     base = min(vec)
     return all(x - base in (0, 1) for x in vec)
 
@@ -455,9 +454,11 @@ def modification_necessary(eb: BundleSpec, ebp: BundleSpec, mu) -> bool:
     if sum(mu) != ebp.deg - eb.deg:
         return False
     if min(mu) >= 0:
-        lower, upper = eb.slope_classes(), ebp.slope_classes()
-        scale = common_scale((lower, upper))
-        return all(map(le, partial_sums(lower, scale), partial_sums(upper, scale)))
+        lower, upper = (
+            lattice_tops((m * s.numerator, m * s.denominator) for s, m in e.parts)
+            for e in (eb, ebp)
+        )
+        return all(map(le, lower, upper))
     return True
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .bundles import BudgetError, DomainError
+from .bundles import BudgetError, DomainError, as_int
 from .lparams import Character, LParamShape
 
 HighestWeight = tuple[int, ...]
@@ -28,7 +28,7 @@ MAX_WEIGHT_SIZE = 12
 
 
 def check_dominant(lam, n: int | None = None) -> HighestWeight:
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(as_int(x, "weight entry") for x in lam)
     if n is not None and len(lam) != n:
         raise DomainError(f"weight must have length {n}, got {len(lam)}")
     if any(a < b for a, b in zip(lam, lam[1:])):
@@ -186,7 +186,6 @@ def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
     return out.items()
 
 
-@lru_cache(maxsize=None)
 def levi_branching(
     n: int, lam: HighestWeight, blocks: tuple[int, ...]
 ) -> tuple[tuple[tuple[HighestWeight, ...], int], ...]:
@@ -204,18 +203,27 @@ def levi_branching(
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
-    blocks = tuple(int(b) for b in blocks)
+    blocks = tuple(as_int(b, "block size") for b in blocks)
     if sum(blocks) != n or any(b < 1 for b in blocks):
         raise DomainError(f"blocks {blocks} do not partition {n}")
+    return _levi_branching_cached(n, lam, blocks)
+
+
+@lru_cache(maxsize=None)
+def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     c = lam[-1]
     if c != 0:
-        shifted = levi_branching(n, tuple(x - c for x in lam), blocks)
+        shifted = _levi_branching_cached(n, tuple(x - c for x in lam), blocks)
         return tuple(
             (tuple(tuple(x + c for x in w) for w in ws), mult)
             for ws, mult in shifted
         )
     _check_budget(n, lam)
     return tuple(sorted(_branch(lam, blocks, {}), reverse=True))
+
+
+levi_branching.cache_info = _levi_branching_cached.cache_info
+levi_branching.cache_clear = _levi_branching_cached.cache_clear
 
 
 def _monomial_str(w: HighestWeight, label: str, ascii_mode: bool) -> str:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given
@@ -7,19 +8,63 @@ from hypothesis import strategies as st
 from bunncalc import (
     BudgetError,
     DomainError,
+    LParamShape,
     ParseError,
     bundle,
+    enumerate_B,
     format_bundle,
     hn_polygon,
+    levi_branching,
     normalize_bundle,
     parse_bundle,
     reduce_slope,
     rho_pairing,
+    weight_multiplicities,
 )
-from bunncalc.bundles import common_scale, pairing_note, partial_sums
+from bunncalc.bundles import as_int, lattice_tops, pairing_note, segment_pairing
+from bunncalc.shtuka import is_minuscule
 from conftest import bundle_specs
 
 F = Fraction
+
+
+class TestIntegerEntries:
+    """Integer inputs are checked, not truncated: integral values of any
+    numeric type pass, anything with a fractional part is refused."""
+
+    CASES = {
+        "enumerate_B": (
+            enumerate_B, (2, (1.9, 0)), (2, (1.0, F(0))), (2, (1, 0))
+        ),
+        "check_dominant": (
+            weight_multiplicities, (2, (2.7, 0)), (2, (2.0, F(0))), (2, (2, 0))
+        ),
+        "levi_branching": (
+            levi_branching,
+            (3, (1, 0, 0), (1.5, 1.5)),
+            (3, (1, 0, 0), (2.0, F(1))),
+            (3, (1, 0, 0), (2, 1)),
+        ),
+        "check_chi": (
+            LParamShape.from_dims((1, 2)).check_chi, ((0.5, 0),), ((F(1), 0.0),), ((1, 0),)
+        ),
+        "from_dims": (
+            lambda dims: LParamShape.from_dims(dims).dims, ((1.5, 1),), ((1.0, F(1)),), ((1, 1),)
+        ),
+        "is_minuscule": (is_minuscule, ((1, 0.5),), ((1.0, F(0)),), ((1, 0),)),
+    }
+
+    @pytest.mark.parametrize("site", sorted(CASES))
+    def test_fractional_rejected_integral_accepted(self, site):
+        fn, bad, integral, plain = self.CASES[site]
+        with pytest.raises(DomainError, match="is not an integer"):
+            fn(*bad)
+        assert fn(*integral) == fn(*plain)
+
+    def test_as_int(self):
+        assert as_int(F(6, 2), "entry") == 3 and type(as_int(3.0, "entry")) is int
+        with pytest.raises(DomainError, match="entry 1/2 is not an integer"):
+            as_int(F(1, 2), "entry")
 
 
 class TestReduceSlope:
@@ -100,12 +145,16 @@ class TestPolygon:
             assert type(x) is int and type(y) is int
 
     def test_lies_above(self):
-        big = parse_bundle("O(1/2)").slope_classes()
-        small = parse_bundle("O^2").slope_classes()
-        scale = common_scale((big, small))
-        assert scale == 2
-        assert partial_sums(big, scale) == (1, 2)
-        assert partial_sums(small, scale) == (0, 0)
+        # O(1/2) runs (0,0)-(2,1), O^2 runs (0,0)-(2,0): tops at x = 0, 1, 2
+        big = lattice_tops([(1, 2)])
+        small = lattice_tops([(0, 2)])
+        assert big == (0, 0, 1)
+        assert small == (0, 0, 0)
+        assert all(map(le, small, big)) and not all(map(le, big, small))
+
+    def test_tops_floor_below_zero(self):
+        assert lattice_tops([(-1, 2), (-3, 1)]) == (0, -1, -1, -4)
+        assert lattice_tops([(3, 4), (1, 3), (0, 3)]) == (0, 0, 1, 2, 3, 3, 3, 4, 4, 4, 4)
 
 
 class TestRhoPairing:
@@ -132,6 +181,15 @@ class TestRhoPairing:
     def test_invariant_under_central_twist(self, spec, a):
         twisted = normalize_bundle((s + a, m) for s, m in spec.parts)
         assert rho_pairing(twisted.slope_classes()) == rho_pairing(spec.slope_classes())
+
+    @given(bundle_specs())
+    def test_equals_segment_pairing(self, spec):
+        segments = [(m * s.numerator, m * s.denominator) for s, m in spec.parts]
+        assert rho_pairing(spec.slope_classes()) == segment_pairing(segments)
+
+    def test_segment_pairing_unit_runs(self):
+        # sum_{i<j} (v_i - v_j) for v = (3, 1, 0)
+        assert segment_pairing([(3, 1), (1, 1), (0, 1)]) == 2 + 3 + 1
 
     def test_flagged_instance_reports_formula_value(self):
         e = parse_bundle("O(3/2)+O(1/2)+O(1/3)+O^3")

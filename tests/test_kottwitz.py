@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -24,7 +25,7 @@ from bunncalc import (
     point_from_vector,
 )
 from conftest import bundle_specs, unreachable_after
-from oracles import hasse_oracle, newton_points_oracle
+from oracles import hasse_oracle, leq_oracle, newton_points_oracle
 
 F = Fraction
 
@@ -68,14 +69,88 @@ class TestConversion:
         assert bundle_to_b(b_to_bundle(b)) == b
 
     def test_breakpoint_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            NewtonPoint(((F(1, 2), 3),))
+        with pytest.raises(DomainError, match="breakpoints not integral"):
+            point_from_vector([F(1, 2)] * 3)
 
     def test_inexact_slopes_rejected(self):
-        with pytest.raises(DomainError, match="not an exact rational"):
+        with pytest.raises(DomainError, match="not a pair of integers"):
             NewtonPoint(((0.5, 2),))
         with pytest.raises(DomainError, match="not an exact rational"):
             InnerFormGroup(((1, 0.5),))
+
+
+class TestSegments:
+    def test_stores_integer_segments(self):
+        b = point_from_vector([F(3, 2), F(3, 2), 1, 0, 0])
+        assert b.segments == ((3, 2), (1, 1), (0, 2))
+        assert b.classes == ((F(3, 2), 2), (F(1), 1), (F(0), 2))
+        assert b.tops == (0, 1, 3, 4, 4, 4)
+        assert (b.rank, b.kappa, parabolic_type(b)) == (5, 4, (2, 1, 2))
+        assert str(b) == "(3/2,3/2,1,0,0)"
+
+    @pytest.mark.parametrize("seg", [(F(1), 1), (1, F(2)), (1.0, 1), (1, 2.0)])
+    def test_non_integer_segment_rejected(self, seg):
+        with pytest.raises(DomainError, match="not a pair of integers"):
+            NewtonPoint((seg,))
+
+    @pytest.mark.parametrize("run", [0, -1])
+    def test_zero_run_rejected(self, run):
+        with pytest.raises(DomainError, match="class count must be >= 1"):
+            NewtonPoint(((0, run),))
+
+    @pytest.mark.parametrize(
+        "segments",
+        [((1, 2), (1, 2)), ((1, 2), (2, 4)), ((0, 1), (1, 1)), ((1, 3), (1, 2))],
+    )
+    def test_non_decreasing_slopes_rejected(self, segments):
+        with pytest.raises(DomainError, match="strictly decreasing"):
+            NewtonPoint(segments)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            NewtonPoint(())
+
+    def test_enumeration_builds_no_fraction(self, monkeypatch):
+        calls = Counter()
+        new = Fraction.__new__
+
+        def counted(*args, **kwargs):
+            calls["new"] += 1
+            return new(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        pts = enumerate_B(10, (5, 3, 2, 1, 0, 0, 0, 0, 0, 0))
+        monkeypatch.undo()
+        assert len(pts) >= 1000
+        assert calls["new"] == 0
+
+
+def small_classes():
+    """Every dominant mu with n <= 6 and entries in -1..3."""
+    for n in range(1, 7):
+        yield from combinations_with_replacement(range(3, -2, -1), n)
+
+
+class TestLatticeTops:
+    """The lattice tops are the order key: injective, ordering as the slope
+    vectors do, and <= entry by entry exactly when the polygons lie under."""
+
+    def test_tops_key_the_order(self):
+        for mu in small_classes():
+            pts = enumerate_B(len(mu), mu)
+            assert len({p.tops for p in pts}) == len(pts), mu
+            assert pts == sorted(pts, key=lambda p: p.slope_vector(), reverse=True), mu
+
+    def test_leq_and_hasse_match_oracles(self):
+        # the Fraction oracles are slow: classes of at most 20 points keep
+        # this near 2 s and still hold 234 of the 461 classes
+        for mu in small_classes():
+            pts = enumerate_B(len(mu), mu)
+            if len(pts) > 20:
+                continue
+            for a, b in product(pts, repeat=2):
+                assert leq(a, b) == leq_oracle(a, b), (mu, a, b)
+            assert hasse(pts) == hasse_oracle(pts), mu
 
 
 class TestLeq:

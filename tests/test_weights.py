@@ -219,6 +219,20 @@ class TestLeviBranching:
         with pytest.raises(DomainError):
             levi_branching(4, (1, 0, 0, 0), (2, 3))
 
+    def test_list_arguments(self):
+        # the arguments are checked before they reach the cache
+        want = levi_branching(4, (1, 0, 0, 0), (2, 2))
+        assert levi_branching(4, [1, 0, 0, 0], (2, 2)) == want
+        assert levi_branching(4, (1, 0, 0, 0), [2, 2]) == want
+        assert levi_branching(3, [1, 0, -1], [2, 1]) == levi_branching(3, (1, 0, -1), (2, 1))
+
+    def test_cache_shared_by_checked_arguments(self):
+        levi_branching.cache_clear()
+        levi_branching(4, [1, 0, 0, 0], [2, 2])
+        levi_branching(4, (1.0, 0, 0, 0), (2, 2))
+        info = levi_branching.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
     @pytest.mark.parametrize(
         "n,lam,blocks",
         [
