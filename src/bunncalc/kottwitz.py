@@ -10,6 +10,7 @@ nu_b = (-nu_E)_dom, so the endpoint invariant kappa(b) equals -deg(E_b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from operator import le
@@ -53,9 +54,10 @@ class NewtonPoint:
     def kappa(self) -> int:
         return sum(rise for rise, _ in self.segments)
 
-    @property
+    @cached_property
     def tops(self) -> tuple[int, ...]:
-        """floor(nu(x)) for x = 0..rank; dominance is <= entry by entry."""
+        """floor(nu(x)) for x = 0..rank; dominance is <= entry by entry.
+        Computed once per point: the sorts, leq and hasse all read it."""
         return lattice_tops(self.segments)
 
     @property
@@ -69,7 +71,9 @@ class NewtonPoint:
         return tuple(out)
 
     def __str__(self) -> str:
-        return "(" + ",".join(slope_str(s) for s in self.slope_vector()) + ")"
+        return "(" + ",".join(
+            ",".join([slope_str(Fraction(rise, run))] * run) for rise, run in self.segments
+        ) + ")"
 
 
 def bundle_to_b(e: BundleSpec) -> NewtonPoint:
@@ -129,6 +133,15 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     descending dominance order, ties broken lexicographically (the output is
     sorted lexicographically descending on lattice tops, which is that order
     on slope vectors and linearizes the dominance order).
+
+    The search is output-sensitive: a segment is only tried if its path can
+    still be completed.  From (x, y), every later slope is smaller, so a
+    segment (dy, dx) ending short of x = n must rise faster than the chord
+    to (n, sum(mu)): dy >= dx*(total - y)//(n - x) + 1.  The chord itself
+    always completes the path: it stays under the concave mu-polygon, its
+    slope is at least mu_n and below that of the segment before it.  So every
+    node emits the point that ends in its chord when it is popped, and the
+    search charges 2 * points - 1 nodes, at most points * n.
     """
     mu = tuple(as_int(x, "mu entry") for x in mu)
     if len(mu) != n:
@@ -140,7 +153,6 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     for x in mu:
         prefix.append(prefix[-1] + x)
     budget = enumeration_budget()
-    lo_slope = mu[-1] if n else 0
 
     results: list[NewtonPoint] = []
     pushed = 0
@@ -148,26 +160,24 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     while stack:
         x, y, acc = stack.pop()
-        if x == n:
-            if y == total:
-                results.append(NewtonPoint(acc))
-            continue
-        for dx in range(1, n - x + 1):
-            # slope of the next maximal segment is dy/dx; classes strictly
-            # decrease, stay under the concave mu-polygon (endpoint checks
-            # suffice), and never drop below mu_n (cannot recover afterwards).
+        rest, left = n - x, total - y
+        # dy from above the chord to the mu-polygon, below the last slope
+        ranges = []
+        for dx in range(1, rest):
+            lo = dx * left // rest + 1
             hi = prefix[x + dx] - y
             if acc:
-                # largest dy with dy/dx < the previous slope
                 last_dy, last_dx = acc[-1]
                 hi = min(hi, (last_dy * dx - 1) // last_dx)
-            if hi < lo_slope * dx:
-                continue
-            # every point is a pushed node, so this also bounds the output
-            pushed += hi - lo_slope * dx + 1
-            if pushed > budget:
-                raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
-            for dy in range(hi, lo_slope * dx - 1, -1):
+            if lo <= hi:
+                ranges.append((dx, lo, hi))
+        # charged before anything is pushed, the chord leaf included
+        pushed += 1 + sum(hi - lo + 1 for _, lo, hi in ranges)
+        if pushed > budget:
+            raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
+        results.append(NewtonPoint(acc + ((left, rest),)))
+        for dx, lo, hi in ranges:
+            for dy in range(lo, hi + 1):
                 stack.append((x + dx, y + dy, acc + ((dy, dx),)))
     # the first differing top has the sign of the first differing slope
     results.sort(key=lambda p: p.tops, reverse=True)

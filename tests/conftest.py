@@ -1,6 +1,7 @@
 import gc
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from hypothesis import settings
@@ -68,6 +69,12 @@ def all_compositions(n, max_parts=None):
 
     rec(n, [])
     return out
+
+
+def small_classes():
+    """Every dominant mu with n <= 6 and entries in -1..3: 461 classes."""
+    for n in range(1, 7):
+        yield from combinations_with_replacement(range(3, -2, -1), n)
 
 
 def normalized_weights(n, max_size):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -335,14 +336,27 @@ class TestBudgetEnv:
         "argv,quantity",
         [
             (("chi-to-b", "--dims", "99999999999", "--chi", "1"), "shape rank 99999999999"),
-            # the first step alone has 2000001 candidate segments
-            (("kottwitz", "enum", "-n", "2", "--mu", "2000000,0"), "2000001 search nodes"),
+            # the root alone has 1000001 completable children: the first
+            # segments rising 1000001..2000000 and the chord to (2, 2000000)
+            (("kottwitz", "enum", "-n", "2", "--mu", "2000000,0"), "1000001 search nodes"),
         ],
     )
     def test_oversized_work_fails_before_it_starts(self, capsys, argv, quantity):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert quantity in err and "budget of 1000000" in err
+
+    def test_oversized_search_allocates_no_stack(self, capsys):
+        # charged before any child is pushed: a million pushed nodes would
+        # take tens of MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "kottwitz", "enum", "-n", "2", "--mu", "2000000,0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and "budget of 1000000" in err
+        assert peak < 1_000_000
 
     def test_bad_budget_value(self, capsys, monkeypatch):
         monkeypatch.setenv("BUNNCALC_BUDGET", "soon")

@@ -24,7 +24,10 @@ from bunncalc import (
     parse_bundle,
     point_from_vector,
 )
-from conftest import bundle_specs, unreachable_after
+from bunncalc import kottwitz
+from bunncalc.bundles import lattice_tops, slope_str
+from bunncalc.kottwitz import _dot_text
+from conftest import bundle_specs, small_classes, unreachable_after
 from oracles import hasse_oracle, leq_oracle, newton_points_oracle
 
 F = Fraction
@@ -124,11 +127,32 @@ class TestSegments:
         assert len(pts) >= 1000
         assert calls["new"] == 0
 
+    def test_str_renders_each_entry(self):
+        for mu in small_classes():
+            for p in enumerate_B(len(mu), mu):
+                want = "(" + ",".join(slope_str(s) for s in p.slope_vector()) + ")"
+                assert str(p) == want, (mu, p)
 
-def small_classes():
-    """Every dominant mu with n <= 6 and entries in -1..3."""
-    for n in range(1, 7):
-        yield from combinations_with_replacement(range(3, -2, -1), n)
+    def test_str_renders_once_per_segment(self, monkeypatch):
+        calls = Counter()
+        new, render = Fraction.__new__, kottwitz.slope_str
+
+        def counted_new(*args, **kwargs):
+            calls["new"] += 1
+            return new(*args, **kwargs)
+
+        def counted_render(s):
+            calls["render"] += 1
+            return render(s)
+
+        pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
+        for p in pts:
+            calls.clear()
+            monkeypatch.setattr(Fraction, "__new__", counted_new)
+            monkeypatch.setattr(kottwitz, "slope_str", counted_render)
+            str(p)
+            monkeypatch.undo()
+            assert calls["new"] <= len(p.segments) and calls["render"] <= len(p.segments), p
 
 
 class TestLatticeTops:
@@ -151,6 +175,18 @@ class TestLatticeTops:
             for a, b in product(pts, repeat=2):
                 assert leq(a, b) == leq_oracle(a, b), (mu, a, b)
             assert hasse(pts) == hasse_oracle(pts), mu
+
+    def test_tops_computed_once_per_point(self, monkeypatch):
+        calls = Counter()
+
+        def counted(segments):
+            calls["tops"] += 1
+            return lattice_tops(segments)
+
+        monkeypatch.setattr(kottwitz, "lattice_tops", counted)
+        pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
+        _dot_text(pts, hasse(pts), ascii_mode=False)
+        assert calls["tops"] == len(pts) == 122
 
 
 class TestLeq:
@@ -201,6 +237,16 @@ class TestEnumerate:
 
     def test_leaves_no_reference_cycles(self):
         assert unreachable_after(lambda: enumerate_B(5, (2, 1, 0, 0, 0))) == 0
+
+    def test_search_is_output_sensitive(self, monkeypatch):
+        # every pushed node completes to a point, so a budget of n search
+        # nodes per point never trips
+        for mu in small_classes():
+            n = len(mu)
+            monkeypatch.delenv("BUNNCALC_BUDGET", raising=False)
+            count = len(enumerate_B(n, mu))
+            monkeypatch.setenv("BUNNCALC_BUDGET", str(count * n))
+            assert len(enumerate_B(n, mu)) == count, mu
 
     def test_central_mu_is_singleton(self):
         pts = enumerate_B(4, (0, 0, 0, 0))
