@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain or budget error (violated precondition is
 named), 2 parse/usage error, including an output path that cannot be
-written.  Output is deterministic for fixed inputs; ``--json`` switches to
+written, 141 (128 + SIGPIPE) when the reader closes stdout before the output
+ends, as in ``bunncalc ... | head -1``; that case writes nothing to stderr.
+Output is deterministic for fixed inputs; ``--json`` switches to
 the machine schema, ``--ascii`` replaces the math glyphs.
 
 Each command computes its result once and returns only the view asked for:
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import serialize as ser
@@ -443,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+EXIT_BROKEN_PIPE = 141
+
 _VECTOR_FLAGS = {"--mu", "--mu-inv", "--chi", "--xi", "--lambda", "--torsion", "--blocks"}
 
 
@@ -484,11 +489,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     view, code = view if isinstance(view, tuple) else (view, 0)
-    if isinstance(view, dict):
-        print(json.dumps(view, indent=2))
-    else:
-        for line in view:
-            print(line)
+    try:
+        if isinstance(view, dict):
+            print(json.dumps(view, indent=2))
+        else:
+            for line in view:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

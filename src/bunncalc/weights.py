@@ -1,12 +1,15 @@
 """Weight multiplicities, Levi branching, and centralizer-isotypic slices of
 highest-weight representations of GL_n.
 
-Multiplicities are counted over triangular (Gelfand-Tsetlin) patterns one row
-length at a time, from the bottom row up, without visiting the patterns one
-by one.  Branching to a block Levi peels off one block at a time by the
+After the determinant twist that makes lam a partition, the multiplicity of
+a weight is a Kostka number K_{lam, mu}, mu the weight sorted, and so is the
+same on every S_n-orbit.  Only the dominant weights are counted, by peeling
+horizontal strips, into one cached table per partition; every other weight
+is listed from the orbit of a dominant one, with the twist put back once.
+Branching to a block Levi peels off one block at a time by the
 Littlewood-Richardson rule, counting LR fillings rather than weights, and
 recurses on the remainder with a memo that lives for one call; a tail of
-size-1 blocks is the torus, whose branching is read off the row count.
+size-1 blocks is the torus, whose terms are the weights themselves.
 Everything is exact and desk scale by design.
 """
 
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .bundles import BudgetError, DomainError, as_int
 from .lparams import Character, LParamShape
@@ -63,58 +67,124 @@ def _check_budget(n: int, norm: HighestWeight) -> None:
         )
 
 
-def _rows(top: HighestWeight, k: int):
-    """Every row of length ``k`` that a triangular pattern under ``top`` has.
+def _dominated(bounds: tuple[int, ...], mu: tuple, cap: int, left: int, out: list) -> None:
+    """Append to ``out`` every partition that extends ``mu`` by parts of at
+    most ``cap`` summing to ``left``, has at most len(bounds) parts, and is
+    dominated by the partition whose partial sums are ``bounds``."""
+    if left == 0:
+        out.append(mu)
+        return
+    i = len(mu)
+    top = min(cap, left, bounds[i] - bounds[-1] + left)
+    # the parts still to come are at most v each and fill the other slots
+    for v in range(top, -(-left // (len(bounds) - i)) - 1, -1):
+        _dominated(bounds, mu + (v,), v, left - v, out)
 
-    Entry i lies between top[i] and top[i + len(top) - k]; conversely every
-    weakly decreasing row within those bounds lies in some pattern.
+
+def _strips(lam: tuple, i: int, left: int, nu: tuple, out: list) -> None:
+    """Append to ``out`` every nu (trailing zeros dropped) with lam/nu a
+    horizontal strip that takes ``left`` cells from rows i, i + 1, ...
+
+    Row i gives up at most lam[i] - lam[i + 1] cells, and rows i, i + 1, ...
+    together at most lam[i], so every row's range leaves a strip to finish,
+    and there is none when ``left`` exceeds lam[i].
     """
-    shift = len(top) - k
-    bounds = [range(top[i], top[i + shift] - 1, -1) for i in range(k)]
-    for row in product(*bounds):
-        if all(a >= b for a, b in zip(row, row[1:])):
-            yield row
+    if i == len(lam) - 1:
+        last = lam[i] - left
+        out.append(nu + (last,) if last else nu)
+        return
+    below = lam[i + 1]
+    for r in range(min(left, lam[i] - below), max(0, left - below) - 1, -1):
+        _strips(lam, i + 1, left - r, nu + (lam[i] - r,), out)
+
+
+def _kostka(nu: tuple, rest: tuple, memo: dict) -> int:
+    """K_{nu, rest}, the semistandard tableaux of shape nu and content rest
+    (both partitions, with |nu| = |rest|).
+
+    The count does not depend on the order of the content, so the entries
+    rest[0] may be taken as the largest: they fill a horizontal strip at the
+    rim of nu.  Peel every such strip and count the rest, memoised by (shape,
+    remaining content).  This is the one-row case of the LR peel below.
+    """
+    if len(nu) <= 1:
+        return 1
+    # a tableau with entries 1..len(rest) has at most len(rest) rows
+    if len(nu) > len(rest):
+        return 0
+    key = (nu, rest)
+    count = memo.get(key)
+    if count is None:
+        strips: list = []
+        _strips(nu, 0, rest[0], (), strips)
+        tail = rest[1:]
+        count = memo[key] = sum(_kostka(sub, tail, memo) for sub in strips)
+    return count
 
 
 @lru_cache(maxsize=None)
-def _weight_mults_cached(n: int, lam: HighestWeight) -> tuple[tuple[HighestWeight, int], ...]:
-    lam = check_dominant(lam, n)
-    c = lam[-1]
-    norm = tuple(x - c for x in lam)
+def _weight_mults_cached(n: int, norm: HighestWeight) -> tuple[tuple[HighestWeight, int], ...]:
+    """(mu, K_{norm, mu}) for every dominant weight mu of r_norm, that is,
+    every partition mu dominated by the partition ``norm`` with at most n
+    parts, padded to length n.  Every other weight is a permutation of one of
+    these, with the same multiplicity."""
     _check_budget(n, norm)
-    # level maps each row of length k to the weight -> count dict of the
-    # patterns from that row down; weight coordinate k is |row k| - |row k-1|
-    level = {row: {row: 1} for row in _rows(norm, 1)}
-    for k in range(2, n + 1):
-        upper = {}
-        for row in _rows(norm, k):
-            total = sum(row)
-            acc: dict[HighestWeight, int] = {}
-            # rows interlacing from below: row[i] >= lower[i] >= row[i+1]
-            below = [range(row[i], row[i + 1] - 1, -1) for i in range(k - 1)]
-            for lower in product(*below):
-                tail = (total - sum(lower),)
-                for w, cnt in level[lower].items():
-                    key = w + tail
-                    acc[key] = acc.get(key, 0) + cnt
-            upper[row] = acc
-        level = upper
-    counts = level[norm]
-    if c:
-        counts = {tuple(x + c for x in w): cnt for w, cnt in counts.items()}
-    return tuple(sorted(counts.items()))
+    bounds = tuple(accumulate(norm))
+    mus: list = []
+    _dominated(bounds, (), norm[0], bounds[-1], mus)
+    shape = tuple(x for x in norm if x)
+    memo: dict = {}
+    return tuple((mu + (0,) * (n - len(mu)), _kostka(shape, mu, memo)) for mu in mus)
+
+
+def _orbit(mu: HighestWeight, memo: dict) -> list[HighestWeight]:
+    """The distinct permutations of the weakly decreasing ``mu``, descending
+    lexicographically: each distinct entry in turn, followed by the orbit of
+    the rest.  ``memo`` keeps the orbit of every sub-multiset met."""
+    out = memo.get(mu)
+    if out is None:
+        if len(mu) == 1:
+            out = [mu]
+        else:
+            out = []
+            for i, v in enumerate(mu):
+                if i == 0 or v != mu[i - 1]:
+                    head = (v,)
+                    out += [head + w for w in _orbit(mu[:i] + mu[i + 1:], memo)]
+        memo[mu] = out
+    return out
+
+
+def _weights(lam: HighestWeight, descending: bool) -> list[tuple[HighestWeight, int]]:
+    """(weight, multiplicity) pairs of r_lam for dominant lam, sorted
+    lexicographically, ascending or descending.
+
+    The Kostka table of the normalized weight lam - c, c = lam_n, gives each
+    dominant weight with its multiplicity; shift it by c once and list its
+    orbit, so every pair listed is a weight of r_lam itself.
+    """
+    c = lam[-1]
+    orbits: dict = {}
+    out: list = []
+    for mu, mult in _weight_mults_cached(len(lam), tuple(x - c for x in lam)):
+        out.extend(zip(_orbit(tuple(x + c for x in mu), orbits), repeat(mult)))
+    # each orbit is one sorted run, so the sort only merges the runs
+    out.sort(key=itemgetter(0), reverse=descending)
+    return out
 
 
 def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
-    """Map weight -> multiplicity for r_lam on GL_n.
+    """Map weight -> multiplicity for r_lam on GL_n, in ascending order.
 
     Dominant lam may have negative entries; they are absorbed into a
-    determinant twist (subtract lam_n, count, shift every weight back).
+    determinant twist.  The multiplicity of a weight w is the Kostka number
+    K_{lam - c, sort(w) - c}, c = lam_n, which is the same on the whole
+    S_n-orbit of w, so only the dominant weights are counted.
     """
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
-    return dict(_weight_mults_cached(n, lam))
+    return dict(_weights(lam, False))
 
 
 def _lr_rows(lam, a, i, alpha, ends, content, out) -> None:
@@ -165,12 +235,13 @@ def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
     """Branching of the partition ``lam`` to ``blocks`` as (block weights,
     multiplicity) pairs.  ``memo`` maps each peeled remainder met so far to
     its branching; the remainder's length fixes which tail of ``blocks`` it
-    meets.  A torus tail is read off the cached row count each time.
+    meets.  A torus tail lists the weights of its remainder, each weight
+    one block per entry, from the cached Kostka table each time.
     """
     if len(blocks) == 1:
         return (((lam,), 1),)
-    if all(b == 1 for b in blocks):
-        return ((tuple(zip(w)), cnt) for w, cnt in _weight_mults_cached(len(lam), lam))
+    if len(blocks) == len(lam):
+        return ((tuple(zip(w)), mult) for w, mult in _weights(lam, True))
     out = memo.get(lam)
     if out is None:
         a = blocks[0]
@@ -198,7 +269,9 @@ def levi_branching(
     filling of lam/alpha with content beta and entries at most n - n_1.  Then
     branch each beta to the remaining blocks the same way, memoised for this
     call only.  A remainder of size-1 blocks is the torus, whose terms are
-    the weight multiplicities from the rows.
+    the weights with their multiplicities, listed from the orbits of the
+    dominant ones.  Branching to the torus itself skips the shift: it lists
+    the weights of lam, twist included, in the order of the result.
     """
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
@@ -211,6 +284,9 @@ def levi_branching(
 
 @lru_cache(maxsize=None)
 def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
+    # n blocks partitioning n are the torus
+    if len(blocks) == n:
+        return tuple((tuple(zip(w)), mult) for w, mult in _weights(lam, True))
     c = lam[-1]
     if c != 0:
         shifted = _levi_branching_cached(n, tuple(x - c for x in lam), blocks)

@@ -7,7 +7,8 @@ pointwise bound check.  Both paths are deliberately different from the
 library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
 branching, Hecke decomposition, character dictionary and polygon dominance
 oracles are the library's earlier, slower implementations: the cubic
-transitive reduction, one visit per triangular pattern, extraction against
+transitive reduction, one visit per triangular pattern, the count of
+triangular patterns one row length at a time, extraction against
 the whole character (once from the largest remaining weight, once in one
 walk over the block-dominant weights), a slice filter over every branching
 term per character, bundles merged through Fraction slopes, and polygons
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 from bunncalc.bundles import DomainError, normalize_bundle
@@ -238,6 +239,47 @@ def weight_mults_oracle(n: int, lam) -> dict[tuple[int, ...], int]:
         shifted = tuple(x + c for x in w)
         counts[shifted] = counts.get(shifted, 0) + 1
     return counts
+
+
+def _rows(top, k: int):
+    """Every row of length ``k`` that a triangular pattern under ``top`` has.
+
+    Entry i lies between top[i] and top[i + len(top) - k]; conversely every
+    weakly decreasing row within those bounds lies in some pattern.
+    """
+    shift = len(top) - k
+    bounds = [range(top[i], top[i + shift] - 1, -1) for i in range(k)]
+    for row in product(*bounds):
+        if all(a >= b for a, b in zip(row, row[1:])):
+            yield row
+
+
+def weight_mults_rows_oracle(n: int, lam) -> dict[tuple[int, ...], int]:
+    """Weight multiplicities in ascending order, counted over triangular
+    patterns one row length at a time, from the bottom row up, after the
+    determinant twist that makes the last entry 0."""
+    lam = tuple(lam)
+    assert len(lam) == n
+    c = lam[-1]
+    norm = tuple(x - c for x in lam)
+    # level maps each row of length k to the weight -> count dict of the
+    # patterns from that row down; weight coordinate k is |row k| - |row k-1|
+    level = {row: {row: 1} for row in _rows(norm, 1)}
+    for k in range(2, n + 1):
+        upper = {}
+        for row in _rows(norm, k):
+            total = sum(row)
+            acc: dict[tuple[int, ...], int] = {}
+            # rows interlacing from below: row[i] >= lower[i] >= row[i+1]
+            below = [range(row[i], row[i + 1] - 1, -1) for i in range(k - 1)]
+            for lower in product(*below):
+                tail = (total - sum(lower),)
+                for w, cnt in level[lower].items():
+                    key = w + tail
+                    acc[key] = acc.get(key, 0) + cnt
+            upper[row] = acc
+        level = upper
+    return {tuple(x + c for x in w): cnt for w, cnt in sorted(level[norm].items())}
 
 
 def _product_weight_char(parts) -> dict:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from bunncalc.cli import main
+import bunncalc
+from bunncalc.cli import EXIT_BROKEN_PIPE, main
 
 
 def run(capsys, *argv):
@@ -362,3 +367,32 @@ class TestBudgetEnv:
         monkeypatch.setenv("BUNNCALC_BUDGET", "soon")
         code, _, err = run(capsys, "kottwitz", "enum", "-n", "2", "--mu", "1,0")
         assert code == 1
+
+
+class TestBrokenPipe:
+    """A reader that stops early, as ``bunncalc ... | head -1`` does."""
+
+    # 50388 weight lines, far more than a pipe buffers
+    ARGV = ["weights", "mult", "-n", "8", "--lambda", "12,0,0,0,0,0,0,0"]
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_closed_stdout_exits_quietly(self, extra, tmp_path):
+        src = str(Path(bunncalc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        err = tmp_path / "stderr"
+        with open(err, "wb") as err_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "bunncalc.cli", *self.ARGV, *extra],
+                stdout=subprocess.PIPE,
+                stderr=err_file,
+                env=env,
+            )
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert code == EXIT_BROKEN_PIPE
+        assert first in (b"dim 50388\n", b"{\n")
+        assert err.read_bytes() == b""

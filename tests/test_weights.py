@@ -1,6 +1,6 @@
 import re
 from itertools import permutations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -24,6 +24,7 @@ from oracles import (
     levi_branching_oracle,
     schur_monomials,
     weight_mults_oracle,
+    weight_mults_rows_oracle,
 )
 
 
@@ -128,8 +129,92 @@ class TestWeightMultiplicities:
         assert mult == {tuple(x - 1 for x in w): m for w, m in shifted.items()}
 
 
+def partitions(size, cap=None):
+    """Every partition of ``size`` with parts at most ``cap``, as tuples."""
+    cap = size if cap is None else cap
+    if size == 0:
+        return [()]
+    return [
+        (v,) + rest
+        for v in range(min(size, cap), 0, -1)
+        for rest in partitions(size - v, v)
+    ]
+
+
+def dominates(lam, mu):
+    """Partial sums of lam are at least those of mu (lam, mu partitions)."""
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if b > a:
+            return False
+    return True
+
+
+def orbit_size(mu):
+    return factorial(len(mu)) // prod(factorial(mu.count(v)) for v in set(mu))
+
+
+def table_weights():
+    """Every normalized dominant weight with n <= 6 and size <= 8, and with
+    n = 7, 8 and size <= 6: 249 weights."""
+    for n in range(1, 9):
+        yield from ((n, lam) for lam in normalized_weights(n, 8 if n <= 6 else 6))
+
+
+class TestKostkaTable:
+    """The dominant-weight table and the orbits listed from it, against the
+    triangular-pattern oracles and counted without a clock."""
+
+    @pytest.mark.parametrize("shift", [-2, 0, 2])
+    def test_multiplicities_match_both_oracles(self, shift):
+        for n, lam in table_weights():
+            lam_s = tuple(x + shift for x in lam)
+            got = weight_multiplicities(n, lam_s)
+            # the row count lists its weights in ascending order, as the dict must
+            assert list(got.items()) == list(weight_mults_rows_oracle(n, lam_s).items())
+            assert got == weight_mults_oracle(n, lam_s)
+
+    @pytest.mark.parametrize("shift", [-2, 0, 2])
+    def test_torus_branch_matches_row_oracle(self, shift):
+        for n, lam in table_weights():
+            lam_s = tuple(x + shift for x in lam)
+            rows = weight_mults_rows_oracle(n, lam_s)
+            want = tuple((tuple(zip(w)), m) for w, m in reversed(rows.items()))
+            assert levi_branching(n, lam_s, (1,) * n) == want
+
+    def test_table_holds_the_dominated_partitions(self):
+        for n, lam in table_weights():
+            size = sum(lam)
+            shape = tuple(x for x in lam if x)
+            want = {
+                mu + (0,) * (n - len(mu))
+                for mu in partitions(size)
+                if len(mu) <= n and dominates(shape, mu)
+            }
+            table = _weight_mults_cached(n, lam)
+            assert len(table) == len(want) <= len(partitions(size))
+            assert {mu for mu, _ in table} == want
+            assert all(k >= 1 for _, k in table)
+
+    @pytest.mark.parametrize("lam", [(7, 4, 1, 0, 0, 0, 0, 0), (12, 0, 0, 0, 0, 0, 0, 0)])
+    def test_orbit_sizes_sum_to_weyl_dim(self, lam):
+        table = _weight_mults_cached(8, lam)
+        assert sum(k * orbit_size(mu) for mu, k in table) == weyl_dim(lam, 8)
+
+    def test_one_table_per_normalized_weight(self):
+        _weight_mults_cached.cache_clear()
+        levi_branching.cache_clear()
+        lam = (4, 2, 1, 0, 0)
+        for lam_s in (lam, tuple(x + 2 for x in lam)):
+            weight_multiplicities(5, lam_s)
+            levi_branching(5, lam_s, (1,) * 5)
+        assert _weight_mults_cached.cache_info().currsize == 1
+
+
 class TestAgainstPatternOracles:
-    """The row-by-row count and the block-dominant walk against the earlier
+    """The Kostka table and the block-dominant walk against the earlier
     pattern-by-pattern enumeration and whole-character extraction."""
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -158,7 +243,7 @@ class TestAgainstExtractionOracle:
 
 
 class TestPeelCounts:
-    """Which branchings reach the row count, counted on its cache."""
+    """Which branchings reach the Kostka table, counted on its cache."""
 
     LAM = (5, 3, 2, 1, 1, 0, 0, 0)
 
