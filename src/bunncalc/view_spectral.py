@@ -1,0 +1,97 @@
+"""Views of the spectral commands: ``spectral act``, ``hecke`` (also as
+``spectral hecke`` and ``spectral stalk``), ``spectral eigensheaf`` and
+``spectral verify``."""
+
+from __future__ import annotations
+
+from . import serialize as ser
+from .bundles import ParseError, parse_bundle
+from .kottwitz import bundle_to_b, point_label
+from .lparams import make_F
+from .spectral import eigensheaf_stalk, hecke, spectral_act, stalk, verify_eigen
+from .view_characters import shape_of
+from .view_strata import ints
+
+
+def glyphs(args) -> tuple[str, str]:
+    """The names of the Newton point and of the character in text lines."""
+    return ("nu", "chi") if args.ascii else ("ν", "χ")
+
+
+def cmd_act(args):
+    shape = shape_of(args)
+    out = spectral_act(shape, ints(args.chi), make_F(shape, ints(args.xi)))
+    if args.json:
+        return {"schema": ser.SCHEMA, "sheaf": ser.sheaf_json(out)}
+    return [
+        point_label(out.stratum, args.ascii),
+        f"shift: {out.shift}",
+        f"rep: {out.rep.describe(shape, args.ascii)}",
+    ]
+
+
+def cmd_hecke(args):
+    shape = shape_of(args)
+    dec = hecke(shape, ints(args.lam), make_F(shape, ints(args.xi)))
+    nu, chi = glyphs(args)
+    if args.stalk:
+        b = bundle_to_b(parse_bundle(args.stalk))
+        picked = stalk(dec, b)
+        if args.json:
+            return {
+                "schema": ser.SCHEMA,
+                "stratum": ser.point_json(b),
+                "terms": [
+                    {"sheaf": ser.sheaf_json(s), "sigma": ser.weil_json(w)} for s, w in picked
+                ],
+            }
+        return [f"{len(picked)} terms at {nu}={b}"] + [
+            f"shift {s.shift}  sigma {w.describe(args.ascii)}" for s, w in picked
+        ]
+    if args.json:
+        return {
+            "schema": ser.SCHEMA,
+            "weight": list(dec.weight),
+            "source": list(dec.source),
+            "terms": [
+                {"chi": list(c), "sheaf": ser.sheaf_json(sheaf), "sigma": ser.weil_json(sym)}
+                for c, sheaf, sym in dec.terms
+            ],
+            "total_dim": dec.total_dim,
+        }
+    return [f"{len(dec.terms)} terms, total dim {dec.total_dim}"] + [
+        f"{chi}={tuple(c)}  {nu}={sheaf.stratum}  shift {sheaf.shift}"
+        f"  sigma {sym.describe(args.ascii)}"
+        for c, sheaf, sym in dec.terms
+    ]
+
+
+def cmd_eigensheaf(args):
+    shape = shape_of(args)
+    b = bundle_to_b(parse_bundle(args.bundle))
+    st = eigensheaf_stalk(shape, b)
+    if args.json:
+        return ser.eigenstalk_json(st)
+    nu, _ = glyphs(args)
+    return [f"{st.count} pieces at {nu}={b}"] + [
+        f"shift {p.shift}  rep {p.rep.describe(shape, args.ascii)}" for p in st.pieces
+    ]
+
+
+def cmd_verify(args):
+    shape = shape_of(args)
+    lam = ints(args.lam)
+    strata = [bundle_to_b(parse_bundle(s)) for s in args.strata.split(";") if s]
+    if not strata:
+        raise ParseError(f"--strata names no bundle: {args.strata!r}")
+    ok = verify_eigen(shape, lam, strata)
+    if args.json:
+        view = {
+            "schema": ser.SCHEMA,
+            "weight": list(lam),
+            "strata": [ser.point_json(b) for b in strata],
+            "eigen": ok,
+        }
+    else:
+        view = [f"eigen identity: {'holds' if ok else 'FAILS'}"]
+    return view, 0 if ok else 1

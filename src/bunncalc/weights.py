@@ -288,14 +288,13 @@ def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     if len(blocks) == n:
         return tuple((tuple(zip(w)), mult) for w, mult in _weights(lam, True))
     c = lam[-1]
-    if c != 0:
-        shifted = _levi_branching_cached(n, tuple(x - c for x in lam), blocks)
-        return tuple(
-            (tuple(tuple(x + c for x in w) for w in ws), mult)
-            for ws, mult in shifted
-        )
-    _check_budget(n, lam)
-    return tuple(sorted(_branch(lam, blocks, {}), reverse=True))
+    norm = tuple(x - c for x in lam)
+    _check_budget(n, norm)
+    terms = sorted(_branch(norm, blocks, {}), reverse=True)
+    if c == 0:
+        return tuple(terms)
+    # one cache entry per request: the normalized terms are shifted here
+    return tuple((tuple(tuple(x + c for x in w) for w in ws), mult) for ws, mult in terms)
 
 
 levi_branching.cache_info = _levi_branching_cached.cache_info

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import bunncalc
-from bunncalc.cli import EXIT_BROKEN_PIPE, main
+from bunncalc.cli import _COMMANDS, EXIT_BROKEN_PIPE, main
 
 
 def run(capsys, *argv):
@@ -316,6 +317,74 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+class TestDispatch:
+    def test_every_handler_resolves(self):
+        handlers = [view for _, _, view, _ in _COMMANDS if view is not None]
+        assert len(handlers) == 19 + 2  # spectral hecke and stalk share the alias's view
+        for view in handlers:
+            module, _, name = view.rpartition(".")
+            assert callable(getattr(import_module(f"bunncalc.{module}"), name)), view
+
+
+# today's package exports, each resolved lazily from its submodule
+EXPORTS = [
+    "BoyerFactorization", "BudgetError", "BundleSpec", "Character", "CharacterExponents",
+    "CohomologyOutput", "Component", "DomainError", "EigensheafStalk", "HeckeDecomposition",
+    "IgusaOutput", "InnerFormGroup", "LParamShape", "NewtonPoint", "ParseError", "RepSymbol",
+    "SheafSymbol", "Slope", "WeilSymbol", "automorphism_group", "b_to_bundle", "b_to_chis",
+    "boyer_factorize", "bundle", "bundle_to_b", "chi_id", "chi_inv", "chi_mul", "chi_to_bundle",
+    "chi_to_rep", "component_shape", "d_point", "dot_export", "dual_weight", "eigensheaf_stalk",
+    "enumerate_B", "format_bundle", "harris_viehmann", "hasse", "hecke", "hn_polygon",
+    "igusa_cohomology", "kappa_exponents", "leq", "levi_branching", "make_F", "mantovan_pieces",
+    "modification_necessary", "modification_targets_rank_one", "modulus_exponents",
+    "normalize_bundle", "parabolic_type", "parse_bundle", "point_from_vector", "reduce_slope",
+    "rho_pairing", "shtuka_cohomology", "sigma_chi", "spectral_act", "stalk", "verify_eigen",
+    "weight_multiplicities", "weyl_dim",
+]
+
+# runs main(argv) in a fresh interpreter, then prints the bunncalc modules it loaded
+LOADED_PROBE = """
+import json, sys
+from bunncalc.cli import main
+try:
+    main(json.loads(sys.argv[1]))
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("bunncalc"))))
+"""
+
+
+def loaded_modules(argv):
+    src = str(Path(bunncalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, json.dumps(argv)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyLoading:
+    """Which modules a command loads, counted in a fresh interpreter."""
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_bundle_loads_only_its_layer(self, extra):
+        loaded = loaded_modules(["bundle", "O(1/2)", *extra])
+        assert "bunncalc.view_strata" in loaded
+        for layer in ("lparams", "weights", "spectral", "shtuka"):
+            assert f"bunncalc.{layer}" not in loaded
+
+    def test_help_loads_no_view(self):
+        assert loaded_modules(["--help"]) == ["bunncalc", "bunncalc.cli"]
+
+    def test_exports_unchanged(self):
+        assert sorted(bunncalc.__all__) == EXPORTS
+        assert set(EXPORTS) <= set(dir(bunncalc))
+        assert all(getattr(bunncalc, name) is not None for name in EXPORTS)
+        assert bunncalc.hecke is import_module("bunncalc.spectral").hecke
+        with pytest.raises(AttributeError):
+            bunncalc.no_such_name
 
 
 class TestBudgetEnv:

@@ -59,3 +59,23 @@ def test_every_private_function_is_used():
         and node.name not in referenced_names(*(other for _, other in top if other is not node))
     ]
     assert dead == []
+
+
+
+def imported_modules(tree: ast.Module) -> list[str]:
+    """Every module an import statement may load, as an absolute dotted name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["bunncalc" if node.level else "", node.module]))
+            out += [base] + [f"{base}.{a.name}" for a in node.names]
+    return out
+
+
+def test_no_module_imports_cli():
+    """``python -m bunncalc.cli`` runs cli as ``__main__``, so an import of
+    ``bunncalc.cli`` from the package would run it a second time."""
+    importers = [p.name for p in SRC.glob("*.py") if "bunncalc.cli" in imported_modules(parse(p))]
+    assert importers == []

@@ -318,6 +318,13 @@ class TestLeviBranching:
         info = levi_branching.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
+    def test_shifted_weight_takes_one_cache_entry(self):
+        levi_branching.cache_clear()
+        terms = levi_branching(4, (1, 0, 0, -1), (2, 2))
+        info = levi_branching.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert terms == levi_branching_oracle(4, (1, 0, 0, -1), (2, 2))
+
     @pytest.mark.parametrize(
         "n,lam,blocks",
         [
