@@ -55,16 +55,18 @@ _EXPORTS = {
         "component_shape",
         "make_F",
     ),
-    "shtuka": (
+    "modif": (
         "BoyerFactorization",
+        "boyer_factorize",
+        "modification_necessary",
+        "modification_targets_rank_one",
+    ),
+    "shtuka": (
         "CohomologyOutput",
         "IgusaOutput",
-        "boyer_factorize",
         "harris_viehmann",
         "igusa_cohomology",
         "mantovan_pieces",
-        "modification_necessary",
-        "modification_targets_rank_one",
         "shtuka_cohomology",
     ),
     "spectral": (

@@ -2,9 +2,12 @@
 
 A bundle is a finite direct sum of stable pieces O(lam), one isomorphism class
 per rational slope lam = p/q in lowest terms; O(p/q) has rank q and degree p.
-Slopes are exact (``fractions.Fraction``), HN polygons are integer vertex
-tuples, and polygons with lattice breakpoints, as integer segments (rise,
-run), compare by their lattice tops and pair with 2rho in integers.
+A bundle is stored as the integer segments (deg, rank) of its HN polygon, one
+per stable class: O(p/q)^m is the segment (m*p, m*q), so m = gcd(deg, rank).
+Newton points are stored the same way, and both are checked by one validator.
+Polygons with lattice breakpoints compare by their lattice tops and pair with
+2rho in integers.  ``fractions.Fraction`` slopes appear only in parsing and in
+the views (``parts``, ``slope_classes()``, the text and JSON forms).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 from typing import Iterable, Sequence
 
 Slope = Fraction
@@ -59,34 +64,48 @@ def slope_str(s: Slope) -> str:
     return f"{s.numerator}/{s.denominator}"
 
 
+def check_segments(segments: Sequence[tuple[int, int]]) -> None:
+    """Integer segments (rise, run), run >= 1, slopes rise/run strictly
+    decreasing: the storage of bundles and of Newton points alike."""
+    if not segments:
+        raise DomainError("at least one slope class is needed")
+    for rise, run in segments:
+        if not (isinstance(rise, int) and isinstance(run, int)):
+            raise DomainError(f"segment ({rise!r}, {run!r}) is not a pair of integers")
+        if run < 1:
+            raise DomainError(f"class count must be >= 1, got {run}")
+    if any(r2 * m1 >= r1 * m2 for (r1, m1), (r2, m2) in zip(segments, segments[1:])):
+        raise DomainError("slopes must be strictly decreasing")
+
+
 @dataclass(frozen=True)
 class BundleSpec:
-    """Multiset of stable slopes: parts (slope, mult) with slopes strictly decreasing."""
+    """A bundle as its HN segments (deg, rank), one per stable class, slopes
+    strictly decreasing.  The class O(p/q)^m is the segment (m*p, m*q), so its
+    multiplicity is gcd(deg, rank); ``parts`` and ``slope_classes()`` are
+    Fraction views of the segments."""
 
-    parts: tuple[tuple[Slope, int], ...]
+    segments: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
-            raise DomainError("a bundle must have at least one summand")
-        for s, m in self.parts:
-            check_slope(s)
-            if m < 1:
-                raise DomainError(f"multiplicity must be >= 1, got {m}")
-        slopes = [s for s, _ in self.parts]
-        if any(a >= b for a, b in zip(slopes[1:], slopes)):
-            raise DomainError("slopes must be strictly decreasing")
+        check_segments(self.segments)
 
     @property
     def rank(self) -> int:
-        return sum(m * s.denominator for s, m in self.parts)
+        return sum(rank for _, rank in self.segments)
 
     @property
     def deg(self) -> int:
-        return sum(m * s.numerator for s, m in self.parts)
+        return sum(deg for deg, _ in self.segments)
+
+    @property
+    def parts(self) -> tuple[tuple[Slope, int], ...]:
+        """(slope, multiplicity) pairs, slopes strictly decreasing."""
+        return tuple((Fraction(deg, rank), gcd(deg, rank)) for deg, rank in self.segments)
 
     def slope_classes(self) -> tuple[tuple[Slope, int], ...]:
-        """(slope, entry count) pairs, where the count is mult * den(slope)."""
-        return tuple((s, m * s.denominator) for s, m in self.parts)
+        """(slope, entry count) pairs, where the count is the class rank."""
+        return tuple((Fraction(deg, rank), rank) for deg, rank in self.segments)
 
     def __str__(self) -> str:
         return format_bundle(self)
@@ -104,8 +123,8 @@ def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
         merged[s] = merged.get(s, 0) + m
     if empty:
         raise DomainError("empty summand list")
-    parts = tuple(sorted(merged.items(), key=lambda p: p[0], reverse=True))
-    return BundleSpec(parts)
+    ordered = sorted(merged.items(), reverse=True)
+    return BundleSpec(tuple((s.numerator * m, s.denominator * m) for s, m in ordered))
 
 
 def bundle(*parts: tuple[int, int, int]) -> BundleSpec:
@@ -116,13 +135,9 @@ def bundle(*parts: tuple[int, int, int]) -> BundleSpec:
 def hn_polygon(b: BundleSpec) -> tuple[tuple[int, int], ...]:
     """Vertices (rank, degree) of the HN polygon from (0, 0), one segment per
     slope class; breakpoints are lattice points."""
-    x = y = 0
-    verts = [(x, y)]
-    for s, m in b.parts:
-        x += m * s.denominator
-        y += m * s.numerator
-        verts.append((x, y))
-    return tuple(verts)
+    ranks = accumulate((rank for _, rank in b.segments), initial=0)
+    degs = accumulate((deg for deg, _ in b.segments), initial=0)
+    return tuple(zip(ranks, degs))
 
 
 def as_int(x, what: str) -> int:
@@ -175,20 +190,16 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
 # A specific rank-10 configuration for which a published worked value of the
 # pairing (26, giving defect 19) disagrees with the defining sum (27, defect
 # 20).  The formula is normative here; outputs on this exact instance carry a
-# note so the difference stays visible.
-_FLAGGED_CLASSES = (
-    (Fraction(3, 2), 2),
-    (Fraction(1, 2), 2),
-    (Fraction(1, 3), 3),
-    (Fraction(0), 3),
-)
+# note so the difference stays visible.  Segments (deg, rank) of the bundle
+# O(3/2)+O(1/2)+O(1/3)+O^3; its Newton point is the negated reversal.
+_FLAGGED_SEGMENTS = ((3, 2), (1, 2), (1, 3), (0, 3))
 
 
-def pairing_note(classes: Sequence[tuple[Slope, int]]) -> str | None:
-    """Annotation for the known tabulated-value discrepancy, else None."""
-    cl = tuple(classes)
-    negated = tuple((-s, m) for s, m in reversed(cl))
-    if cl == _FLAGGED_CLASSES or negated == _FLAGGED_CLASSES:
+def pairing_note(segments: Sequence[tuple[int, int]]) -> str | None:
+    """Annotation for the known tabulated-value discrepancy, else None; the
+    segments are a bundle's or its Newton point's."""
+    seg = tuple(segments)
+    if _FLAGGED_SEGMENTS in (seg, tuple((-d, r) for d, r in reversed(seg))):
         return (
             "for slope data (3/2^2, 1/2^2, 1/3^3, 0^3) a published worked "
             "value of the pairing is 26 (defect 19); the defining sum "

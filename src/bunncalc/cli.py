@@ -94,13 +94,13 @@ _COMMANDS = [
      _SHAPE + ("xi", "target", ("mu_forward", "mu_inverse"))),
     (("hv",), "basic-stratum output with induction presentation", "view_cohomology.cmd_hv",
      _SHAPE + ("xi", "mu_inv")),
-    (("boyer",), "factor a modification space along a split", "view_cohomology.cmd_boyer",
+    (("boyer",), "factor a modification space along a split", "view_modif.cmd_boyer",
      ("b", "bprime", "mu", "split")),
     (("modif",), "rank-one modification sources / necessary checks", None, ()),
     (("modif", "targets"), "sources of an elementary modification",
-     "view_cohomology.cmd_modif_targets", ("n", "nprime")),
+     "view_modif.cmd_modif_targets", ("n", "nprime")),
     (("modif", "necessary"), "necessary-only existence checks",
-     "view_cohomology.cmd_modif_necessary", ("b", "bprime", "mu")),
+     "view_modif.cmd_modif_necessary", ("b", "bprime", "mu")),
     (("igusa",), "middle-degree isotypic output at a stratum", "view_cohomology.cmd_igusa",
      _SHAPE + ("mu", "b_stratum")),
 ]

@@ -21,6 +21,7 @@ from .bundles import (
     DomainError,
     Slope,
     as_int,
+    check_segments,
     check_slope,
     enumeration_budget,
     lattice_tops,
@@ -36,15 +37,7 @@ class NewtonPoint:
     segments: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise DomainError("a Newton point needs at least one slope class")
-        for rise, run in self.segments:
-            if not (isinstance(rise, int) and isinstance(run, int)):
-                raise DomainError(f"segment ({rise!r}, {run!r}) is not a pair of integers")
-            if run < 1:
-                raise DomainError(f"class count must be >= 1, got {run}")
-        if any(r2 * m1 >= r1 * m2 for (r1, m1), (r2, m2) in zip(self.segments, self.segments[1:])):
-            raise DomainError("Newton point slopes must be strictly decreasing")
+        check_segments(self.segments)
 
     @property
     def rank(self) -> int:
@@ -77,13 +70,13 @@ class NewtonPoint:
 
 
 def bundle_to_b(e: BundleSpec) -> NewtonPoint:
-    """Negate the bundle's slope multiset and re-sort dominantly."""
-    segments = tuple((-m * s.numerator, m * s.denominator) for s, m in reversed(e.parts))
-    return NewtonPoint(segments)
+    """Negate the bundle's segments and reverse them into dominant order."""
+    return NewtonPoint(tuple((-deg, rank) for deg, rank in reversed(e.segments)))
 
 
 def b_to_bundle(b: NewtonPoint) -> BundleSpec:
-    return BundleSpec(tuple((-s, c // s.denominator) for s, c in reversed(b.classes)))
+    """Inverse of bundle_to_b: negate and reverse the point's segments."""
+    return BundleSpec(tuple((-rise, run) for rise, run in reversed(b.segments)))
 
 
 def d_point(b: NewtonPoint) -> int:
@@ -307,7 +300,7 @@ def modulus_exponents(e: BundleSpec) -> CharacterExponents:
     e_i = sum_{j>i} n_j - sum_{j<i} n_j with n_j the block ranks.  Exponents
     are reported indexed by the bundle-order factors of automorphism_group.
     """
-    ranks = [m * s.denominator for s, m in e.parts]
+    ranks = [rank for _, rank in e.segments]
     total = sum(ranks)
     exps = []
     before = 0

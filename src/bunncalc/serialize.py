@@ -12,6 +12,7 @@ identical inputs give byte-identical documents.  Only ``bundles`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .bundles import BundleSpec, bundle_to_json, format_bundle, hn_polygon
@@ -30,12 +31,15 @@ def frac_json(x: Fraction | int) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def slope_json(rise: int, run: int) -> dict:
+    """The slope rise/run in lowest terms."""
+    g = gcd(rise, run)
+    return {"num": rise // g, "den": run // g}
+
+
 def point_json(b: NewtonPoint) -> dict:
     return {
-        "classes": [
-            {"num": s.numerator, "den": s.denominator, "count": c}
-            for s, c in b.classes
-        ],
+        "classes": [{**slope_json(rise, run), "count": run} for rise, run in b.segments],
         "kappa": b.kappa,
         "rank": b.rank,
     }
@@ -62,12 +66,10 @@ def exponents_json(e: CharacterExponents) -> dict:
 def rep_json(rep: RepSymbol) -> dict:
     return {
         "stratum": point_json(rep.stratum),
+        # bundle slopes: the stratum's segments negated, in reverse
         "classes": [
-            {
-                "slope": frac_json(s),
-                "components": [i + 1 for i in members],
-            }
-            for s, members in rep.slope_classes
+            {"slope": slope_json(-rise, run), "components": [i + 1 for i in members]}
+            for (rise, run), members in zip(reversed(rep.stratum.segments), rep.members)
         ],
         "group": group_json(rep.group),
     }
@@ -105,7 +107,6 @@ def shape_json(shape: LParamShape) -> dict:
     }
 
 
-
 def eigenstalk_json(st: EigensheafStalk) -> dict:
     return {
         "schema": SCHEMA,
@@ -139,9 +140,6 @@ def cohomology_json(out: CohomologyOutput) -> dict:
         ],
         "notes": list(out.notes),
     }
-
-
-
 
 
 def bundle_report_json(e: BundleSpec, invariants: tuple) -> dict:

@@ -1,7 +1,7 @@
 """Cohomology bookkeeping for modification spaces between bundle strata:
-shift/twist ledgers, factorization along compatible splits, parabolic
-induction presentations, rank-one modification targets, and the isotypic
-output for the global middle-degree computation.
+shift/twist ledgers, parabolic induction presentations, and the isotypic
+output for the global middle-degree computation.  The modification spaces
+themselves (split factorization, rank-one sources) are in ``modif``.
 
 Conventions.  "forward" applies the operator of the given weight to the
 extension-by-zero of the source symbol; "inverse" applies the operator of the
@@ -17,35 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
 from typing import ClassVar
 
-from .bundles import (
-    BudgetError,
-    BundleSpec,
-    DomainError,
-    Slope,
-    as_int,
-    enumeration_budget,
-    lattice_tops,
-    normalize_bundle,
-    pairing_note,
-    reduce_slope,
-    rho_pairing,
-    segment_pairing,
-)
-from .kottwitz import (
-    CharacterExponents,
-    InnerFormGroup,
-    NewtonPoint,
-    automorphism_group,
-    b_to_bundle,
-    bundle_to_b,
-    d_point,
-    kappa_exponents,
-    leq,
-    point_from_vector,
-)
+from .bundles import BundleSpec, DomainError, pairing_note
+from .kottwitz import NewtonPoint, b_to_bundle, d_point, leq, point_from_vector
 from .lparams import (
     Character,
     LParamShape,
@@ -53,30 +28,12 @@ from .lparams import (
     b_to_chis,
     chi_id,
     chi_inv,
-    chi_to_bundle,
     chi_to_rep,
     make_F,
 )
+from .modif import is_minuscule, rho_weight
 from .spectral import hecke, stalk
-from .weights import (
-    WeilSymbol,
-    check_dominant,
-    dual_weight,
-    dualize_symbol,
-    sigma_chi,
-)
-
-
-def rho_weight(vec) -> int:
-    """<2rho, v> = sum_{i<j} (v_i - v_j) for a weakly decreasing integer vector."""
-    return segment_pairing((x, 1) for x in check_dominant(vec))
-
-
-def is_minuscule(vec) -> bool:
-    """Entries lie in {0, 1} after subtracting the smallest one."""
-    vec = tuple(as_int(x, "weight entry") for x in vec)
-    base = min(vec)
-    return all(x - base in (0, 1) for x in vec)
+from .weights import WeilSymbol, check_dominant, dual_weight, dualize_symbol, sigma_chi
 
 
 def _canonical_dual(sym: WeilSymbol) -> tuple[WeilSymbol, bool]:
@@ -108,9 +65,9 @@ class CohomologyOutput:
     notes: tuple[str, ...]
 
 
-def _sign_convention_notes(source_bundle: BundleSpec) -> tuple[str, ...]:
+def _sign_convention_notes(source: NewtonPoint) -> tuple[str, ...]:
     notes = []
-    flagged = pairing_note(source_bundle.slope_classes())
+    flagged = pairing_note(source.segments)
     if flagged:
         notes.append(flagged)
     notes.append(
@@ -175,7 +132,7 @@ def shtuka_cohomology(
     notes = (
         "source slot normalized as half-modulus twist of the representation "
         "(the inverse |det|-character of the source stratum is absorbed)",
-    ) + _sign_convention_notes(b_to_bundle(source_sheaf.stratum))
+    ) + _sign_convention_notes(source_sheaf.stratum)
     return CohomologyOutput(
         direction=direction,
         source=xi,
@@ -196,15 +153,15 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
     """
     xi = shape.check_chi(xi)
     mu_inv_weight = check_dominant(mu_inv_weight, shape.n)
-    source_bundle = chi_to_bundle(shape, xi)
-    d_src = d_point(bundle_to_b(source_bundle))
+    source = chi_to_rep(shape, xi).stratum
+    d_src = d_point(source)
     sigma = sigma_chi(shape, mu_inv_weight, chi_inv(xi))
     tate = Fraction(rho_weight(mu_inv_weight), 2)
     ledger = (
         ("source half-modulus normalization", -d_src),
         ("satake normalization (tate)", tate),
     )
-    notes = _sign_convention_notes(source_bundle)
+    notes = _sign_convention_notes(source)
     pieces = []
     if sigma.terms:
         sym_out, dual = _canonical_dual(sigma)
@@ -216,7 +173,7 @@ def harris_viehmann(shape: LParamShape, xi: Character, mu_inv_weight) -> Cohomol
                 sigma_dual=dual,
                 shift=-d_src,
                 tate=tate,
-                induction=_induction_presentation(source_bundle, mu_inv_weight),
+                induction=_induction_presentation(b_to_bundle(source), mu_inv_weight),
             )
         )
     else:
@@ -235,231 +192,12 @@ def _induction_presentation(source_bundle: BundleSpec, mu_inv_weight) -> str | N
     if not is_minuscule(mu_inv_weight):
         return None
     mus = []
-    for s, m in source_bundle.parts:
-        rank = m * s.denominator
-        deg = m * s.numerator
+    for deg, rank in source_bundle.segments:
         if not 0 <= deg <= rank:
             return None
         mus.append("(" + ",".join(["1"] * deg + ["0"] * (rank - deg)) + ")")
-    levi = " x ".join(f"GL_{m * s.denominator}" for s, m in source_bundle.parts)
+    levi = " x ".join(f"GL_{rank}" for _, rank in source_bundle.segments)
     return f"Ind_P [{levi}] with block cocharacters {' , '.join(mus)}"
-
-
-def _split_at(e: BundleSpec, m: int) -> tuple[BundleSpec, BundleSpec] | None:
-    """Split the stable summands (decreasing slope) into a top part of rank m."""
-    top: list[tuple[Slope, int]] = []
-    bottom: list[tuple[Slope, int]] = []
-    remaining = m
-    for s, mult in e.parts:
-        den = s.denominator
-        if remaining >= mult * den:
-            top.append((s, mult))
-            remaining -= mult * den
-        elif remaining > 0:
-            if remaining % den != 0:
-                return None
-            k = remaining // den
-            top.append((s, k))
-            bottom.append((s, mult - k))
-            remaining = 0
-        else:
-            bottom.append((s, mult))
-    if remaining != 0 or not top or not bottom:
-        return None
-    return normalize_bundle(top), normalize_bundle(bottom)
-
-
-@dataclass(frozen=True)
-class BoyerFactorization:
-    split_rank: int
-    direction: str  # "source-parabolic" or "target-parabolic"
-    b1: NewtonPoint
-    b2: NewtonPoint
-    bp1: NewtonPoint
-    bp2: NewtonPoint
-    mu1: tuple[int, ...]
-    mu2: tuple[int, ...]
-    parabolic_group: str
-    parabolic_proper: bool
-    levi: tuple[InnerFormGroup, InnerFormGroup]
-    g_source: InnerFormGroup
-    g_target: InnerFormGroup
-    d: int
-    h: int
-    rho_whole: int
-    rho_part1: int
-    rho_part2: int
-    kappa_twist: CharacterExponents
-    # the factor groups the twist exponents live on (the two parts of the
-    # side that defines d), in order
-    kappa_twist_group: tuple[InnerFormGroup, InnerFormGroup]
-    notes: tuple[str, ...]
-
-
-def _boyer_conditions(eb: BundleSpec, ebp: BundleSpec, mu, m: int):
-    """Common validation; returns (n, mu, split of eb, split of ebp)."""
-    mu = check_dominant(mu)
-    n = len(mu)
-    if eb.rank != n or ebp.rank != n:
-        raise DomainError(
-            f"rank mismatch: bundles of rank {eb.rank}, {ebp.rank} with |mu| = {n}"
-        )
-    if not is_minuscule(mu):
-        raise DomainError("cocharacter must be minuscule after central normalization")
-    if sum(mu) != ebp.deg - eb.deg:
-        raise DomainError(
-            f"degree mismatch: deg(mu) = {sum(mu)} but target - source = {ebp.deg - eb.deg}"
-        )
-    if not 1 <= m < n:
-        raise DomainError("split must be proper: need 1 <= m < n")
-    sb = _split_at(eb, m)
-    if sb is None:
-        raise DomainError(f"source bundle does not split at rank {m}")
-    sbp = _split_at(ebp, m)
-    if sbp is None:
-        raise DomainError(f"target bundle does not split at rank {m}")
-    return n, mu, sb, sbp
-
-
-def _kappa_twist(whole: BundleSpec, part1: BundleSpec, part2: BundleSpec) -> CharacterExponents:
-    """Exponents of kappa(whole) / (kappa(part1) x kappa(part2)) on the Levi."""
-    whole_exp = {s: e for (s, _), e in zip(whole.parts, kappa_exponents(whole).exps)}
-    return CharacterExponents(
-        tuple(
-            whole_exp[s] - e
-            for part in (part1, part2)
-            for (s, _), e in zip(part.parts, kappa_exponents(part).exps)
-        )
-    )
-
-
-def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactorization:
-    """Factor the modification space along a compatible rank-m split.
-
-    Two variants are tried.  In the source-parabolic variant the target side
-    splits strictly, the head/tail of mu distribute to the parts, and the
-    dimension defect and |det|-twist are computed on the target side; the
-    mirrored target-parabolic variant applies when mu ends in zeros and the
-    top parts agree.  Inapplicable inputs are rejected with the violated
-    condition named.
-    """
-    n, mu, (eb1, eb2), (ebp1, ebp2) = _boyer_conditions(eb, ebp, mu, m)
-    reasons = []
-
-    # source-parabolic variant: strict split on the target side
-    deg_ok = ebp1.deg == eb1.deg + sum(mu[:m])
-    strict_ok = ebp1.parts[-1][0] > ebp2.parts[0][0]
-    if deg_ok and strict_ok:
-        mu1, mu2 = mu[:m], mu[m:]
-        whole, p1, p2 = ebp, ebp1, ebp2
-        direction = "source-parabolic"
-        proper = eb1.parts[-1][0] == eb2.parts[0][0]
-        parabolic_group = automorphism_group(eb).describe()
-        levi = (automorphism_group(eb1), automorphism_group(eb2))
-    else:
-        if not deg_ok:
-            reasons.append(
-                f"target top part degree {ebp1.deg} != source top degree {eb1.deg} "
-                f"+ head of mu {sum(mu[:m])}"
-            )
-        if not strict_ok:
-            reasons.append("target-side split is not strict (slope repeats across it)")
-        tail_ok = all(x == 0 for x in mu[n - m :])
-        iso_ok = ebp1 == eb1
-        strict_b_ok = eb1.parts[-1][0] > eb2.parts[0][0]
-        if tail_ok and iso_ok and strict_b_ok:
-            mu1, mu2 = (0,) * m, mu[: n - m]
-            whole, p1, p2 = eb, eb1, eb2
-            direction = "target-parabolic"
-            proper = ebp1.parts[-1][0] == ebp2.parts[0][0]
-            parabolic_group = automorphism_group(ebp).describe()
-            levi = (automorphism_group(ebp1), automorphism_group(ebp2))
-        else:
-            if not tail_ok:
-                reasons.append("tail of mu is not zero")
-            if not iso_ok:
-                reasons.append("top parts are not isomorphic")
-            if not strict_b_ok:
-                reasons.append("source-side split is not strict (slope repeats across it)")
-            raise DomainError("no applicable factorization: " + "; ".join(reasons))
-
-    rho_whole = rho_pairing(whole.slope_classes())
-    rho_p1 = rho_pairing(p1.slope_classes())
-    rho_p2 = rho_pairing(p2.slope_classes())
-    d = rho_whole - rho_p1 - rho_p2
-    h = rho_weight(mu) - rho_weight(mu1)
-    notes = []
-    flagged = pairing_note(whole.slope_classes())
-    if flagged:
-        notes.append(flagged)
-    return BoyerFactorization(
-        split_rank=m,
-        direction=direction,
-        b1=bundle_to_b(eb1),
-        b2=bundle_to_b(eb2),
-        bp1=bundle_to_b(ebp1),
-        bp2=bundle_to_b(ebp2),
-        mu1=tuple(mu1),
-        mu2=tuple(mu2),
-        parabolic_group=parabolic_group,
-        parabolic_proper=proper,
-        levi=levi,
-        g_source=automorphism_group(eb),
-        g_target=automorphism_group(ebp),
-        d=d,
-        h=h,
-        rho_whole=rho_whole,
-        rho_part1=rho_p1,
-        rho_part2=rho_p2,
-        kappa_twist=_kappa_twist(whole, p1, p2),
-        kappa_twist_group=(automorphism_group(p1), automorphism_group(p2)),
-        notes=tuple(notes),
-    )
-
-
-def modification_targets_rank_one(n: int, nprime: int) -> list[BundleSpec]:
-    """Sources admitting an elementary (single unit) modification into the
-    bundle with one slope-1/n' piece and trivial rest.
-
-    The list is the trivial bundle plus one member per size of the negative
-    tail: slope-1/n' piece, trivial middle, and a single slope -1/m' piece
-    with n' + middle + m' = n.
-    """
-    if not 1 <= nprime <= n:
-        raise DomainError(f"need 1 <= n' <= n, got n'={nprime}, n={n}")
-    budget = enumeration_budget()
-    if n - nprime + 1 > budget:
-        raise BudgetError(f"{n - nprime + 1} modification sources exceed budget of {budget}")
-    out = [normalize_bundle([(Fraction(0), n)])]
-    for mprime in range(1, n - nprime + 1):
-        mid = n - nprime - mprime
-        parts = [(reduce_slope(1, nprime), 1), (reduce_slope(-1, mprime), 1)]
-        if mid:
-            parts.append((Fraction(0), mid))
-        out.append(normalize_bundle(parts))
-    return out
-
-
-def modification_necessary(eb: BundleSpec, ebp: BundleSpec, mu) -> bool:
-    """Necessary (not sufficient) conditions for a type-mu modification
-    from the source to the target.
-
-    Checks the degree balance, and for effective mu (all entries >= 0) the
-    injectivity bound: the target's slope polygon dominates the source's
-    pointwise.
-    """
-    mu = check_dominant(mu)
-    if eb.rank != len(mu) or ebp.rank != len(mu):
-        raise DomainError("rank of both bundles must equal the length of mu")
-    if sum(mu) != ebp.deg - eb.deg:
-        return False
-    if min(mu) >= 0:
-        lower, upper = (
-            lattice_tops((m * s.numerator, m * s.denominator) for s, m in e.parts)
-            for e in (eb, ebp)
-        )
-        return all(map(le, lower, upper))
-    return True
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def bundle_invariants(e: BundleSpec) -> tuple:
         automorphism_group(e),
         modulus_exponents(e),
         kappa_exponents(e),
-        pairing_note(e.slope_classes()),
+        pairing_note(e.segments),
     )
 
 

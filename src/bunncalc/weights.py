@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .bundles import BudgetError, DomainError, as_int
-from .lparams import Character, LParamShape
+
+if TYPE_CHECKING:
+    from .lparams import Character, LParamShape
 
 HighestWeight = tuple[int, ...]
 
@@ -286,7 +289,7 @@ def levi_branching(
 def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     # n blocks partitioning n are the torus
     if len(blocks) == n:
-        return tuple((tuple(zip(w)), mult) for w, mult in _weights(lam, True))
+        return tuple(_branch(lam, blocks, {}))
     c = lam[-1]
     norm = tuple(x - c for x in lam)
     _check_budget(n, norm)

@@ -71,6 +71,44 @@ def all_compositions(n, max_parts=None):
     return out
 
 
+def small_bundles(max_rank: int = 6):
+    """Every bundle of rank <= max_rank with slopes in [-2, 2], built from its
+    segments (deg, rank): 2175 bundles for max_rank 6."""
+    slopes = sorted(
+        {Fraction(p, q) for q in range(1, max_rank + 1) for p in range(-2 * q, 2 * q + 1)},
+        reverse=True,
+    )
+
+    def rec(start, rank_left, segments):
+        if segments:
+            yield BundleSpec(tuple(segments))
+        for i in range(start, len(slopes)):
+            s = slopes[i]
+            for m in range(1, rank_left // s.denominator + 1):
+                seg = (m * s.numerator, m * s.denominator)
+                yield from rec(i + 1, rank_left - seg[1], segments + [seg])
+
+    return list(rec(0, max_rank, []))
+
+
+def fractions_built(call) -> int:
+    """How many Fraction objects are constructed while call() runs."""
+    original, new = Fraction.__dict__["__new__"], Fraction.__new__
+    count = 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(*args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        call()
+    finally:
+        Fraction.__new__ = original
+    return count
+
+
 def small_classes():
     """Every dominant mu with n <= 6 and entries in -1..3: 461 classes."""
     for n in range(1, 7):

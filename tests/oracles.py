@@ -11,8 +11,8 @@ transitive reduction, one visit per triangular pattern, the count of
 triangular patterns one row length at a time, extraction against
 the whole character (once from the largest remaining weight, once in one
 walk over the block-dominant weights), a slice filter over every branching
-term per character, bundles merged through Fraction slopes, and polygons
-interpolated in Fractions.
+term per character, bundles merged and split through Fraction slopes, and
+polygons interpolated in Fractions.
 """
 
 from __future__ import annotations
@@ -390,6 +390,43 @@ def levi_branching_extraction_oracle(n: int, lam, blocks):
                 raise AssertionError("branching extraction went negative")
             left[v] = rest
     return tuple(out)
+
+
+def split_at_oracle(e, m):
+    """Split the stable summands (decreasing slope) into a top part of rank m,
+    one Fraction slope and multiplicity at a time."""
+    top = []
+    bottom = []
+    remaining = m
+    for s, mult in e.parts:
+        den = s.denominator
+        if remaining >= mult * den:
+            top.append((s, mult))
+            remaining -= mult * den
+        elif remaining > 0:
+            if remaining % den != 0:
+                return None
+            k = remaining // den
+            top.append((s, k))
+            bottom.append((s, mult - k))
+            remaining = 0
+        else:
+            bottom.append((s, mult))
+    if remaining != 0 or not top or not bottom:
+        return None
+    return normalize_bundle(top), normalize_bundle(bottom)
+
+
+def hn_polygon_oracle(e):
+    """HN vertices as running sums of the Fraction slope vector, with a
+    vertex wherever the slope changes and at the end."""
+    vec = [s for s, mult in e.parts for _ in range(mult * s.denominator)]
+    verts, y = [(0, Fraction(0))], Fraction(0)
+    for x, s in enumerate(vec, 1):
+        y += s
+        if x == len(vec) or vec[x] != s:
+            verts.append((x, y))
+    return tuple(verts)
 
 
 def chi_to_bundle_oracle(shape, chi):

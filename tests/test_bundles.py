@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from bunncalc import (
     BudgetError,
+    BundleSpec,
     DomainError,
     LParamShape,
     ParseError,
+    b_to_bundle,
     bundle,
+    bundle_to_b,
+    chi_to_bundle,
     enumerate_B,
     format_bundle,
     hn_polygon,
     levi_branching,
+    modification_necessary,
+    modification_targets_rank_one,
     normalize_bundle,
     parse_bundle,
     reduce_slope,
@@ -22,8 +28,11 @@ from bunncalc import (
     weight_multiplicities,
 )
 from bunncalc.bundles import as_int, lattice_tops, pairing_note, segment_pairing
+from bunncalc.modif import _split_at
+from bunncalc.serialize import point_json
 from bunncalc.shtuka import is_minuscule
-from conftest import bundle_specs
+from conftest import bundle_specs, fractions_built, small_bundles
+from oracles import hn_polygon_oracle, split_at_oracle
 
 F = Fraction
 
@@ -194,11 +203,11 @@ class TestRhoPairing:
     def test_flagged_instance_reports_formula_value(self):
         e = parse_bundle("O(3/2)+O(1/2)+O(1/3)+O^3")
         assert rho_pairing(e.slope_classes()) == 27
-        note = pairing_note(e.slope_classes())
+        note = pairing_note(e.segments)
         assert note is not None and "26" in note and "27" in note
 
     def test_unflagged_instance_has_no_note(self):
-        assert pairing_note(parse_bundle("O(1)+O").slope_classes()) is None
+        assert pairing_note(parse_bundle("O(1)+O").segments) is None
 
 
 class TestGrammar:
@@ -253,3 +262,62 @@ class TestJson:
                 {"num": 0, "den": 1, "mult": 3},
             ]
         }
+
+
+class TestSegments:
+    """A bundle is stored as its integer HN segments (deg, rank); its Fraction
+    forms are views, checked against Fraction-built oracles on every bundle of
+    rank <= 6 with slopes in [-2, 2]."""
+
+    def test_stores_one_segment_per_class(self):
+        e = parse_bundle("O(3/4)+O(1/2)^3+O^3")
+        assert e.segments == ((3, 4), (3, 6), (0, 3))
+        assert e.parts == ((F(3, 4), 1), (F(1, 2), 3), (F(0), 3))
+        assert e.slope_classes() == ((F(3, 4), 4), (F(1, 2), 6), (F(0), 3))
+
+    @pytest.mark.parametrize(
+        "segments,message",
+        [
+            ((), "at least one slope class"),
+            (((F(1), 1),), "not a pair of integers"),
+            (((1, 0),), "class count must be >= 1"),
+            (((1, 2), (2, 4)), "strictly decreasing"),
+        ],
+    )
+    def test_checked_as_newton_points_are(self, segments, message):
+        with pytest.raises(DomainError, match=message):
+            BundleSpec(segments)
+
+    def test_views_match_fraction_oracles(self):
+        for e in small_bundles():
+            assert normalize_bundle(e.parts) == e, e
+            assert b_to_bundle(bundle_to_b(e)) == e, e
+            assert parse_bundle(format_bundle(e)) == e, e
+            assert hn_polygon(e) == hn_polygon_oracle(e), e
+
+    def test_split_matches_fraction_oracle(self):
+        for e in small_bundles():
+            for m in range(-1, e.rank + 2):
+                assert _split_at(e, m) == split_at_oracle(e, m), (e, m)
+
+    def test_integer_paths_build_no_fraction(self):
+        e = parse_bundle("O(3/2)+O(1/2)^2+O(1/3)+O^3")
+        b = bundle_to_b(e)
+        shape = LParamShape.from_dims((1, 2, 2))
+        flat, one = parse_bundle("O^5"), parse_bundle("O(1/5)")
+        points = enumerate_B(6, (2, 1, 1, 0, 0, -1))
+        calls = {
+            "bundle_to_b": lambda: bundle_to_b(e),
+            "b_to_bundle": lambda: b_to_bundle(b),
+            "chi_to_bundle": lambda: chi_to_bundle(shape, (3, 1, -2)),
+            "_split_at": lambda: [_split_at(e, m) for m in range(e.rank + 1)],
+            "modification_necessary": lambda: [
+                modification_necessary(flat, one, (1, 0, 0, 0, 0)),
+                modification_necessary(one, flat, (0, 0, 0, 0, -1)),
+            ],
+            "modification_targets_rank_one": lambda: modification_targets_rank_one(7, 2),
+            "point_json": lambda: [point_json(p) for p in points],
+        }
+        assert {name: fractions_built(call) for name, call in calls.items()} == dict.fromkeys(
+            calls, 0
+        )

@@ -375,6 +375,22 @@ class TestLazyLoading:
         for layer in ("lparams", "weights", "spectral", "shtuka"):
             assert f"bunncalc.{layer}" not in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boyer", "--b", "O(3/4)+O(1/3)+O^3", "--bprime", "O(3/2)+O(1/2)+O(1/3)+O^3",
+             "--mu", "1,0,0,0,0,0,0,0,0,0", "--split", "4"],
+            ["modif", "targets", "-n", "5", "--nprime", "3"],
+            ["modif", "necessary", "--b", "O^5", "--bprime", "O(1/5)", "--mu", "1,0,0,0,0"],
+        ],
+        ids=["boyer", "modif-targets", "modif-necessary"],
+    )
+    def test_modification_commands_load_no_cohomology(self, argv):
+        loaded = loaded_modules(argv)
+        assert "bunncalc.modif" in loaded and "bunncalc.view_modif" in loaded
+        for layer in ("shtuka", "spectral", "lparams"):
+            assert f"bunncalc.{layer}" not in loaded
+
     def test_help_loads_no_view(self):
         assert loaded_modules(["--help"]) == ["bunncalc", "bunncalc.cli"]
 

@@ -31,6 +31,7 @@ from bunncalc import (
 from bunncalc.lparams import LParamShape
 from bunncalc.shtuka import is_minuscule, rho_weight
 from bunncalc.weights import dual_weight
+from conftest import fractions_built
 from oracles import hn_lies_above_oracle
 
 F = Fraction
@@ -187,6 +188,31 @@ ILLUSTRATION_2 = dict(
     mu=(1, 1) + (0,) * 10,
     m=2,
 )
+
+
+class TestLedgerValuesOnly:
+    """Strata, bundles and pairings stay integer: the only Fractions a
+    cohomology output builds are its rational ledger values (counted, not
+    timed)."""
+
+    def test_shtuka_builds_only_its_tate_value(self):
+        shape = LParamShape.from_dims((1, 1))
+        target = bundle_to_b(parse_bundle("O^2"))
+        out = []
+        built = fractions_built(
+            lambda: out.append(shtuka_cohomology(shape, (-1, -2), target, (0, -3), "inverse"))
+        )
+        assert out[0].pieces and out[0].twist_ledger[-1][1] == F(3, 2)
+        assert built == 1
+
+    def test_hv_builds_only_its_tate_value_and_modulus_exponent(self):
+        shape = LParamShape.from_dims((1, 2))
+        out = []
+        built = fractions_built(lambda: out.append(harris_viehmann(shape, (1, 1), (0, -1, -1))))
+        piece = out[0].pieces[0]
+        assert piece.induction is not None
+        assert (piece.tate, piece.modulus_half_exponent) == (F(1), F(0))
+        assert built == 2
 
 
 class TestBoyer:
