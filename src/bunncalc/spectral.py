@@ -7,8 +7,11 @@ An operator attached to a highest weight decomposes into these translations
 weighted by the isotypic slices of the weight representation.  The slices
 depend only on the shape and the weight, never on the source: one pass over
 the weight's branching to the component blocks sorts its terms into them.
-The eigen check builds the slices once per call and each translated symbol
-once per call, and still checks every source's canonical shape.
+The eigen check makes one pass over its whole stratum window: it builds the
+slices once, collects the sources of every stratum into one set, charges
+sources times slices translations to the enumeration budget before the
+first one, and then translates each source by each slice once, building
+each symbol once per call and still checking every source's canonical shape.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .bundles import DomainError
+from .bundles import BudgetError, DomainError, enumeration_budget
 from .kottwitz import NewtonPoint
 from .lparams import (
     Character,
     LParamShape,
     SheafSymbol,
     b_to_chis,
+    character_of_rep,
     character_of_sheaf,
     chi_inv,
     chi_mul,
@@ -124,15 +128,20 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     symbol sum and restricting to b must reproduce, as a multiset, every
     (piece at b) x (isotypic slice) pair.  Only finitely many source
     characters can contribute at b; they are exactly eta * chi^{-1} for eta a
-    character of b and chi a character with nonzero slice, so the check runs
-    over that window.
+    character of b and chi a character with nonzero slice.
 
-    The slices are built once per call and each character's symbol once per
-    call, in a memo that lives only as long as the call.  Every source's
-    symbol still has its canonical shape checked before it is translated.
+    The check is one pass over the whole window: the sources of all its
+    strata are collected once, and each is translated by every slice once.
+    A product counts at the stratum of its symbol when that stratum is in
+    the window, so one landing on the wrong window stratum fails the check.
+    Both sides are keyed by (character, slice index); the symbols they stand
+    for come from one memo that lives only as long as the call, and every
+    source's symbol has its canonical shape checked before it is translated.
+    The translation count, sources times slices, is charged to the
+    enumeration budget before the first translation.
     """
     lam = check_dominant(lam, shape.n)
-    slices = _slices(shape, lam)
+    slices = [chi for chi, _ in _slices(shape, lam)]
     memo: dict[Character, SheafSymbol] = {}
 
     def sheaf_of(chi: Character) -> SheafSymbol:
@@ -141,21 +150,30 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
             sheaf = memo[chi] = make_F(shape, chi)
         return sheaf
 
+    rhs: dict[NewtonPoint, Counter] = {}
+    sources: set[Character] = set()
     for b in strata:
-        rhs: Counter = Counter()
-        sources: set[Character] = set()
+        if b in rhs:
+            continue
+        pairs = rhs[b] = Counter()
         for eta in b_to_chis(shape, b):
-            piece = sheaf_of(eta)
-            for chi, sym in slices:
-                rhs[(piece, sym)] += 1
+            for j, chi in enumerate(slices):
+                pairs[(eta, j)] += 1
                 sources.add(chi_mul(eta, chi_inv(chi)))
-        lhs: Counter = Counter()
-        for src in sorted(sources):
-            xi = character_of_sheaf(shape, sheaf_of(src))
-            for chi, sym in slices:
-                sheaf = sheaf_of(chi_mul(chi, xi))
-                if sheaf.stratum == b:
-                    lhs[(sheaf, sym)] += 1
-        if lhs != rhs:
-            return False
-    return True
+    translations = len(sources) * len(slices)
+    budget = enumeration_budget()
+    if translations > budget:
+        raise BudgetError(f"{translations} translations exceed budget of {budget}")
+
+    lhs: dict[NewtonPoint, Counter] = {b: Counter() for b in rhs}
+    for src in sorted(sources):
+        sheaf = sheaf_of(src)
+        xi = character_of_rep(shape, sheaf.rep)
+        if sheaf_of(xi) != sheaf:
+            raise DomainError("sheaf symbol is not of the canonical translated shape")
+        for j, chi in enumerate(slices):
+            product = chi_mul(chi, xi)
+            pairs = lhs.get(sheaf_of(product).stratum)
+            if pairs is not None:
+                pairs[(product, j)] += 1
+    return lhs == rhs

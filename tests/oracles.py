@@ -5,18 +5,20 @@ complete homogeneous polynomials (no pattern enumeration), and admissible
 Newton points are re-derived from concave lattice paths with an explicit
 pointwise bound check.  Both paths are deliberately different from the
 library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
-branching, Hecke decomposition, character dictionary and polygon dominance
-oracles are the library's earlier, slower implementations: the cubic
-transitive reduction, one visit per triangular pattern, the count of
-triangular patterns one row length at a time, extraction against
-the whole character (once from the largest remaining weight, once in one
-walk over the block-dominant weights), a slice filter over every branching
-term per character, bundles merged and split through Fraction slopes, and
-polygons interpolated in Fractions.
+branching, Hecke decomposition, eigen check, character dictionary and
+polygon dominance oracles are the library's earlier, slower
+implementations: the cubic transitive reduction, one visit per triangular
+pattern, the count of triangular patterns one row length at a time,
+extraction against the whole character (once from the largest remaining
+weight, once in one walk over the block-dominant weights), a slice filter
+over every branching term per character, one pass per stratum keyed by
+symbols, bundles merged and split through Fraction slopes, and polygons
+interpolated in Fractions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -24,8 +26,15 @@ from math import gcd
 
 from bunncalc.bundles import DomainError, normalize_bundle
 from bunncalc.kottwitz import bundle_to_b
-from bunncalc.lparams import RepSymbol, character_of_sheaf, chi_mul, make_F
-from bunncalc.spectral import HeckeDecomposition
+from bunncalc.lparams import (
+    RepSymbol,
+    b_to_chis,
+    character_of_sheaf,
+    chi_inv,
+    chi_mul,
+    make_F,
+)
+from bunncalc.spectral import HeckeDecomposition, _slices
 from bunncalc.weights import (
     check_dominant,
     levi_branching,
@@ -465,6 +474,41 @@ def hecke_oracle(shape, lam, sheaf):
             continue
         terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
     return HeckeDecomposition(weight=lam, source=xi, terms=tuple(terms))
+
+
+def verify_eigen_oracle(shape, lam, strata) -> bool:
+    """The termwise eigen identity one stratum at a time: for each listed b,
+    the sources eta * chi^{-1} of b are translated by every slice, and the
+    products on b are compared with b's pieces as a multiset of
+    (sheaf symbol, slice) pairs."""
+    lam = check_dominant(lam, shape.n)
+    slices = _slices(shape, lam)
+    memo: dict = {}
+
+    def sheaf_of(chi):
+        sheaf = memo.get(chi)
+        if sheaf is None:
+            sheaf = memo[chi] = make_F(shape, chi)
+        return sheaf
+
+    for b in strata:
+        rhs: Counter = Counter()
+        sources: set = set()
+        for eta in b_to_chis(shape, b):
+            piece = sheaf_of(eta)
+            for chi, sym in slices:
+                rhs[(piece, sym)] += 1
+                sources.add(chi_mul(eta, chi_inv(chi)))
+        lhs: Counter = Counter()
+        for src in sorted(sources):
+            xi = character_of_sheaf(shape, sheaf_of(src))
+            for chi, sym in slices:
+                sheaf = sheaf_of(chi_mul(chi, xi))
+                if sheaf.stratum == b:
+                    lhs[(sheaf, sym)] += 1
+        if lhs != rhs:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -188,6 +188,20 @@ class TestSpectral:
         )
         assert code == 0 and "holds" in out
 
+    def test_verify_out_of_budget_exits_1_at_once(self):
+        # 12384 slices on the torus of rank 8, and as many sources from the
+        # one character of O^8: 12384^2 translations, refused before the first
+        src = str(Path(bunncalc.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "BUNNCALC_BUDGET"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bunncalc.cli", "spectral", "verify",
+             "--dims", "1,1,1,1,1,1,1,1", "--lambda", "4,3,2,1,0,0,0,0",
+             "--strata", "O^8;O(1/8)"],
+            capture_output=True, env={**env, "PYTHONPATH": src}, text=True, timeout=10,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "153363456 translations exceed budget of 1000000" in proc.stderr
+
     def test_verify_empty_window_exit_2(self, capsys):
         args = ["--dims", "1,1", "--lambda", "3,0", "--strata", ";"]
         code, out, err = run(capsys, "spectral", "verify", *args)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bunncalc import (
+    BudgetError,
     BundleSpec,
     DomainError,
     bundle_to_b,
@@ -30,9 +31,10 @@ from bunncalc import (
 import bunncalc.kottwitz as kottwitz
 import bunncalc.spectral as spectral
 import bunncalc.weights as weights
+import oracles
 from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol
 from conftest import all_compositions, normalized_weights, shape_and_chi
-from oracles import hecke_oracle
+from oracles import hecke_oracle, verify_eigen_oracle
 
 F = Fraction
 
@@ -280,19 +282,15 @@ class TestVerifyEigenWork:
             return make_F(shape_, (0, 1) if chi == (1, 0) else chi)
 
         monkeypatch.setattr(spectral, "make_F", wrong_make_F)
+        monkeypatch.setattr(oracles, "make_F", wrong_make_F)
         assert not verify_eigen(shape, (1, 0, 0), strata)
+        assert not verify_eigen_oracle(shape, (1, 0, 0), strata)
 
     def test_no_pairing_and_few_fraction_hashes(self, monkeypatch):
-        # the window is built as the benchmark's eigen window is: the first 8
-        # strata the weight carries from the identity symbol
         shape = LParamShape.from_dims((1, 2, 2))
         lam = (3, 1, 0, 0, 0)
         dec = hecke(shape, lam, make_F(shape, chi_id(shape.r)))
-        strata = sorted(
-            {sheaf.stratum for _, sheaf, _ in dec.terms},
-            key=lambda p: p.slope_vector(),
-            reverse=True,
-        )[:8]
+        strata = hecke_window(shape, lam)
         calls: Counter = Counter()
 
         def counted(name, fn):
@@ -322,3 +320,109 @@ class TestVerifyEigenWork:
         assert calls["WeilSymbol"] == len(dec.terms) == 14
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
         assert calls["BundleSpec"] == 0
+
+    def test_non_canonical_source_rejected(self, monkeypatch):
+        # the source (-1, 0) of O^3 gets a symbol whose members list the
+        # components of (0, 0) out of order; translating it as (0, 0) would
+        # count (0, 0)'s products twice instead of failing loudly
+        shape = LParamShape.from_dims((2, 1))
+        strata = [bundle_to_b(parse_bundle("O^3")), bundle_to_b(parse_bundle("O(1/2)+O"))]
+        o3 = make_F(shape, (0, 0)).stratum
+        assert make_F(shape, (0, 0)).rep.members == ((0, 1),)
+
+        def non_canonical_make_F(shape_, chi):
+            if chi == (-1, 0):
+                return SheafSymbol(RepSymbol(o3, ((1, 0),)))
+            return make_F(shape_, chi)
+
+        monkeypatch.setattr(spectral, "make_F", non_canonical_make_F)
+        monkeypatch.setattr(oracles, "make_F", non_canonical_make_F)
+        for check in (verify_eigen, verify_eigen_oracle):
+            with pytest.raises(DomainError, match="canonical"):
+                check(shape, (1, 0, 0), strata)
+
+    @pytest.mark.parametrize("limit,passes", [(714, True), (713, False)])
+    def test_translation_count_charged_before_translating(self, monkeypatch, limit, passes):
+        # 714 = 51 sources x 14 slices on the (1, 2, 2), (3, 1, 0, 0, 0) window
+        shape = LParamShape.from_dims((1, 2, 2))
+        lam = (3, 1, 0, 0, 0)
+        strata = hecke_window(shape, lam)
+        built: Counter = Counter()
+
+        def counting_make_F(shape_, chi):
+            built[chi] += 1
+            return make_F(shape_, chi)
+
+        monkeypatch.setattr(spectral, "make_F", counting_make_F)
+        monkeypatch.setenv("BUNNCALC_BUDGET", str(limit))
+        if passes:
+            assert verify_eigen(shape, lam, strata)
+        else:
+            with pytest.raises(BudgetError, match="^714 translations exceed budget of 713$"):
+                verify_eigen(shape, lam, strata)
+            assert not built
+
+    def test_torus_of_rank_six_exceeds_default_budget(self, monkeypatch):
+        # 1296 slices, and as many sources from the one character of O^6:
+        # this call used to run for seconds and return True
+        monkeypatch.delenv("BUNNCALC_BUDGET", raising=False)
+        shape = LParamShape.from_dims((1,) * 6)
+        with pytest.raises(BudgetError, match="^1679616 translations exceed budget of 1000000$"):
+            verify_eigen(shape, (4, 3, 2, 1, 0, 0), [point_from_vector((0,) * 6)])
+
+
+EIGEN_DECK = [
+    ((1, 1), (4, 0)),
+    ((1, 2), (6, 0, 0)),
+    ((1, 1, 1), (3, 0, 0)),
+    ((1, 2, 2), (3, 1, 0, 0, 0)),
+    ((1, 1, 1, 1), (2, 0, 0, 0)),
+]
+
+
+def hecke_window(shape, lam, size=8):
+    """The first strata the weight carries the identity symbol to, in
+    descending slope order, as the benchmark's eigen windows are built."""
+    dec = hecke(shape, lam, make_F(shape, chi_id(shape.r)))
+    strata = {sheaf.stratum for _, sheaf, _ in dec.terms}
+    return sorted(strata, key=lambda p: p.slope_vector(), reverse=True)[:size]
+
+
+class TestVerifyEigenAgainstOracle:
+    """The one pass over the window against one pass per stratum."""
+
+    @pytest.mark.parametrize("dims,lam", EIGEN_DECK)
+    def test_deck_windows(self, dims, lam):
+        shape = LParamShape.from_dims(dims)
+        strata = hecke_window(shape, lam)
+        assert verify_eigen(shape, lam, strata) is verify_eigen_oracle(shape, lam, strata) is True
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_composition_and_exterior_power(self, n):
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for a in range(n + 1):
+                lam = (1,) * a + (0,) * (n - a)
+                strata = [make_F(shape, chi_id(shape.r)).stratum] + hecke_window(
+                    shape, lam, size=None
+                )
+                got = verify_eigen(shape, lam, strata)
+                assert got is verify_eigen_oracle(shape, lam, strata) is True
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_shapes_and_windows(self, data):
+        n = data.draw(st.integers(1, 5))
+        dims = data.draw(st.sampled_from(all_compositions(n)))
+        shape = LParamShape.from_dims(dims)
+        lam = data.draw(st.sampled_from(normalized_weights(n, 4)))
+        shift = data.draw(st.integers(-1, 1))
+        lam = tuple(x + shift for x in lam)
+        xi = data.draw(small_chis(shape.r, bound=1))
+        dec = hecke(shape, lam, make_F(shape, xi))
+        reached = sorted({sheaf.stratum for _, sheaf, _ in dec.terms}, key=str)
+        # a stratum of no character of most shapes
+        reached.append(point_from_vector((F(-1, n),) * n))
+        strata = data.draw(st.lists(st.sampled_from(reached), min_size=1, max_size=6))
+        got = verify_eigen(shape, lam, strata)
+        assert got is verify_eigen_oracle(shape, lam, strata) is True
