@@ -6,8 +6,9 @@ A bundle is stored as the integer segments (deg, rank) of its HN polygon, one
 per stable class: O(p/q)^m is the segment (m*p, m*q), so m = gcd(deg, rank).
 Newton points are stored the same way, and both are checked by one validator.
 Polygons with lattice breakpoints compare by their lattice tops and pair with
-2rho in integers.  ``fractions.Fraction`` slopes appear only in parsing and in
-the views (``parts``, ``slope_classes()``, the text and JSON forms).
+2rho in integers, and parsing and the text and JSON forms run in integers.
+``fractions.Fraction`` is left in the views ``parts`` and ``slope_classes()``,
+in ``reduce_slope``, ``bundle()``, ``normalize_bundle``'s input and ``rho_pairing``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
@@ -53,15 +55,21 @@ def reduce_slope(num: int, den: int) -> Slope:
     return Fraction(num, den)
 
 
-def check_slope(s) -> None:
-    if not isinstance(s, Fraction):
-        raise DomainError(f"slope {s!r} is not an exact rational")
+def slope_str(rise: int, run: int) -> str:
+    """The slope rise/run, run >= 1, in lowest terms: "p" or "p/q"."""
+    g = gcd(rise, run)
+    return str(rise // g) if g == run else f"{rise // g}/{run // g}"
 
 
-def slope_str(s: Slope) -> str:
-    if s.denominator == 1:
-        return str(s.numerator)
-    return f"{s.numerator}/{s.denominator}"
+def slope_groups(segments: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Indices of the segments (rise, run), run >= 1, grouped by slope, the
+    groups in strictly decreasing slope (compared by cross products)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (rise, run) in enumerate(segments):
+        g = gcd(rise, run)
+        groups.setdefault((rise // g, run // g), []).append(i)
+    keys = sorted(groups, key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
+    return [groups[k] for k in keys]
 
 
 def check_segments(segments: Sequence[tuple[int, int]]) -> None:
@@ -111,20 +119,23 @@ class BundleSpec:
         return format_bundle(self)
 
 
+def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
+    """The bundle of segments (deg, rank) in any order: equal slopes merge."""
+    classes = [[segments[i] for i in group] for group in slope_groups(segments)]
+    return BundleSpec(tuple((sum(d for d, _ in c), sum(r for _, r in c)) for c in classes))
+
+
 def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
     """Merge equal slopes and sort strictly decreasing."""
-    merged: dict[Slope, int] = {}
-    empty = True
+    segments = []
     for s, m in raw:
-        empty = False
         if m < 1:
             raise DomainError(f"multiplicity must be >= 1, got {m}")
         s = Fraction(s)
-        merged[s] = merged.get(s, 0) + m
-    if empty:
+        segments.append((s.numerator * m, s.denominator * m))
+    if not segments:
         raise DomainError("empty summand list")
-    ordered = sorted(merged.items(), reverse=True)
-    return BundleSpec(tuple((s.numerator * m, s.denominator * m) for s, m in ordered))
+    return merge_segments(segments)
 
 
 def bundle(*parts: tuple[int, int, int]) -> BundleSpec:
@@ -182,7 +193,7 @@ def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:
             raise DomainError(f"class count must be >= 1, got {m}")
         if s.numerator * m % s.denominator:
             raise DomainError(
-                f"class {slope_str(s)}^({m}) has fractional total degree"
+                f"class {slope_str(s.numerator, s.denominator)}^({m}) has fractional total degree"
             )
     return segment_pairing((s.numerator * m // s.denominator, m) for s, m in classes)
 
@@ -223,7 +234,7 @@ def parse_bundle(text: str) -> BundleSpec:
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ParseError("empty bundle expression")
-    parts: list[tuple[Slope, int]] = []
+    segments: list[tuple[int, int]] = []
     pos = 0
     while True:
         m = _TERM_RE.match(compact, pos)
@@ -237,14 +248,15 @@ def parse_bundle(text: str) -> BundleSpec:
             raise ParseError(f"zero denominator at position {pos}")
         if mult == 0:
             raise ParseError(f"zero multiplicity at position {pos}")
-        parts.append((reduce_slope(num, den), mult))
+        g = gcd(num, den)
+        segments.append((num // g * mult, den // g * mult))
         pos = m.end()
         if pos == len(compact):
             break
         if compact[pos] != "+":
             raise ParseError(f"expected '+' at position {pos}: {compact[pos:]!r}")
         pos += 1
-    spec = normalize_bundle(parts)
+    spec = merge_segments(segments)
     budget = enumeration_budget()
     if spec.rank > budget:
         raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")
@@ -254,15 +266,14 @@ def parse_bundle(text: str) -> BundleSpec:
 def format_bundle(b: BundleSpec, pretty: bool = False) -> str:
     """Canonical text form; with pretty=True uses a direct-sum glyph."""
     terms = []
-    for s, m in b.parts:
-        base = "O" if s == 0 else f"O({slope_str(s)})"
+    for deg, rank in b.segments:
+        m = gcd(deg, rank)
+        base = "O" if deg == 0 else f"O({slope_str(deg, rank)})"
         terms.append(base if m == 1 else f"{base}^{m}")
     return (" ⊕ " if pretty else "+").join(terms)
 
 
 def bundle_to_json(b: BundleSpec) -> dict:
-    return {
-        "parts": [
-            {"num": s.numerator, "den": s.denominator, "mult": m} for s, m in b.parts
-        ]
-    }
+    """Each class O(num/den)^mult of the segment (deg, rank), mult = gcd(deg, rank)."""
+    parts = [(deg, rank, gcd(deg, rank)) for deg, rank in b.segments]
+    return {"parts": [{"num": d // m, "den": r // m, "mult": m} for d, r, m in parts]}

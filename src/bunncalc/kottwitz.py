@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 from operator import le
 
 from .bundles import (
@@ -22,7 +23,6 @@ from .bundles import (
     Slope,
     as_int,
     check_segments,
-    check_slope,
     enumeration_budget,
     lattice_tops,
     segment_pairing,
@@ -65,7 +65,7 @@ class NewtonPoint:
 
     def __str__(self) -> str:
         return "(" + ",".join(
-            ",".join([slope_str(Fraction(rise, run))] * run) for rise, run in self.segments
+            ",".join([slope_str(rise, run)] * run) for rise, run in self.segments
         ) + ")"
 
 
@@ -92,17 +92,17 @@ def point_label(b: NewtonPoint, ascii_mode: bool = False) -> str:
 
 def point_from_vector(vec) -> NewtonPoint:
     """Build a point from a weakly decreasing slope vector, one segment per run."""
-    entries = [Fraction(v) for v in vec]
+    entries = [v if isinstance(v, int) else Fraction(v) for v in vec]
     if any(a < b for a, b in zip(entries, entries[1:])):
         raise DomainError("slope vector must be weakly decreasing")
     segments = []
     for s, equal in groupby(entries):
-        c = len(list(equal))
-        if c % s.denominator:
+        c, num, den = len(list(equal)), s.numerator, s.denominator
+        if c % den:
             raise DomainError(
-                f"breakpoints not integral: den({slope_str(s)}) does not divide {c}"
+                f"breakpoints not integral: den({slope_str(num, den)}) does not divide {c}"
             )
-        segments.append((s.numerator * c // s.denominator, c))
+        segments.append((num * c // den, c))
     return NewtonPoint(tuple(segments))
 
 
@@ -223,10 +223,10 @@ def dot_export(points, ascii_mode: bool = False) -> str:
     """DOT digraph of the covering relations; node labels carry the slope
     vector, the endpoint invariant, and the pairing value."""
     pts = list(points)
-    return _dot_text(pts, hasse(pts), ascii_mode)
+    return dot_text(pts, hasse(pts), ascii_mode)
 
 
-def _dot_text(points, edges, ascii_mode: bool) -> str:
+def dot_text(points, edges, ascii_mode: bool) -> str:
     """dot_export's rendering, given the covering edges of the points."""
     # lattice tops order lexicographically as the slope vectors do
     pts = sorted(points, key=lambda p: p.tops, reverse=True)
@@ -247,17 +247,13 @@ def parabolic_type(b: NewtonPoint) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class InnerFormGroup:
-    """Product of factors GL_m(D_{-inv}); inv = 0 is the split factor GL_m."""
+    """Product of factors GL_m(D_{-lam}), one per bundle segment (deg, rank):
+    lam = deg/rank, m = gcd(deg, rank); integral lam gives the split GL_m."""
 
-    factors: tuple[tuple[int, Slope], ...]
+    segments: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.factors:
-            raise DomainError("automorphism group needs at least one factor")
-        for m, s in self.factors:
-            if m < 1:
-                raise DomainError(f"factor size must be >= 1, got {m}")
-            check_slope(s)
+        check_segments(self.segments)
 
     def __str__(self) -> str:
         return self.describe()
@@ -265,20 +261,21 @@ class InnerFormGroup:
     def describe(self, ascii_mode: bool = False) -> str:
         times = " x " if ascii_mode else " × "
         out = []
-        for m, s in self.factors:
-            if s.denominator == 1:
+        for deg, rank in self.segments:
+            m = gcd(deg, rank)
+            if m == rank:
                 out.append(f"GL_{m}")
             elif m == 1:
                 dx = "D^x" if ascii_mode else "D^×"
-                out.append(f"{dx}_{{{slope_str(-s)}}}")
+                out.append(f"{dx}_{{{slope_str(-deg, rank)}}}")
             else:
-                out.append(f"GL_{m}(D_{{{slope_str(-s)}}})")
+                out.append(f"GL_{m}(D_{{{slope_str(-deg, rank)}}})")
         return times.join(out)
 
 
 def automorphism_group(e: BundleSpec) -> InnerFormGroup:
     """One factor per slope class of the bundle, in decreasing slope order."""
-    return InnerFormGroup(tuple((m, s) for s, m in e.parts))
+    return InnerFormGroup(e.segments)
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
 from typing import ClassVar
 
 from .bundles import (
     BudgetError,
     BundleSpec,
     DomainError,
-    Slope,
     as_int,
     enumeration_budget,
+    slope_groups,
     slope_str,
 )
 from .kottwitz import (
@@ -131,11 +129,6 @@ class RepSymbol:
             raise DomainError("representation symbol needs one member tuple per slope class")
 
     @property
-    def slope_classes(self) -> tuple[tuple[Slope, tuple[int, ...]], ...]:
-        """(bundle slope, members) per class, slopes strictly decreasing."""
-        return tuple((-s, m) for (s, _), m in zip(reversed(self.stratum.classes), self.members))
-
-    @property
     def group(self) -> InnerFormGroup:
         """The automorphism group J_b of the stratum's bundle."""
         return automorphism_group(b_to_bundle(self.stratum))
@@ -143,22 +136,17 @@ class RepSymbol:
     def describe(self, shape: LParamShape, ascii_mode: bool = False) -> str:
         boxtimes = " x " if ascii_mode else " ⊠ "
         parts = []
-        for s, members in self.slope_classes:
+        for (rise, run), members in zip(reversed(self.stratum.segments), self.members):
             labels = "+".join(shape.components[i].label for i in members)
-            parts.append(f"pi[{labels}]@{slope_str(s)}")
+            parts.append(f"pi[{labels}]@{slope_str(-rise, run)}")
         return boxtimes.join(parts)
 
 
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
-    """Components grouped by the reduced slope (d/g, n/g), g = gcd(d, n), in
-    decreasing slope by cross products; each group is one stratum segment."""
+    """Components grouped by their slope d_i/n_i, in decreasing slope; each
+    group is one stratum segment."""
     chi = shape.check_chi(chi)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (d, comp) in enumerate(zip(chi, shape.components)):
-        g = gcd(d, comp.dim)
-        groups.setdefault((d // g, comp.dim // g), []).append(i)
-    keys = sorted(groups, key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
-    classes = [groups[k] for k in keys]
+    classes = slope_groups(tuple(zip(chi, shape.dims)))
     segments = tuple(
         (-sum(chi[i] for i in members), sum(shape.components[i].dim for i in members))
         for members in reversed(classes)
@@ -202,7 +190,7 @@ def character_of_rep(shape: LParamShape, rep: RepSymbol) -> Character:
             seen.add(i)
             chi[i], frac = divmod(-rise * shape.components[i].dim, run)
             if frac:
-                slope = slope_str(Fraction(-rise, run))
+                slope = slope_str(-rise, run)
                 raise DomainError(f"slope {slope} is not integral on component {i + 1}")
     if len(seen) != shape.r:
         raise DomainError("representation symbol does not cover all components")

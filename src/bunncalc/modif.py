@@ -77,7 +77,7 @@ class BoyerFactorization:
     bp2: NewtonPoint
     mu1: tuple[int, ...]
     mu2: tuple[int, ...]
-    parabolic_group: str
+    parabolic_group: InnerFormGroup
     parabolic_proper: bool
     levi: tuple[InnerFormGroup, InnerFormGroup]
     g_source: InnerFormGroup
@@ -131,6 +131,8 @@ def _kappa_twist(whole: BundleSpec, part1: BundleSpec, part2: BundleSpec) -> Cha
             for w, e in zip(heads, kappa_exponents(part).exps)
         )
     )
+
+
 def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactorization:
     """Factor the modification space along a compatible rank-m split.
 
@@ -152,7 +154,7 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
         whole, p1, p2 = ebp, ebp1, ebp2
         direction = "source-parabolic"
         proper = _cuts_class(eb1, eb2)
-        parabolic_group = automorphism_group(eb).describe()
+        parabolic_group = automorphism_group(eb)
         levi = (automorphism_group(eb1), automorphism_group(eb2))
     else:
         if not deg_ok:
@@ -170,7 +172,7 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
             whole, p1, p2 = eb, eb1, eb2
             direction = "target-parabolic"
             proper = _cuts_class(ebp1, ebp2)
-            parabolic_group = automorphism_group(ebp).describe()
+            parabolic_group = automorphism_group(ebp)
             levi = (automorphism_group(ebp1), automorphism_group(ebp2))
         else:
             if not tail_ok:

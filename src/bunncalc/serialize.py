@@ -50,11 +50,9 @@ def polygon_json(vertices: tuple[tuple[int, int], ...]) -> dict:
 
 
 def group_json(g: InnerFormGroup) -> dict:
+    factors = [(deg, rank, gcd(deg, rank)) for deg, rank in g.segments]
     return {
-        "factors": [
-            {"size": m, "inv_num": s.numerator, "inv_den": s.denominator}
-            for m, s in g.factors
-        ],
+        "factors": [{"size": m, "inv_num": d // m, "inv_den": r // m} for d, r, m in factors],
         "display": g.describe(ascii_mode=True),
     }
 

@@ -14,6 +14,7 @@ def cmd_boyer(args):
     f = boyer_factorize(
         parse_bundle(args.b), parse_bundle(args.bprime), ints(args.mu), args.split
     )
+    # Unicode in both views: perfbench/expected.json pins the ascii:15 and json:15 digests
     if args.json:
         return {
             "schema": ser.SCHEMA,
@@ -26,7 +27,7 @@ def cmd_boyer(args):
             "mu1": list(f.mu1),
             "mu2": list(f.mu2),
             "parabolic": {
-                "ambient": f.parabolic_group,
+                "ambient": f.parabolic_group.describe(),
                 "proper": f.parabolic_proper,
                 "levi": [ser.group_json(g) for g in f.levi],
             },
@@ -48,7 +49,7 @@ def cmd_boyer(args):
         f"target parts: {b_to_bundle(f.bp1)} / {b_to_bundle(f.bp2)}",
         f"G_source: {f.g_source.describe(args.ascii)}",
         f"G_target: {f.g_target.describe(args.ascii)}",
-        f"parabolic in {f.parabolic_group} "
+        f"parabolic in {f.parabolic_group.describe()} "
         f"({'proper' if f.parabolic_proper else 'whole group'}), Levi "
         + (" x " if args.ascii else " × ").join(g.describe(args.ascii) for g in f.levi),
         f"pairings: whole {f.rho_whole}, parts {f.rho_part1} + {f.rho_part2}",

@@ -6,10 +6,10 @@ from __future__ import annotations
 from . import serialize as ser
 from .bundles import BundleSpec, ParseError, format_bundle, hn_polygon, pairing_note, parse_bundle
 from .kottwitz import (
-    _dot_text,
     automorphism_group,
     bundle_to_b,
     dot_export,
+    dot_text,
     enumerate_B,
     hasse,
     kappa_exponents,
@@ -81,7 +81,7 @@ def cmd_hasse(args):
     edges = hasse(points)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(_dot_text(points, edges, args.ascii))
+            fh.write(dot_text(points, edges, args.ascii))
     if args.json:
         return {
             "schema": ser.SCHEMA,

@@ -13,7 +13,8 @@ extraction against the whole character (once from the largest remaining
 weight, once in one walk over the block-dominant weights), a slice filter
 over every branching term per character, one pass per stratum keyed by
 symbols, bundles merged and split through Fraction slopes, and polygons
-interpolated in Fractions.
+interpolated in Fractions.  The renderers of bundles, automorphism groups and
+representation symbols are the earlier ones, which read Fraction slopes.
 """
 
 from __future__ import annotations
@@ -534,3 +535,70 @@ def hn_lies_above_oracle(upper, lower):
         raise DomainError("polygon spans differ")
     n = int(upper[-1][0])
     return all(_value_at(upper, x) >= _value_at(lower, x) for x in range(n + 1))
+
+
+# The text and JSON renderers of bundles, groups and representation symbols
+# as they were written on Fraction slopes, one Fraction per class.
+
+
+def slope_str_oracle(s: Fraction) -> str:
+    if s.denominator == 1:
+        return str(s.numerator)
+    return f"{s.numerator}/{s.denominator}"
+
+
+def format_bundle_oracle(b, pretty: bool = False) -> str:
+    """Canonical text form; with pretty=True uses a direct-sum glyph."""
+    terms = []
+    for s, m in b.parts:
+        base = "O" if s == 0 else f"O({slope_str_oracle(s)})"
+        terms.append(base if m == 1 else f"{base}^{m}")
+    return (" ⊕ " if pretty else "+").join(terms)
+
+
+def bundle_to_json_oracle(b) -> dict:
+    return {
+        "parts": [
+            {"num": s.numerator, "den": s.denominator, "mult": m} for s, m in b.parts
+        ]
+    }
+
+
+def group_factors_oracle(e) -> tuple[tuple[int, Fraction], ...]:
+    """The automorphism group of a bundle as (m, slope), one per slope class."""
+    return tuple((m, s) for s, m in e.parts)
+
+
+def group_describe_oracle(factors, ascii_mode: bool = False) -> str:
+    times = " x " if ascii_mode else " × "
+    out = []
+    for m, s in factors:
+        if s.denominator == 1:
+            out.append(f"GL_{m}")
+        elif m == 1:
+            dx = "D^x" if ascii_mode else "D^×"
+            out.append(f"{dx}_{{{slope_str_oracle(-s)}}}")
+        else:
+            out.append(f"GL_{m}(D_{{{slope_str_oracle(-s)}}})")
+    return times.join(out)
+
+
+def group_json_factors_oracle(factors) -> list[dict]:
+    return [
+        {"size": m, "inv_num": s.numerator, "inv_den": s.denominator}
+        for m, s in factors
+    ]
+
+
+def rep_describe_oracle(rep, shape, ascii_mode: bool = False) -> str:
+    """The symbol's classes as (bundle slope, members), read off the Fraction
+    classes of its stratum."""
+    slope_classes = tuple(
+        (-s, m) for (s, _), m in zip(reversed(rep.stratum.classes), rep.members)
+    )
+    boxtimes = " x " if ascii_mode else " ⊠ "
+    parts = []
+    for s, members in slope_classes:
+        labels = "+".join(shape.components[i].label for i in members)
+        parts.append(f"pi[{labels}]@{slope_str_oracle(s)}")
+    return boxtimes.join(parts)

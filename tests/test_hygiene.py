@@ -1,4 +1,5 @@
-"""Static checks on the package source: no dead imports, no dead private helpers."""
+"""Static checks on the package source: no dead imports, no dead private helpers,
+no private names imported across modules."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,17 @@ def test_no_module_imports_cli():
     ``bunncalc.cli`` from the package would run it a second time."""
     importers = [p.name for p in SRC.glob("*.py") if "bunncalc.cli" in imported_modules(parse(p))]
     assert importers == []
+
+
+def test_no_private_name_imported_across_modules():
+    """A module reads only the public names of the other package modules."""
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "bunncalc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -26,7 +26,7 @@ from bunncalc import (
 )
 from bunncalc import kottwitz
 from bunncalc.bundles import lattice_tops, slope_str
-from bunncalc.kottwitz import _dot_text
+from bunncalc.kottwitz import dot_text
 from conftest import bundle_specs, small_classes, unreachable_after
 from oracles import hasse_oracle, leq_oracle, newton_points_oracle
 
@@ -78,7 +78,7 @@ class TestConversion:
     def test_inexact_slopes_rejected(self):
         with pytest.raises(DomainError, match="not a pair of integers"):
             NewtonPoint(((0.5, 2),))
-        with pytest.raises(DomainError, match="not an exact rational"):
+        with pytest.raises(DomainError, match="not a pair of integers"):
             InnerFormGroup(((1, 0.5),))
 
 
@@ -130,7 +130,9 @@ class TestSegments:
     def test_str_renders_each_entry(self):
         for mu in small_classes():
             for p in enumerate_B(len(mu), mu):
-                want = "(" + ",".join(slope_str(s) for s in p.slope_vector()) + ")"
+                want = "(" + ",".join(
+                    slope_str(s.numerator, s.denominator) for s in p.slope_vector()
+                ) + ")"
                 assert str(p) == want, (mu, p)
 
     def test_str_renders_once_per_segment(self, monkeypatch):
@@ -141,9 +143,9 @@ class TestSegments:
             calls["new"] += 1
             return new(*args, **kwargs)
 
-        def counted_render(s):
+        def counted_render(rise, run):
             calls["render"] += 1
-            return render(s)
+            return render(rise, run)
 
         pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
         for p in pts:
@@ -185,7 +187,7 @@ class TestLatticeTops:
 
         monkeypatch.setattr(kottwitz, "lattice_tops", counted)
         pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
-        _dot_text(pts, hasse(pts), ascii_mode=False)
+        dot_text(pts, hasse(pts), ascii_mode=False)
         assert calls["tops"] == len(pts) == 122
 
 
@@ -368,5 +370,5 @@ class TestModulus:
         delta = modulus_exponents(spec)
         kappa = kappa_exponents(spec)
         assert kappa.exps == tuple(-e for e in delta.exps)
-        ranks = [m * s.denominator for m, s in automorphism_group(spec).factors]
+        ranks = [rank for _, rank in automorphism_group(spec).segments]
         assert sum(n * e for n, e in zip(ranks, delta.exps)) == 0

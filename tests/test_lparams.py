@@ -36,6 +36,14 @@ from oracles import chi_to_rep_oracle
 F = Fraction
 
 
+def bundle_slope_classes(rep):
+    """(bundle slope, members) per class: the stratum's segments negated, in reverse."""
+    return tuple(
+        (F(-rise, run), members)
+        for (rise, run), members in zip(reversed(rep.stratum.segments), rep.members)
+    )
+
+
 def multinomial(parts):
     out = factorial(sum(parts))
     for p in parts:
@@ -113,7 +121,7 @@ class TestRepAndSheaf:
         sheaf = make_F(shape, (0, 0))
         assert sheaf.stratum == bundle_to_b(parse_bundle("O^4"))
         assert sheaf.shift == 0
-        assert sheaf.rep.slope_classes == ((F(0), (0, 1)),)
+        assert bundle_slope_classes(sheaf.rep) == ((F(0), (0, 1)),)
         assert sheaf.modulus_half_exponent == F(-1, 2)
         assert sheaf.tate_twist == 0
 
@@ -121,7 +129,7 @@ class TestRepAndSheaf:
         shape = LParamShape.from_dims((4, 1))
         rep = chi_to_rep(shape, (2, 0))
         assert rep.stratum == bundle_to_b(parse_bundle("O(1/2)^2+O"))
-        assert rep.slope_classes == (
+        assert bundle_slope_classes(rep) == (
             (F(1, 2), (0,)),
             (F(0), (1,)),
         )
@@ -130,7 +138,7 @@ class TestRepAndSheaf:
     def test_equal_ratios_merge(self):
         shape = LParamShape.from_dims((2, 1))
         rep = chi_to_rep(shape, (2, 1))
-        assert rep.slope_classes == ((F(1), (0, 1)),)
+        assert bundle_slope_classes(rep) == ((F(1), (0, 1)),)
 
     @pytest.mark.parametrize("r", range(1, 4))
     def test_group_is_that_of_the_character_bundle(self, r):

@@ -232,9 +232,7 @@ class TestBoyer:
         assert f.rho_whole == 27 and f.d == 20
         assert any("26" in note for note in f.notes)
         assert not f.parabolic_proper
-        assert f.parabolic_group == automorphism_group(
-            parse_bundle(ILLUSTRATION_1["b"])
-        ).describe()
+        assert f.parabolic_group == automorphism_group(parse_bundle(ILLUSTRATION_1["b"]))
 
     def test_second_illustration(self):
         f = boyer_factorize(
@@ -289,9 +287,7 @@ class TestBoyer:
         assert f.rho_part1 + f.rho_part2 + f.d == f.rho_whole
         assert f.h >= 0
         assert f.h == rho_weight(conf["mu"]) - rho_weight(f.mu1)
-        ranks = [
-            m * s.denominator for g in f.kappa_twist_group for m, s in g.factors
-        ]
+        ranks = [rank for g in f.kappa_twist_group for _, rank in g.segments]
         assert len(ranks) == len(f.kappa_twist.exps)
         total = sum(n * e for n, e in zip(ranks, f.kappa_twist.exps))
         assert total == 0
