@@ -120,13 +120,19 @@ class BundleSpec:
 
 
 def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
-    """The bundle of segments (deg, rank) in any order: equal slopes merge."""
+    """The bundle of segments (deg, rank) in any order: equal slopes merge.
+    Its rank may not exceed the enumeration budget."""
     classes = [[segments[i] for i in group] for group in slope_groups(segments)]
-    return BundleSpec(tuple((sum(d for d, _ in c), sum(r for _, r in c)) for c in classes))
+    spec = BundleSpec(tuple((sum(d for d, _ in c), sum(r for _, r in c)) for c in classes))
+    budget = enumeration_budget()
+    if spec.rank > budget:
+        raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")
+    return spec
 
 
 def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
-    """Merge equal slopes and sort strictly decreasing."""
+    """Merge equal slopes and sort strictly decreasing; the rank may not
+    exceed the enumeration budget."""
     segments = []
     for s, m in raw:
         if m < 1:
@@ -256,11 +262,7 @@ def parse_bundle(text: str) -> BundleSpec:
         if compact[pos] != "+":
             raise ParseError(f"expected '+' at position {pos}: {compact[pos:]!r}")
         pos += 1
-    spec = merge_segments(segments)
-    budget = enumeration_budget()
-    if spec.rank > budget:
-        raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")
-    return spec
+    return merge_segments(segments)
 
 
 def format_bundle(b: BundleSpec, pretty: bool = False) -> str:

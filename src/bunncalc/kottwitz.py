@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby, islice
 from math import gcd
-from operator import le
+from operator import le, or_
 
 from .bundles import (
     BudgetError,
@@ -181,11 +181,17 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     """Covering relations (lower, upper) of the dominance order on the list.
 
     Points are ranked descending on their lattice tops, which is a linear
-    extension of dominance, and each point's strict down-set is kept as
-    a bitmask over that ranking.  Walking the down-set of u nearest first, a
-    point is covered by u exactly when it lies in the down-set of no cover of
-    u found before it (transitive reduction against a linear extension,
-    Aho-Garey-Ullman 1972).
+    extension of dominance, so only points ranked after i can lie below i.
+    Down-sets are bitmasks over that ranking, built one coordinate at a
+    time: for x = 2..n-1 the threshold mask M_x[v] holds the points whose top
+    at x is <= v (one bucket pass and a prefix OR), and down[i] is the AND
+    of M_x[tops_i[x]] over those x.  Its bits above i are the strict
+    down-set of i.  Coordinates 0 and n are equal on the list, and
+    coordinate 1 needs no mask: tops start at 0, so a point ranked after i
+    is lexicographically smaller and its top at 1 is already <= that of i.
+    Walking the down-set of u nearest first, a point is covered by u exactly
+    when it lies in the down-set of no cover of u found before it
+    (transitive reduction against a linear extension, Aho-Garey-Ullman 1972).
     """
     pts = list(points)
     if not pts:
@@ -198,21 +204,21 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     sums = [sums[i] for i in order]
     if any(a == b for a, b in zip(sums, sums[1:])):
         raise DomainError("hasse requires distinct points")
-    size = len(sums)
-    down = [0] * size
-    for i in range(size - 1, -1, -1):
-        # bottom up, so a point already known below i brings its down-set
-        # along and the points in it need no comparison
-        top, mask = sums[i], 0
-        for j in range(i + 1, size):
-            if not mask >> j & 1 and all(map(le, sums[j], top)):
-                mask |= 1 << j | down[j]
-        down[i] = mask
+    down = [(1 << len(sums)) - 1] * len(sums)
+    for column in islice(zip(*sums), 2, len(sums[0]) - 1):
+        lo = min(column)
+        masks = [0] * (max(column) - lo + 1)
+        for j, v in enumerate(column):
+            masks[v - lo] |= 1 << j
+        masks = list(accumulate(masks, or_))
+        down = [d & masks[v - lo] for d, v in zip(down, column)]
     pairs = []
-    for i, rest in enumerate(down):
+    for i, below in enumerate(down):
+        rest = below >> i + 1 << i + 1
         while rest:
             j = (rest & -rest).bit_length() - 1
             pairs.append((j, i))
+            # the bits up to j are clear, and above j down[j] is exact
             rest &= (rest - 1) & ~down[j]
     # ascending ranks = descending (lower, upper) slope vectors
     pairs.sort()

@@ -239,12 +239,14 @@ def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
     multiplicity) pairs.  ``memo`` maps each peeled remainder met so far to
     its branching; the remainder's length fixes which tail of ``blocks`` it
     meets.  A torus tail lists the weights of its remainder, each weight
-    one block per entry, from the cached Kostka table each time.
+    one block per entry, from the cached Kostka table each time; the
+    one-entry blocks (v,) are built once per call and shared by its terms.
     """
     if len(blocks) == 1:
         return (((lam,), 1),)
     if len(blocks) == len(lam):
-        return ((tuple(zip(w)), mult) for w, mult in _weights(lam, True))
+        one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
+        return ((tuple(map(one, w)), mult) for w, mult in _weights(lam, True))
     out = memo.get(lam)
     if out is None:
         a = blocks[0]

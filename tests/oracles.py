@@ -7,7 +7,8 @@ pointwise bound check.  Both paths are deliberately different from the
 library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
 branching, Hecke decomposition, eigen check, character dictionary and
 polygon dominance oracles are the library's earlier, slower
-implementations: the cubic transitive reduction, one visit per triangular
+implementations: the cubic transitive reduction and the down-sets built by
+pairwise dominance tests, one visit per triangular
 pattern, the count of triangular patterns one row length at a time,
 extraction against the whole character (once from the largest remaining
 weight, once in one walk over the block-dominant weights), a slice filter
@@ -24,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
+from operator import le
 
 from bunncalc.bundles import DomainError, normalize_bundle
 from bunncalc.kottwitz import bundle_to_b
@@ -201,6 +203,41 @@ def hasse_oracle(points):
             edges.append((pts[i], pts[j]))
     edges.sort(key=lambda e: (e[0].slope_vector(), e[1].slope_vector()), reverse=True)
     return edges
+
+
+def hasse_pairwise_oracle(points):
+    """Covering relations from down-sets built by pairwise dominance tests,
+    bottom up over a linear extension, then the same nearest-first walk."""
+    pts = list(points)
+    if not pts:
+        return []
+    sums = [p.tops for p in pts]
+    if len({(len(s), s[-1]) for s in sums}) > 1:
+        raise DomainError("hasse requires points of equal rank and endpoint")
+    order = sorted(range(len(pts)), key=sums.__getitem__, reverse=True)
+    pts = [pts[i] for i in order]
+    sums = [sums[i] for i in order]
+    if any(a == b for a, b in zip(sums, sums[1:])):
+        raise DomainError("hasse requires distinct points")
+    size = len(sums)
+    down = [0] * size
+    for i in range(size - 1, -1, -1):
+        # bottom up, so a point already known below i brings its down-set
+        # along and the points in it need no comparison
+        top, mask = sums[i], 0
+        for j in range(i + 1, size):
+            if not mask >> j & 1 and all(map(le, sums[j], top)):
+                mask |= 1 << j | down[j]
+        down[i] = mask
+    pairs = []
+    for i, rest in enumerate(down):
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            pairs.append((j, i))
+            rest &= (rest - 1) & ~down[j]
+    # ascending ranks = descending (lower, upper) slope vectors
+    pairs.sort()
+    return [(pts[j], pts[i]) for j, i in pairs]
 
 
 def _gt_weights(top):

@@ -114,6 +114,20 @@ class TestNormalize:
     def test_idempotent(self, spec):
         assert normalize_bundle(spec.parts) == spec
 
+    def test_float_slope_rank_over_budget_rejected(self):
+        # 0.1 is the binary fraction 3602879701896397/2**55
+        with pytest.raises(BudgetError, match=f"bundle rank {2**55} exceeds budget"):
+            normalize_bundle([(0.1, 1)])
+        assert normalize_bundle([(0.5, 2)]) == parse_bundle("O(1/2)^2")
+
+    def test_rank_over_budget_rejected(self, monkeypatch):
+        monkeypatch.setenv("BUNNCALC_BUDGET", "4")
+        assert normalize_bundle([(F(1, 2), 1), (F(0), 2)]).rank == 4
+        with pytest.raises(BudgetError, match="bundle rank 5 exceeds budget of 4"):
+            normalize_bundle([(F(1, 5), 1)])
+        with pytest.raises(BudgetError, match="bundle rank 5 exceeds budget of 4"):
+            bundle((1, 2, 2), (0, 1, 1))
+
     @given(bundle_specs(), bundle_specs())
     def test_rank_degree_additive(self, a, b):
         s = normalize_bundle(a.parts + b.parts)

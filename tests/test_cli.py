@@ -65,6 +65,17 @@ class TestKottwitz:
         text = dot.read_text()
         assert text.startswith("digraph") and text.count("->") == 2
 
+    def test_enum_dot_at_1690_points(self, capsys, tmp_path):
+        dot = tmp_path / "big.dot"
+        code, out, _ = run(
+            capsys, "kottwitz", "enum", "-n", "10", "--mu", "5,4,2,1,0,0,0,0,0,0",
+            "--dot", str(dot),
+        )
+        assert code == 0 and out.splitlines()[0] == "1690 points"
+        lines = dot.read_text().splitlines()
+        assert sum("[label=" in line for line in lines) == 1690
+        assert sum(" -> " in line for line in lines) == 5198
+
     def test_hasse(self, capsys):
         code, out, _ = run(capsys, "kottwitz", "hasse", "-n", "3", "--mu", "1,0,0", "--ascii")
         assert code == 0 and "2 covering edges" in out

@@ -28,7 +28,7 @@ from bunncalc import kottwitz
 from bunncalc.bundles import lattice_tops, slope_str
 from bunncalc.kottwitz import dot_text
 from conftest import bundle_specs, small_classes, unreachable_after
-from oracles import hasse_oracle, leq_oracle, newton_points_oracle
+from oracles import hasse_oracle, hasse_pairwise_oracle, leq_oracle, newton_points_oracle
 
 F = Fraction
 
@@ -321,6 +321,38 @@ class TestHasse:
             for _ in range(3):
                 rng.shuffle(pts)
                 assert hasse(pts) == edges
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pairwise_oracle(self, n):
+        for mu in mus(n):
+            pts = enumerate_B(n, mu)
+            assert hasse(pts) == hasse_pairwise_oracle(pts), mu
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shuffled_sublists_match_oracles(self, n):
+        # sub-lists are not down-sets: a cover there may skip points of B(mu)
+        rng = random.Random(n)
+        for mu in mus(n):
+            pts = enumerate_B(n, mu)
+            for _ in range(2):
+                sub = rng.sample(pts, rng.randint(1, len(pts)))
+                edges = hasse(sub)
+                assert edges == hasse_pairwise_oracle(sub), mu
+                if len(sub) <= 20:
+                    assert edges == hasse_oracle(sub), mu
+
+    def test_1690_points_match_pairwise_oracle(self):
+        pts = enumerate_B(10, (5, 4, 2, 1) + (0,) * 6)
+        edges = hasse(pts)
+        assert (len(pts), len(edges)) == (1690, 5198)
+        assert edges == hasse_pairwise_oracle(pts)
+
+    def test_8739_points_graded_by_one(self):
+        pts = enumerate_B(14, (5, 4, 2, 1) + (0,) * 10)
+        edges = hasse(pts)
+        assert (len(pts), len(edges)) == (8739, 31221)
+        grades = {p: grade(p) for p in pts}
+        assert all(grades[hi] - grades[lo] == 1 for lo, hi in edges)
 
     def test_mixed_endpoints_rejected(self):
         with pytest.raises(DomainError):

@@ -184,6 +184,13 @@ class TestKostkaTable:
             want = tuple((tuple(zip(w)), m) for w, m in reversed(rows.items()))
             assert levi_branching(n, lam_s, (1,) * n) == want
 
+    @pytest.mark.parametrize("lam", [(4, 2, 1, 0, 0), (2, 1, 0, -1, -2)])
+    def test_torus_terms_share_their_one_entry_blocks(self, lam):
+        levi_branching.cache_clear()
+        terms = levi_branching(5, lam, (1,) * 5)
+        blocks = {id(b) for ws, _ in terms for b in ws}
+        assert len(blocks) <= lam[0] - lam[-1] + 1
+
     def test_table_holds_the_dominated_partitions(self):
         for n, lam in table_weights():
             size = sum(lam)
