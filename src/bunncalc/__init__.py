@@ -42,7 +42,6 @@ _EXPORTS = {
     ),
     "lparams": (
         "Character",
-        "Component",
         "LParamShape",
         "RepSymbol",
         "SheafSymbol",

@@ -192,10 +192,17 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     Walking the down-set of u nearest first, a point is covered by u exactly
     when it lies in the down-set of no cover of u found before it
     (transitive reduction against a linear extension, Aho-Garey-Ullman 1972).
+    The P^2 bits of down-sets are charged to the budget in kibibits before
+    any mask is built.
     """
     pts = list(points)
     if not pts:
         return []
+    kibibits = len(pts) ** 2 // 1024
+    if kibibits:
+        budget = enumeration_budget()
+        if kibibits > budget:
+            raise BudgetError(f"{kibibits} kibibits of down-set masks exceed budget of {budget}")
     sums = [p.tops for p in pts]
     if len({(len(s), s[-1]) for s in sums}) > 1:
         raise DomainError("hasse requires points of equal rank and endpoint")

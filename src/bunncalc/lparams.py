@@ -50,57 +50,50 @@ def chi_inv(a: Character) -> Character:
 
 
 @dataclass(frozen=True)
-class Component:
-    label: str
-    dim: int
-    torsion: int = 1
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"component dimension must be >= 1, got {self.dim}")
-        if self.torsion < 1:
-            raise DomainError(f"torsion number must be >= 1, got {self.torsion}")
-
-
-@dataclass(frozen=True)
 class LParamShape:
-    components: tuple[Component, ...]
+    """r pairwise-distinct components as three columns: position i of dims,
+    labels and torsion is component i."""
+
+    dims: tuple[int, ...]
+    labels: tuple[str, ...]
+    torsion: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.components:
+        r = len(self.dims)
+        if not len(self.labels) == len(self.torsion) == r:
+            raise DomainError(f"{r} dims need as many labels and torsion numbers")
+        if not r:
             raise DomainError("parameter shape needs at least one component")
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
+        for dim, k, label in zip(self.dims, self.torsion, self.labels):
+            for what, v in (("component dimension", dim), ("torsion number", k)):
+                if not isinstance(v, int):
+                    raise DomainError(f"{what} {v!r} is not an integer")
+                if v < 1:
+                    raise DomainError(f"{what} must be >= 1, got {v}")
+            if not isinstance(label, str):
+                raise DomainError(f"component label {label!r} is not a string")
+        if len(set(self.labels)) != r:
             raise DomainError("component labels must be pairwise distinct")
-        if self.n > enumeration_budget():
-            raise BudgetError(f"shape rank {self.n} exceeds budget of {enumeration_budget()}")
+        budget = enumeration_budget()
+        if self.n > budget:
+            raise BudgetError(f"shape rank {self.n} exceeds budget of {budget}")
 
     @classmethod
     def from_dims(cls, dims, labels=None, torsion=None) -> "LParamShape":
         dims = tuple(as_int(d, "dimension") for d in dims)
         if labels is None:
-            labels = tuple(f"phi{i + 1}" for i in range(len(dims)))
+            labels = (f"phi{i + 1}" for i in range(len(dims)))
         if torsion is None:
             torsion = (1,) * len(dims)
-        if not len(labels) == len(torsion) == len(dims):
-            raise DomainError(f"{len(dims)} dims need as many labels and torsion numbers")
-        comps = tuple(
-            Component(label=l, dim=d, torsion=k)
-            for l, d, k in zip(labels, dims, torsion)
-        )
-        return cls(comps)
+        return cls(dims, tuple(labels), tuple(as_int(k, "torsion number") for k in torsion))
 
     @property
     def r(self) -> int:
-        return len(self.components)
+        return len(self.dims)
 
     @property
     def n(self) -> int:
-        return sum(c.dim for c in self.components)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
+        return sum(self.dims)
 
     def check_chi(self, chi: Character) -> Character:
         chi = tuple(as_int(x, "character entry") for x in chi)
@@ -112,7 +105,7 @@ class LParamShape:
 
 
 def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
-    """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
+    """The i-th component contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
     return b_to_bundle(chi_to_rep(shape, chi).stratum)
 
 
@@ -137,7 +130,7 @@ class RepSymbol:
         boxtimes = " x " if ascii_mode else " ⊠ "
         parts = []
         for (rise, run), members in zip(reversed(self.stratum.segments), self.members):
-            labels = "+".join(shape.components[i].label for i in members)
+            labels = "+".join(shape.labels[i] for i in members)
             parts.append(f"pi[{labels}]@{slope_str(-rise, run)}")
         return boxtimes.join(parts)
 
@@ -148,7 +141,7 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     chi = shape.check_chi(chi)
     classes = slope_groups(tuple(zip(chi, shape.dims)))
     segments = tuple(
-        (-sum(chi[i] for i in members), sum(shape.components[i].dim for i in members))
+        (-sum(chi[i] for i in members), sum(shape.dims[i] for i in members))
         for members in reversed(classes)
     )
     return RepSymbol(
@@ -188,7 +181,7 @@ def character_of_rep(shape: LParamShape, rep: RepSymbol) -> Character:
             if i in seen or not 0 <= i < shape.r:
                 raise DomainError("invalid component partition in representation symbol")
             seen.add(i)
-            chi[i], frac = divmod(-rise * shape.components[i].dim, run)
+            chi[i], frac = divmod(-rise * shape.dims[i], run)
             if frac:
                 slope = slope_str(-rise, run)
                 raise DomainError(f"slope {slope} is not integral on component {i + 1}")
@@ -215,7 +208,7 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     if b.rank != shape.n:
         raise DomainError(f"rank mismatch: point has {b.rank}, shape has {shape.n}")
     segments = tuple(reversed(b.segments))
-    order = sorted(range(shape.r), key=lambda i: -shape.components[i].dim)
+    order = sorted(range(shape.r), key=lambda i: -shape.dims[i])
     budget = enumeration_budget()
 
     out: list[Character] = []
@@ -230,7 +223,7 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
                 placed = dict(zip(order, chi))
                 out.append(tuple(placed[i] for i in range(shape.r)))
             continue
-        ni = shape.components[order[len(chi)]].dim
+        ni = shape.dims[order[len(chi)]]
         for cls, (rise, run) in enumerate(segments):
             if rise * ni % run == 0 and remaining[cls] >= ni:
                 # every character is a pushed node, so this also bounds the output
@@ -255,7 +248,7 @@ class ComponentShape:
 def component_shape(shape: LParamShape) -> ComponentShape:
     """Connected-component description: a trivially-acted torus quotient."""
     r = shape.r
-    torsion = tuple(c.torsion for c in shape.components)
+    torsion = shape.torsion
     if r == 1:
         coords = f"t^{torsion[0]}" if torsion[0] != 1 else "t"
     else:

@@ -144,44 +144,31 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
     condition named.
     """
     n, mu, (eb1, eb2), (ebp1, ebp2) = _boyer_conditions(eb, ebp, mu, m)
+    source, target = (eb, eb1, eb2), (ebp, ebp1, ebp2)
+    # (direction, side defining d, other side, mu1, mu2, (condition, reason)s)
+    variants = (
+        ("source-parabolic", target, source, mu[:m], mu[m:], (
+            (ebp1.deg == eb1.deg + sum(mu[:m]),
+             f"target top part degree {ebp1.deg} != source top degree {eb1.deg} "
+             f"+ head of mu {sum(mu[:m])}"),
+            (not _cuts_class(ebp1, ebp2),
+             "target-side split is not strict (slope repeats across it)"),
+        )),
+        ("target-parabolic", source, target, (0,) * m, mu[: n - m], (
+            (all(x == 0 for x in mu[n - m :]), "tail of mu is not zero"),
+            (ebp1 == eb1, "top parts are not isomorphic"),
+            (not _cuts_class(eb1, eb2),
+             "source-side split is not strict (slope repeats across it)"),
+        )),
+    )
     reasons = []
-
-    # source-parabolic variant: strict split on the target side
-    deg_ok = ebp1.deg == eb1.deg + sum(mu[:m])
-    strict_ok = not _cuts_class(ebp1, ebp2)
-    if deg_ok and strict_ok:
-        mu1, mu2 = mu[:m], mu[m:]
-        whole, p1, p2 = ebp, ebp1, ebp2
-        direction = "source-parabolic"
-        proper = _cuts_class(eb1, eb2)
-        parabolic_group = automorphism_group(eb)
-        levi = (automorphism_group(eb1), automorphism_group(eb2))
+    for direction, (whole, p1, p2), (other, o1, o2), mu1, mu2, conditions in variants:
+        failed = [reason for ok, reason in conditions if not ok]
+        if not failed:
+            break
+        reasons += failed
     else:
-        if not deg_ok:
-            reasons.append(
-                f"target top part degree {ebp1.deg} != source top degree {eb1.deg} "
-                f"+ head of mu {sum(mu[:m])}"
-            )
-        if not strict_ok:
-            reasons.append("target-side split is not strict (slope repeats across it)")
-        tail_ok = all(x == 0 for x in mu[n - m :])
-        iso_ok = ebp1 == eb1
-        strict_b_ok = not _cuts_class(eb1, eb2)
-        if tail_ok and iso_ok and strict_b_ok:
-            mu1, mu2 = (0,) * m, mu[: n - m]
-            whole, p1, p2 = eb, eb1, eb2
-            direction = "target-parabolic"
-            proper = _cuts_class(ebp1, ebp2)
-            parabolic_group = automorphism_group(ebp)
-            levi = (automorphism_group(ebp1), automorphism_group(ebp2))
-        else:
-            if not tail_ok:
-                reasons.append("tail of mu is not zero")
-            if not iso_ok:
-                reasons.append("top parts are not isomorphic")
-            if not strict_b_ok:
-                reasons.append("source-side split is not strict (slope repeats across it)")
-            raise DomainError("no applicable factorization: " + "; ".join(reasons))
+        raise DomainError("no applicable factorization: " + "; ".join(reasons))
 
     rho_whole, rho_p1, rho_p2 = (segment_pairing(e.segments) for e in (whole, p1, p2))
     d = rho_whole - rho_p1 - rho_p2
@@ -199,9 +186,9 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
         bp2=bundle_to_b(ebp2),
         mu1=tuple(mu1),
         mu2=tuple(mu2),
-        parabolic_group=parabolic_group,
-        parabolic_proper=proper,
-        levi=levi,
+        parabolic_group=automorphism_group(other),
+        parabolic_proper=_cuts_class(o1, o2),
+        levi=(automorphism_group(o1), automorphism_group(o2)),
         g_source=automorphism_group(eb),
         g_target=automorphism_group(ebp),
         d=d,

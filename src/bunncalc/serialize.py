@@ -99,8 +99,8 @@ def weil_json(sym: WeilSymbol, dual: bool = False) -> dict:
 def shape_json(shape: LParamShape) -> dict:
     return {
         "components": [
-            {"label": c.label, "dim": c.dim, "torsion": c.torsion}
-            for c in shape.components
+            {"label": label, "dim": dim, "torsion": k}
+            for label, dim, k in zip(shape.labels, shape.dims, shape.torsion)
         ]
     }
 

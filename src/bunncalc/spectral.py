@@ -75,9 +75,8 @@ def _slices(shape: LParamShape, lam) -> list[tuple[Character, WeilSymbol]]:
     slices: dict[Character, list] = {}
     for ws, mult in levi_branching(shape.n, lam, shape.dims):
         slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
-    labels = tuple(c.label for c in shape.components)
     return [
-        (chi, WeilSymbol(blocks=shape.dims, labels=labels, terms=tuple(slices[chi])))
+        (chi, WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=tuple(slices[chi])))
         for chi in sorted(slices, reverse=True)
     ]
 

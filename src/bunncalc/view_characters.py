@@ -58,7 +58,7 @@ def cmd_shape(args):
             "schema": ser.SCHEMA,
             "shape": ser.shape_json(shape),
             "r": shape.r,
-            "torsion": [c.torsion for c in shape.components],
+            "torsion": list(shape.torsion),
             "stack": desc.stack,
             "closed_point_law": desc.closed_point_law,
         }

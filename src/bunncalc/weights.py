@@ -380,11 +380,7 @@ def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
         for ws, mult in levi_branching(shape.n, lam, shape.dims)
         if all(sum(w) == d for w, d in zip(ws, chi))
     ]
-    return WeilSymbol(
-        blocks=shape.dims,
-        labels=tuple(c.label for c in shape.components),
-        terms=tuple(terms),
-    )
+    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=tuple(terms))
 
 
 def dualize_symbol(sym: WeilSymbol) -> WeilSymbol:

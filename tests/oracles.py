@@ -480,9 +480,9 @@ def chi_to_bundle_oracle(shape, chi):
     """Component i contributes O(d_i/n_i) with multiplicity gcd(d_i, n_i)."""
     chi = shape.check_chi(chi)
     parts = []
-    for d, comp in zip(chi, shape.components):
-        g = gcd(abs(d), comp.dim) if d != 0 else comp.dim
-        parts.append((Fraction(d, comp.dim), g))
+    for d, dim in zip(chi, shape.dims):
+        g = gcd(abs(d), dim) if d != 0 else dim
+        parts.append((Fraction(d, dim), g))
     return normalize_bundle(parts)
 
 
@@ -491,8 +491,8 @@ def chi_to_rep_oracle(shape, chi):
     chi = shape.check_chi(chi)
     e = chi_to_bundle_oracle(shape, chi)
     fibers: dict[Fraction, set[int]] = {}
-    for i, (d, comp) in enumerate(zip(chi, shape.components)):
-        fibers.setdefault(Fraction(d, comp.dim), set()).add(i)
+    for i, (d, dim) in enumerate(zip(chi, shape.dims)):
+        fibers.setdefault(Fraction(d, dim), set()).add(i)
     members = tuple(tuple(sorted(fibers[s])) for s in sorted(fibers, reverse=True))
     return RepSymbol(stratum=bundle_to_b(e), members=members)
 
@@ -636,6 +636,6 @@ def rep_describe_oracle(rep, shape, ascii_mode: bool = False) -> str:
     boxtimes = " x " if ascii_mode else " ⊠ "
     parts = []
     for s, members in slope_classes:
-        labels = "+".join(shape.components[i].label for i in members)
+        labels = "+".join(shape.labels[i] for i in members)
         parts.append(f"pi[{labels}]@{slope_str_oracle(s)}")
     return boxtimes.join(parts)

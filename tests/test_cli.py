@@ -356,7 +356,7 @@ class TestDispatch:
 # today's package exports, each resolved lazily from its submodule
 EXPORTS = [
     "BoyerFactorization", "BudgetError", "BundleSpec", "Character", "CharacterExponents",
-    "CohomologyOutput", "Component", "DomainError", "EigensheafStalk", "HeckeDecomposition",
+    "CohomologyOutput", "DomainError", "EigensheafStalk", "HeckeDecomposition",
     "IgusaOutput", "InnerFormGroup", "LParamShape", "NewtonPoint", "ParseError", "RepSymbol",
     "SheafSymbol", "Slope", "WeilSymbol", "automorphism_group", "b_to_bundle", "b_to_chis",
     "boyer_factorize", "bundle", "bundle_to_b", "chi_id", "chi_inv", "chi_mul", "chi_to_bundle",
@@ -454,6 +454,8 @@ class TestBudgetEnv:
             # the root alone has 1000001 completable children: the first
             # segments rising 1000001..2000000 and the chord to (2, 2000000)
             (("kottwitz", "enum", "-n", "2", "--mu", "2000000,0"), "1000001 search nodes"),
+            # 84335 points pass the search budget; their down-sets are refused
+            (("kottwitz", "hasse", "-n", "3", "--mu", "1000,0,0"), "6945695 kibibits"),
         ],
     )
     def test_oversized_work_fails_before_it_starts(self, capsys, argv, quantity):

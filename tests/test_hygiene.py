@@ -94,3 +94,35 @@ def test_no_private_name_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def budget_reads(node: ast.AST, in_loop: bool = False):
+    """in_loop for every ``enumeration_budget()`` call in the body of node,
+    not counting the bodies of the functions and classes it defines."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, SCOPES):
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "enumeration_budget":
+                yield in_loop
+        yield from budget_reads(child, in_loop or isinstance(child, LOOPS))
+
+
+def test_budget_read_once_per_function():
+    """Each read parses the environment, so a function reads it once, outside
+    any loop, and keeps the value."""
+    offenders = [
+        f"{path.name}:{node.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for reads in [list(budget_reads(node))]
+        if len(reads) > 1 or any(reads)
+    ]
+    assert offenders == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from bunncalc import (
+    BudgetError,
     DomainError,
     InnerFormGroup,
     NewtonPoint,
@@ -357,6 +359,38 @@ class TestHasse:
     def test_mixed_endpoints_rejected(self):
         with pytest.raises(DomainError):
             hasse(enumerate_B(2, (1, 0)) + enumerate_B(2, (2, 0)))
+
+    def test_mask_charge_meets_budget(self, monkeypatch):
+        # 64 points hold 64^2 bits of down-sets: 4 kibibits
+        pts = enumerate_B(3, (22, 0, 0))
+        assert len(pts) == 64
+        monkeypatch.setenv("BUNNCALC_BUDGET", "4")
+        assert hasse(pts) == hasse_pairwise_oracle(pts)
+        monkeypatch.setenv("BUNNCALC_BUDGET", "3")
+        with pytest.raises(BudgetError, match="4 kibibits of down-set masks exceed budget of 3"):
+            hasse(pts)
+
+    def test_small_lists_read_no_budget(self, monkeypatch):
+        # below 32 points the charge is 0, so the unreadable budget is never read
+        small, large = enumerate_B(3, (13, 0, 0)), enumerate_B(3, (14, 0, 0))
+        assert (len(small), len(large)) == (29, 32)
+        monkeypatch.setenv("BUNNCALC_BUDGET", "soon")
+        assert hasse(small) == hasse_pairwise_oracle(small)
+        with pytest.raises(BudgetError, match="not an integer"):
+            hasse(large)
+
+    def test_oversized_class_refused_before_masks(self, monkeypatch):
+        monkeypatch.delenv("BUNNCALC_BUDGET", raising=False)
+        pts = enumerate_B(3, (1000, 0, 0))
+        # the masks of one coordinate alone would take about 10 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="6945695 kibibits .* budget of 1000000"):
+                hasse(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pts) == 84335 and peak < 1_000_000
 
     def test_duplicate_points_rejected(self):
         pts = enumerate_B(3, (1, 0, 0))

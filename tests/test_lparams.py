@@ -23,7 +23,6 @@ from bunncalc import (
     point_from_vector,
 )
 from bunncalc.lparams import (
-    Component,
     LParamShape,
     RepSymbol,
     SheafSymbol,
@@ -54,12 +53,12 @@ def multinomial(parts):
 class TestShape:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DomainError):
-            LParamShape((Component("a", 1), Component("a", 2)))
+            LParamShape.from_dims((1, 2), labels=("a", "a"))
 
     def test_from_dims(self):
         shape = LParamShape.from_dims((4, 1))
         assert shape.n == 5 and shape.r == 2
-        assert [c.label for c in shape.components] == ["phi1", "phi2"]
+        assert shape.labels == ("phi1", "phi2")
 
     @pytest.mark.parametrize(
         "labels,torsion",
@@ -68,6 +67,37 @@ class TestShape:
     def test_from_dims_length_mismatch_rejected(self, labels, torsion):
         with pytest.raises(DomainError, match="2 dims"):
             LParamShape.from_dims((2, 3), labels=labels, torsion=torsion)
+
+    def test_columns(self):
+        shape = LParamShape.from_dims([2, 1], labels=["a", "b"], torsion=[3, 1])
+        assert shape == LParamShape((2, 1), ("a", "b"), (3, 1))
+        assert (shape.dims, shape.labels, shape.torsion) == ((2, 1), ("a", "b"), (3, 1))
+
+    def test_fractional_dim_rejected(self):
+        # a rank of 2.5 would reach make_F as a TypeError
+        with pytest.raises(DomainError, match="component dimension 1.5 is not an integer"):
+            LParamShape((1.5, 1), ("a", "b"), (1, 1))
+
+    def test_non_string_labels_rejected(self):
+        # describe would join them with a TypeError
+        with pytest.raises(DomainError, match="component label 1 is not a string"):
+            LParamShape.from_dims((1, 2), labels=(1, 2))
+
+    @pytest.mark.parametrize("torsion", [(1.5,), ("2",)])
+    def test_non_integer_torsion_rejected(self, torsion):
+        with pytest.raises(DomainError, match="torsion number"):
+            LParamShape.from_dims((1,), torsion=torsion)
+        with pytest.raises(DomainError, match="torsion number .* is not an integer"):
+            LParamShape((1,), ("a",), torsion)
+
+    @pytest.mark.parametrize("dims,torsion", [((0,), (1,)), ((1,), (0,))])
+    def test_values_below_one_rejected(self, dims, torsion):
+        with pytest.raises(DomainError, match="must be >= 1, got 0"):
+            LParamShape(dims, ("a",), torsion)
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(DomainError, match="at least one component"):
+            LParamShape((), (), ())
 
 
 class TestChiToBundle:
