@@ -4,7 +4,7 @@ optionally write their DOT digraphs."""
 
 import argparse
 
-from bunncalc import d_point, dot_export, enumerate_B, hasse
+from bunncalc import ascii_text, d_point, dot_export, enumerate_B, hasse
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
         if args.dot_dir:
             path = f"{args.dot_dir}/poset_n{n}_{'_'.join(map(str, mu))}.dot"
             with open(path, "w") as fh:
-                fh.write(dot_export(pts, ascii_mode=True))
+                fh.write(ascii_text(dot_export(pts)))
             print(f"  wrote {path}")
         print()
 

@@ -15,6 +15,7 @@ _EXPORTS = {
         "DomainError",
         "ParseError",
         "Slope",
+        "ascii_text",
         "bundle",
         "format_bundle",
         "hn_polygon",

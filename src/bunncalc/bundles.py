@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
+from numbers import Number
 from typing import Iterable, Sequence
 
 Slope = Fraction
@@ -158,10 +159,14 @@ def hn_polygon(b: BundleSpec) -> tuple[tuple[int, int], ...]:
 
 
 def as_int(x, what: str) -> int:
-    """x as an int; a value with a fractional part is rejected, not truncated."""
-    if x != int(x):
-        raise DomainError(f"{what} {x} is not an integer")
-    return int(x)
+    """x as an int; a value with a fractional part is rejected, not truncated,
+    and so are a string and any value int() refuses, named by its repr."""
+    try:
+        if not isinstance(x, str) and x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} {x if isinstance(x, Number) else repr(x)} is not an integer")
 
 
 def lattice_tops(segments: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -266,13 +271,23 @@ def parse_bundle(text: str) -> BundleSpec:
 
 
 def format_bundle(b: BundleSpec, pretty: bool = False) -> str:
-    """Canonical text form; with pretty=True uses a direct-sum glyph."""
+    """Canonical grammar form; pretty=True gives the display form, joined by " ⊕ "."""
     terms = []
     for deg, rank in b.segments:
         m = gcd(deg, rank)
         base = "O" if deg == 0 else f"O({slope_str(deg, rank)})"
         terms.append(base if m == 1 else f"{base}^{m}")
     return (" ⊕ " if pretty else "+").join(terms)
+
+
+# the ASCII spelling of every math glyph the renderers draw
+_ASCII = str.maketrans({"ν": "nu", "κ": "kappa", "χ": "chi", "×": "x", "⊠": "x", "⊗": "(x)",
+                        "⊕": "+", "∨": "^v", "·": "*", "Λ": "Lam"})
+
+
+def ascii_text(text: str) -> str:
+    """text with each math glyph spelled in ASCII: the ``--ascii`` form."""
+    return text.translate(_ASCII)
 
 
 def bundle_to_json(b: BundleSpec) -> dict:

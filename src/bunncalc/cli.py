@@ -5,7 +5,8 @@ named), 2 parse/usage error, including an output path that cannot be
 written, 141 (128 + SIGPIPE) when the reader closes stdout before the output
 ends, as in ``bunncalc ... | head -1``; that case writes nothing to stderr.
 Output is deterministic for fixed inputs; ``--json`` switches to
-the machine schema, ``--ascii`` replaces the math glyphs.
+the machine schema, ``--ascii`` runs the text lines (and a ``--dot`` file)
+through the one glyph table, ``bundles.ascii_text``.
 
 Each command is one function in the ``view_*`` module of its layer.  It
 computes its result once and returns only the view asked for: the JSON

@@ -84,10 +84,9 @@ def d_point(b: NewtonPoint) -> int:
     return segment_pairing(b.segments)
 
 
-def point_label(b: NewtonPoint, ascii_mode: bool = False) -> str:
+def point_label(b: NewtonPoint) -> str:
     """The point's slope vector, endpoint invariant and pairing value."""
-    nu, ka = ("nu", "kappa") if ascii_mode else ("ν", "κ")
-    return f"{nu}={b} {ka}={b.kappa} d={d_point(b)}"
+    return f"ν={b} κ={b.kappa} d={d_point(b)}"
 
 
 def point_from_vector(vec) -> NewtonPoint:
@@ -142,9 +141,7 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     if any(a < b for a, b in zip(mu, mu[1:])):
         raise DomainError("mu must be weakly decreasing (dominant)")
     total = sum(mu)
-    prefix = [0]
-    for x in mu:
-        prefix.append(prefix[-1] + x)
+    prefix = list(accumulate(mu, initial=0))
     budget = enumeration_budget()
 
     results: list[NewtonPoint] = []
@@ -232,21 +229,21 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
     return [(pts[j], pts[i]) for j, i in pairs]
 
 
-def dot_export(points, ascii_mode: bool = False) -> str:
+def dot_export(points) -> str:
     """DOT digraph of the covering relations; node labels carry the slope
     vector, the endpoint invariant, and the pairing value."""
     pts = list(points)
-    return dot_text(pts, hasse(pts), ascii_mode)
+    return dot_text(pts, hasse(pts))
 
 
-def dot_text(points, edges, ascii_mode: bool) -> str:
+def dot_text(points, edges) -> str:
     """dot_export's rendering, given the covering edges of the points."""
     # lattice tops order lexicographically as the slope vectors do
     pts = sorted(points, key=lambda p: p.tops, reverse=True)
     names = {p: f"b{i}" for i, p in enumerate(pts)}
     lines = ["digraph kottwitz {"]
     for p in pts:
-        lines.append(f'  {names[p]} [label="{point_label(p, ascii_mode)}"];')
+        lines.append(f'  {names[p]} [label="{point_label(p)}"];')
     for lo, hi in edges:
         lines.append(f"  {names[lo]} -> {names[hi]};")
     lines.append("}")
@@ -271,19 +268,17 @@ class InnerFormGroup:
     def __str__(self) -> str:
         return self.describe()
 
-    def describe(self, ascii_mode: bool = False) -> str:
-        times = " x " if ascii_mode else " × "
+    def describe(self) -> str:
         out = []
         for deg, rank in self.segments:
             m = gcd(deg, rank)
             if m == rank:
                 out.append(f"GL_{m}")
             elif m == 1:
-                dx = "D^x" if ascii_mode else "D^×"
-                out.append(f"{dx}_{{{slope_str(-deg, rank)}}}")
+                out.append(f"D^×_{{{slope_str(-deg, rank)}}}")
             else:
                 out.append(f"GL_{m}(D_{{{slope_str(-deg, rank)}}})")
-        return times.join(out)
+        return " × ".join(out)
 
 
 def automorphism_group(e: BundleSpec) -> InnerFormGroup:

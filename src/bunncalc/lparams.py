@@ -59,6 +59,8 @@ class LParamShape:
     torsion: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, tuple) for c in (self.dims, self.labels, self.torsion)):
+            raise DomainError("dims, labels and torsion must be tuples")
         r = len(self.dims)
         if not len(self.labels) == len(self.torsion) == r:
             raise DomainError(f"{r} dims need as many labels and torsion numbers")
@@ -126,13 +128,12 @@ class RepSymbol:
         """The automorphism group J_b of the stratum's bundle."""
         return automorphism_group(b_to_bundle(self.stratum))
 
-    def describe(self, shape: LParamShape, ascii_mode: bool = False) -> str:
-        boxtimes = " x " if ascii_mode else " ⊠ "
+    def describe(self, shape: LParamShape) -> str:
         parts = []
         for (rise, run), members in zip(reversed(self.stratum.segments), self.members):
             labels = "+".join(shape.labels[i] for i in members)
             parts.append(f"pi[{labels}]@{slope_str(-rise, run)}")
-        return boxtimes.join(parts)
+        return " ⊠ ".join(parts)
 
 
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
@@ -248,19 +249,9 @@ class ComponentShape:
 def component_shape(shape: LParamShape) -> ComponentShape:
     """Connected-component description: a trivially-acted torus quotient."""
     r = shape.r
-    torsion = shape.torsion
-    if r == 1:
-        coords = f"t^{torsion[0]}" if torsion[0] != 1 else "t"
-    else:
-        coords = (
-            "("
-            + ", ".join(
-                f"t_{i + 1}^{k}" if k != 1 else f"t_{i + 1}"
-                for i, k in enumerate(torsion)
-            )
-            + ")"
-        )
+    names = ["t"] if r == 1 else [f"t_{i + 1}" for i in range(r)]
+    coords = ", ".join(t if k == 1 else f"{t}^{k}" for t, k in zip(names, shape.torsion))
     return ComponentShape(
         stack=f"[G_m^{r}/G_m^{r}]" if r > 1 else "[G_m/G_m]",
-        closed_point_law=coords,
+        closed_point_law=coords if r == 1 else f"({coords})",
     )

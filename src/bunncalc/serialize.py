@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .bundles import BundleSpec, bundle_to_json, format_bundle, hn_polygon
+from .bundles import BundleSpec, ascii_text, bundle_to_json, format_bundle, hn_polygon
 from .kottwitz import CharacterExponents, InnerFormGroup, NewtonPoint, d_point, parabolic_type
 
 if TYPE_CHECKING:
@@ -53,7 +53,7 @@ def group_json(g: InnerFormGroup) -> dict:
     factors = [(deg, rank, gcd(deg, rank)) for deg, rank in g.segments]
     return {
         "factors": [{"size": m, "inv_num": d // m, "inv_den": r // m} for d, r, m in factors],
-        "display": g.describe(ascii_mode=True),
+        "display": ascii_text(g.describe()),
     }
 
 
@@ -92,7 +92,7 @@ def weil_json(sym: WeilSymbol, dual: bool = False) -> dict:
         ],
         "dim": sym.dim,
         "dual": dual,
-        "display": sym.describe(ascii_mode=True, dual=dual),
+        "display": ascii_text(sym.describe(dual)),
     }
 
 

@@ -7,7 +7,7 @@ from . import serialize as ser
 from .bundles import bundle_to_json, format_bundle, parse_bundle
 from .kottwitz import bundle_to_b, point_label
 from .lparams import LParamShape, b_to_chis, chi_to_bundle, component_shape, make_F
-from .view_strata import bundle_invariants, ints
+from .view_strata import bundle_invariants, ints, text
 
 
 def shape_of(args) -> LParamShape:
@@ -28,12 +28,12 @@ def cmd_chi_to_b(args):
             "bundle": ser.bundle_report_json(e, bundle_invariants(e)),
             "sheaf": ser.sheaf_json(sheaf),
         }
-    return [
+    return text(args, [
         f"bundle: {format_bundle(e, pretty=not args.ascii)}",
-        point_label(sheaf.stratum, args.ascii),
+        point_label(sheaf.stratum),
         f"sheaf shift: {sheaf.shift}",
-        f"rep: {sheaf.rep.describe(shape, args.ascii)}",
-    ]
+        f"rep: {sheaf.rep.describe(shape)}",
+    ])
 
 
 def cmd_b_to_chis(args):

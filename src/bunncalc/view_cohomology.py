@@ -7,8 +7,7 @@ from .bundles import parse_bundle
 from .kottwitz import bundle_to_b
 from .shtuka import harris_viehmann, igusa_cohomology, mantovan_pieces, shtuka_cohomology
 from .view_characters import shape_of
-from .view_spectral import glyphs
-from .view_strata import ints
+from .view_strata import ints, text
 from .weights import dual_weight
 
 
@@ -35,16 +34,14 @@ def _cohomology_view(args, shape, out):
         return ser.cohomology_json(out)
     lines = [f"direction: {out.direction}", f"{len(out.pieces)} pieces"]
     for p in out.pieces:
-        sigma = p.sigma.describe(args.ascii, dual=p.sigma_dual)
         lines.append(
-            f"rep {p.rep.describe(shape, args.ascii)}  sigma {sigma}"
+            f"rep {p.rep.describe(shape)}  sigma {p.sigma.describe(p.sigma_dual)}"
             f"  shift {p.shift}  tate {p.tate}"
         )
         if p.induction:
             lines.append(f"  induced: {p.induction}")
     lines += [f"ledger: {name} = {val}" for name, val in out.twist_ledger]
-    lines += [f"note: {n}" for n in out.notes]
-    return lines
+    return text(args, lines + [f"note: {n}" for n in out.notes])
 
 
 def cmd_igusa(args):
@@ -75,12 +72,11 @@ def cmd_igusa(args):
                 "display": mp.text,
             },
         }
-    nu, chi = glyphs(args)
     lines = [
-        f"stratum {nu}={out.stratum}, middle degree {out.degree}",
+        f"stratum ν={out.stratum}, middle degree {out.degree}",
         f"{out.count} pieces, each {out.multiplicity_symbol} * (half-modulus twist) "
         f"x {out.similitude_symbol}",
     ]
-    lines += [f"{chi}={tuple(c)}: {rep.describe(shape, args.ascii)}" for c, rep in out.pieces]
+    lines += [f"χ={tuple(c)}: {rep.describe(shape)}" for c, rep in out.pieces]
     lines.append(f"graded piece: {mp.text}")
-    return lines + [f"note: {n}" for n in out.notes]
+    return text(args, lines + [f"note: {n}" for n in out.notes])

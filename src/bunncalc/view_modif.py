@@ -7,7 +7,7 @@ from . import serialize as ser
 from .bundles import bundle_to_json, format_bundle, parse_bundle
 from .kottwitz import b_to_bundle
 from .modif import boyer_factorize, modification_necessary, modification_targets_rank_one
-from .view_strata import ints
+from .view_strata import ints, text
 
 
 def cmd_boyer(args):
@@ -42,16 +42,17 @@ def cmd_boyer(args):
             "kappa_twist_group": [ser.group_json(g) for g in f.kappa_twist_group],
             "notes": list(f.notes),
         }
+    levi = " × ".join(g.describe() for g in f.levi)
+    g_source, g_target, levi = text(args, [f.g_source.describe(), f.g_target.describe(), levi])
     lines = [
         f"direction: {f.direction}",
         f"split rank {f.split_rank}: mu1={f.mu1} mu2={f.mu2}",
         f"source parts: {b_to_bundle(f.b1)} / {b_to_bundle(f.b2)}",
         f"target parts: {b_to_bundle(f.bp1)} / {b_to_bundle(f.bp2)}",
-        f"G_source: {f.g_source.describe(args.ascii)}",
-        f"G_target: {f.g_target.describe(args.ascii)}",
+        f"G_source: {g_source}",
+        f"G_target: {g_target}",
         f"parabolic in {f.parabolic_group.describe()} "
-        f"({'proper' if f.parabolic_proper else 'whole group'}), Levi "
-        + (" x " if args.ascii else " × ").join(g.describe(args.ascii) for g in f.levi),
+        f"({'proper' if f.parabolic_proper else 'whole group'}), Levi {levi}",
         f"pairings: whole {f.rho_whole}, parts {f.rho_part1} + {f.rho_part2}",
         f"d = {f.d}, h = {f.h}",
         f"twist exponents: {f.kappa_twist}",

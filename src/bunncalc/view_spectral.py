@@ -10,12 +10,7 @@ from .kottwitz import bundle_to_b, point_label
 from .lparams import make_F
 from .spectral import eigensheaf_stalk, hecke, spectral_act, stalk, verify_eigen
 from .view_characters import shape_of
-from .view_strata import ints
-
-
-def glyphs(args) -> tuple[str, str]:
-    """The names of the Newton point and of the character in text lines."""
-    return ("nu", "chi") if args.ascii else ("ν", "χ")
+from .view_strata import ints, text
 
 
 def cmd_act(args):
@@ -23,17 +18,16 @@ def cmd_act(args):
     out = spectral_act(shape, ints(args.chi), make_F(shape, ints(args.xi)))
     if args.json:
         return {"schema": ser.SCHEMA, "sheaf": ser.sheaf_json(out)}
-    return [
-        point_label(out.stratum, args.ascii),
+    return text(args, [
+        point_label(out.stratum),
         f"shift: {out.shift}",
-        f"rep: {out.rep.describe(shape, args.ascii)}",
-    ]
+        f"rep: {out.rep.describe(shape)}",
+    ])
 
 
 def cmd_hecke(args):
     shape = shape_of(args)
     dec = hecke(shape, ints(args.lam), make_F(shape, ints(args.xi)))
-    nu, chi = glyphs(args)
     if args.stalk:
         b = bundle_to_b(parse_bundle(args.stalk))
         picked = stalk(dec, b)
@@ -45,9 +39,9 @@ def cmd_hecke(args):
                     {"sheaf": ser.sheaf_json(s), "sigma": ser.weil_json(w)} for s, w in picked
                 ],
             }
-        return [f"{len(picked)} terms at {nu}={b}"] + [
-            f"shift {s.shift}  sigma {w.describe(args.ascii)}" for s, w in picked
-        ]
+        return text(args, [f"{len(picked)} terms at ν={b}"] + [
+            f"shift {s.shift}  sigma {w.describe()}" for s, w in picked
+        ])
     if args.json:
         return {
             "schema": ser.SCHEMA,
@@ -59,11 +53,10 @@ def cmd_hecke(args):
             ],
             "total_dim": dec.total_dim,
         }
-    return [f"{len(dec.terms)} terms, total dim {dec.total_dim}"] + [
-        f"{chi}={tuple(c)}  {nu}={sheaf.stratum}  shift {sheaf.shift}"
-        f"  sigma {sym.describe(args.ascii)}"
+    return text(args, [f"{len(dec.terms)} terms, total dim {dec.total_dim}"] + [
+        f"χ={tuple(c)}  ν={sheaf.stratum}  shift {sheaf.shift}  sigma {sym.describe()}"
         for c, sheaf, sym in dec.terms
-    ]
+    ])
 
 
 def cmd_eigensheaf(args):
@@ -72,10 +65,9 @@ def cmd_eigensheaf(args):
     st = eigensheaf_stalk(shape, b)
     if args.json:
         return ser.eigenstalk_json(st)
-    nu, _ = glyphs(args)
-    return [f"{st.count} pieces at {nu}={b}"] + [
-        f"shift {p.shift}  rep {p.rep.describe(shape, args.ascii)}" for p in st.pieces
-    ]
+    return text(args, [f"{st.count} pieces at ν={b}"] + [
+        f"shift {p.shift}  rep {p.rep.describe(shape)}" for p in st.pieces
+    ])
 
 
 def cmd_verify(args):

@@ -4,7 +4,15 @@
 from __future__ import annotations
 
 from . import serialize as ser
-from .bundles import BundleSpec, ParseError, format_bundle, hn_polygon, pairing_note, parse_bundle
+from .bundles import (
+    BundleSpec,
+    ParseError,
+    ascii_text,
+    format_bundle,
+    hn_polygon,
+    pairing_note,
+    parse_bundle,
+)
 from .kottwitz import (
     automorphism_group,
     bundle_to_b,
@@ -19,11 +27,16 @@ from .kottwitz import (
 )
 
 
-def ints(text: str) -> tuple[int, ...]:
+def ints(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
-        raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ParseError(f"expected comma-separated integers, got {raw!r}") from exc
+
+
+def text(args, lines: list[str]) -> list[str]:
+    """A view's text lines, each spelled in ASCII under ``--ascii``."""
+    return [ascii_text(line) for line in lines] if args.ascii else lines
 
 
 def bundle_invariants(e: BundleSpec) -> tuple:
@@ -49,15 +62,15 @@ def cmd_bundle(args):
         f"rank={e.rank} deg={e.deg}",
         "hn vertices: "
         + " ".join(f"({x},{y})" for x, y in hn_polygon(e)),
-        point_label(b, args.ascii),
+        point_label(b),
         f"parabolic type: {parabolic_type(b)}",
-        f"automorphisms: {group.describe(args.ascii)}",
+        f"automorphisms: {group.describe()}",
         f"modulus exponents: {modulus}",
         f"inverse-modulus exponents: {kappa}",
     ]
     if note:
         lines.append(note)
-    return lines
+    return text(args, lines)
 
 
 def cmd_enum(args):
@@ -65,7 +78,7 @@ def cmd_enum(args):
     points = enumerate_B(args.n, mu)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_export(points, ascii_mode=args.ascii))
+            fh.writelines(text(args, [dot_export(points)]))
     if args.json:
         return {
             "schema": ser.SCHEMA,
@@ -73,7 +86,7 @@ def cmd_enum(args):
             "mu": list(mu),
             "points": [ser.point_json(p) for p in points],
         }
-    return [f"{len(points)} points"] + [point_label(p, args.ascii) for p in points]
+    return text(args, [f"{len(points)} points"] + [point_label(p) for p in points])
 
 
 def cmd_hasse(args):
@@ -81,7 +94,7 @@ def cmd_hasse(args):
     edges = hasse(points)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_text(points, edges, args.ascii))
+            fh.writelines(text(args, [dot_text(points, edges)]))
     if args.json:
         return {
             "schema": ser.SCHEMA,

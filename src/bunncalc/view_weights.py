@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import serialize as ser
 from .view_characters import shape_of
-from .view_strata import ints
+from .view_strata import ints, text
 from .weights import levi_branching, sigma_chi, weight_multiplicities
 
 
@@ -55,4 +55,4 @@ def cmd_sigma(args):
             "chi": list(chi),
             "sigma": ser.weil_json(sym),
         }
-    return [f"sigma = {sym.describe(args.ascii)}", f"dim {sym.dim}"]
+    return text(args, [f"sigma = {sym.describe()}", f"dim {sym.dim}"])

@@ -158,9 +158,9 @@ def _orbit(mu: HighestWeight, memo: dict) -> list[HighestWeight]:
     return out
 
 
-def _weights(lam: HighestWeight, descending: bool) -> list[tuple[HighestWeight, int]]:
-    """(weight, multiplicity) pairs of r_lam for dominant lam, sorted
-    lexicographically, ascending or descending.
+def _weights(lam: HighestWeight) -> list[tuple[HighestWeight, int]]:
+    """(weight, multiplicity) pairs of r_lam for dominant lam, ascending
+    lexicographically.
 
     The Kostka table of the normalized weight lam - c, c = lam_n, gives each
     dominant weight with its multiplicity; shift it by c once and list its
@@ -172,7 +172,7 @@ def _weights(lam: HighestWeight, descending: bool) -> list[tuple[HighestWeight, 
     for mu, mult in _weight_mults_cached(len(lam), tuple(x - c for x in lam)):
         out.extend(zip(_orbit(tuple(x + c for x in mu), orbits), repeat(mult)))
     # each orbit is one sorted run, so the sort only merges the runs
-    out.sort(key=itemgetter(0), reverse=descending)
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -187,7 +187,7 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
-    return dict(_weights(lam, False))
+    return dict(_weights(lam))
 
 
 def _lr_rows(lam, a, i, alpha, ends, content, out) -> None:
@@ -246,7 +246,7 @@ def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
         return (((lam,), 1),)
     if len(blocks) == len(lam):
         one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
-        return ((tuple(map(one, w)), mult) for w, mult in _weights(lam, True))
+        return ((tuple(map(one, w)), mult) for w, mult in reversed(_weights(lam)))
     out = memo.get(lam)
     if out is None:
         a = blocks[0]
@@ -306,7 +306,7 @@ levi_branching.cache_info = _levi_branching_cached.cache_info
 levi_branching.cache_clear = _levi_branching_cached.cache_clear
 
 
-def _monomial_str(w: HighestWeight, label: str, ascii_mode: bool) -> str:
+def _monomial_str(w: HighestWeight, label: str) -> str:
     if all(x == 0 for x in w):
         return "1"
     if len(w) == 1:
@@ -314,8 +314,7 @@ def _monomial_str(w: HighestWeight, label: str, ascii_mode: bool) -> str:
         return label if k == 1 else f"{label}^{k}"
     if all(x in (0, 1) for x in w):
         d = sum(w)
-        lam = "Lam" if ascii_mode else "Λ"
-        return label if d == 1 else f"{lam}^{d} {label}"
+        return label if d == 1 else f"Λ^{d} {label}"
     if w[0] > 1 and all(x == 0 for x in w[1:]):
         return f"Sym^{w[0]} {label}"
     return f"S_({','.join(map(str, w))})({label})"
@@ -346,25 +345,19 @@ class WeilSymbol:
             total += mult * prod
         return total
 
-    def describe(self, ascii_mode: bool = False, dual: bool = False) -> str:
+    def describe(self, dual: bool = False) -> str:
         if not self.terms:
             return "0"
-        otimes = "(x)" if ascii_mode else "⊗"
-        oplus = " + " if ascii_mode else " ⊕ "
         rendered = []
         for ws, mult in self.terms:
-            factors = [
-                _monomial_str(w, label, ascii_mode)
-                for w, label in zip(ws, self.labels)
-            ]
-            factors = [f for f in factors if f != "1"] or ["1"]
-            mono = otimes.join(factors)
+            factors = [_monomial_str(w, label) for w, label in zip(ws, self.labels)]
+            mono = "⊗".join([f for f in factors if f != "1"] or ["1"])
             if dual:
-                mono = f"({mono})^v" if ascii_mode else f"({mono})∨"
+                mono = f"({mono})∨"
             if mult != 1:
-                mono = (f"{mult}*" if ascii_mode else f"{mult}·") + mono
+                mono = f"{mult}·{mono}"
             rendered.append(mono)
-        return oplus.join(rendered)
+        return " ⊕ ".join(rendered)
 
 
 def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from bunncalc import (
+    ascii_text,
     automorphism_group,
     b_to_bundle,
     b_to_chis,
@@ -118,7 +119,7 @@ class TestCriterion1PaperExamples:
         )
         assert f2.mu1 == (0, 0) and f2.mu2 == (1, 1) + (0,) * 8
         assert b_to_bundle(f2.b1) == b_to_bundle(f2.bp1) == parse_bundle("O(3/2)")
-        assert f2.g_target.describe(ascii_mode=True) == (
+        assert ascii_text(f2.g_target.describe()) == (
             "GL_2(D_{-3/2}) x D^x_{-1/2} x D^x_{-1/3} x GL_3"
         )
         report("1c split factorizations reproduce both rank-10/12 configurations", t0)

@@ -356,9 +356,9 @@ class TestDispatch:
 # today's package exports, each resolved lazily from its submodule
 EXPORTS = [
     "BoyerFactorization", "BudgetError", "BundleSpec", "Character", "CharacterExponents",
-    "CohomologyOutput", "DomainError", "EigensheafStalk", "HeckeDecomposition",
-    "IgusaOutput", "InnerFormGroup", "LParamShape", "NewtonPoint", "ParseError", "RepSymbol",
-    "SheafSymbol", "Slope", "WeilSymbol", "automorphism_group", "b_to_bundle", "b_to_chis",
+    "CohomologyOutput", "DomainError", "EigensheafStalk", "HeckeDecomposition", "IgusaOutput",
+    "InnerFormGroup", "LParamShape", "NewtonPoint", "ParseError", "RepSymbol", "SheafSymbol",
+    "Slope", "WeilSymbol", "ascii_text", "automorphism_group", "b_to_bundle", "b_to_chis",
     "boyer_factorize", "bundle", "bundle_to_b", "chi_id", "chi_inv", "chi_mul", "chi_to_bundle",
     "chi_to_rep", "component_shape", "d_point", "dot_export", "dual_weight", "eigensheaf_stalk",
     "enumerate_B", "format_bundle", "harris_viehmann", "hasse", "hecke", "hn_polygon",

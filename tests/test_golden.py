@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import bunncalc.serialize as ser
+from bunncalc import ascii_text, dot_export, enumerate_B
 from bunncalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,9 +143,9 @@ def run_case(argv: list[str], workdir: Path) -> dict[str, object]:
     }
 
 
-def run_script(name: str, workdir: Path) -> bytes:
+def run_script(name: str, workdir: Path, *args: str) -> bytes:
     old_argv = sys.argv
-    sys.argv = [str(SCRIPTS / f"{name}.py")]
+    sys.argv = [str(SCRIPTS / f"{name}.py"), *args]
     try:
         with _captured(workdir) as (out, _):
             runpy.run_path(sys.argv[0], run_name="__main__")
@@ -174,6 +175,17 @@ def test_cli_case(case_id, tmp_path):
 @pytest.mark.parametrize("name", SCRIPT_NAMES)
 def test_script(name, tmp_path):
     assert run_script(name, tmp_path) == _golden(f"script.{name}", "out")
+
+
+def test_poset_gallery_dot_files(tmp_path):
+    """--dot-dir writes each gallery poset's digraph, spelled in ASCII."""
+    run_script("poset_gallery", tmp_path, "--dot-dir", str(tmp_path))
+    paths = sorted(tmp_path.glob("poset_n*.dot"))
+    assert len(paths) == 4
+    for path in paths:
+        n, *mu = map(int, path.stem.removeprefix("poset_n").split("_"))
+        want = ascii_text(dot_export(enumerate_B(n, tuple(mu))))
+        assert want.isascii() and path.read_bytes() == want.encode()
 
 
 def test_text_views_do_not_serialize(monkeypatch, tmp_path):

@@ -1,10 +1,13 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no private names imported across modules."""
+no private names imported across modules, no glyph switch outside the one
+ASCII table."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from bunncalc.bundles import ascii_text
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bunncalc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -126,3 +129,23 @@ def test_budget_read_once_per_function():
         if len(reads) > 1 or any(reads)
     ]
     assert offenders == []
+
+
+def test_no_ascii_mode_parameter():
+    """Renderers draw one form; ``--ascii`` is ``bundles.ascii_text`` at the view edge."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.arg) and node.arg == "ascii_mode"
+    ]
+    assert offenders == []
+
+
+def test_ascii_text_covers_every_glyph():
+    """The glyph table spells every character the text views print."""
+    golden = Path(__file__).parent / "golden"
+    paths = [*golden.glob("*.text.out"), *golden.glob("*.text.dot")]
+    assert paths
+    unspelled = [p.name for p in paths if not ascii_text(p.read_text(encoding="utf-8")).isascii()]
+    assert unspelled == []

@@ -12,6 +12,7 @@ from bunncalc import (
     DomainError,
     InnerFormGroup,
     NewtonPoint,
+    ascii_text,
     automorphism_group,
     b_to_bundle,
     bundle_to_b,
@@ -189,7 +190,7 @@ class TestLatticeTops:
 
         monkeypatch.setattr(kottwitz, "lattice_tops", counted)
         pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
-        dot_text(pts, hasse(pts), ascii_mode=False)
+        dot_text(pts, hasse(pts))
         assert calls["tops"] == len(pts) == 122
 
 
@@ -400,21 +401,21 @@ class TestHasse:
     def test_dot_export_is_deterministic(self):
         pts = enumerate_B(3, (1, 0, 0))
         assert dot_export(pts) == dot_export(pts)
-        text = dot_export(pts, ascii_mode=True)
+        text = ascii_text(dot_export(pts))
         assert "digraph" in text and "->" in text and "kappa=1" in text
 
 
 class TestGroups:
     def test_mixed_bundle(self):
         g = automorphism_group(parse_bundle("O(3/2)^2+O(1/2)+O(1/3)+O^3"))
-        assert g.describe(ascii_mode=True) == "GL_2(D_{-3/2}) x D^x_{-1/2} x D^x_{-1/3} x GL_3"
+        assert ascii_text(g.describe()) == "GL_2(D_{-3/2}) x D^x_{-1/2} x D^x_{-1/3} x GL_3"
 
     def test_trivial_bundle(self):
-        assert automorphism_group(parse_bundle("O^5")).describe(ascii_mode=True) == "GL_5"
+        assert ascii_text(automorphism_group(parse_bundle("O^5")).describe()) == "GL_5"
 
     def test_three_factor_example(self):
         g = automorphism_group(parse_bundle("O(3/4)+O(1/3)+O^3"))
-        assert g.describe(ascii_mode=True) == "D^x_{-3/4} x D^x_{-1/3} x GL_3"
+        assert ascii_text(g.describe()) == "D^x_{-3/4} x D^x_{-1/3} x GL_3"
 
     def test_parabolic_type(self):
         b = bundle_to_b(parse_bundle("O(3/4)+O(1/3)+O^3"))

@@ -90,6 +90,24 @@ class TestShape:
         with pytest.raises(DomainError, match="torsion number .* is not an integer"):
             LParamShape((1,), ("a",), torsion)
 
+    @pytest.mark.parametrize(
+        "dims,torsion,message",
+        [
+            (("x",), None, "dimension 'x' is not an integer"),
+            ((None,), None, "dimension None is not an integer"),
+            ((1,), ("2",), "torsion number '2' is not an integer"),
+        ],
+    )
+    def test_unreadable_values_named_by_repr(self, dims, torsion, message):
+        with pytest.raises(DomainError, match=message):
+            LParamShape.from_dims(dims, torsion=torsion)
+
+    def test_list_columns_rejected(self):
+        # a list column would pass every other check and make the shape unhashable
+        for columns in (([1], ("a",), (1,)), ((1,), ["a"], (1,)), ((1,), ("a",), [1])):
+            with pytest.raises(DomainError, match="must be tuples"):
+                LParamShape(*columns)
+
     @pytest.mark.parametrize("dims,torsion", [((0,), (1,)), ((1,), (0,))])
     def test_values_below_one_rejected(self, dims, torsion):
         with pytest.raises(DomainError, match="must be >= 1, got 0"):

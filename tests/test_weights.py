@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bunncalc import (
     DomainError,
+    ascii_text,
     dual_weight,
     levi_branching,
     sigma_chi,
@@ -16,7 +17,7 @@ from bunncalc import (
 )
 from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
-from bunncalc.weights import _weight_mults_cached
+from bunncalc.weights import _weight_mults_cached, check_dominant
 from conftest import all_compositions, normalized_weights
 from oracles import (
     branching_expansion,
@@ -61,6 +62,10 @@ class TestWeylDim:
     def test_non_dominant_rejected(self):
         with pytest.raises(DomainError):
             weyl_dim((0, 1), 2)
+
+    def test_string_entry_rejected(self):
+        with pytest.raises(DomainError, match="weight entry 'a' is not an integer"):
+            check_dominant(("a",))
 
 
 class TestWeightMultiplicities:
@@ -377,7 +382,7 @@ class TestSigmaChi:
         sym = sigma_chi(shape, (3, 0), (2, 1))
         assert sym.terms == ((((2,), (1,)), 1),)
         assert sym.dim == 1
-        assert sym.describe(ascii_mode=True) == "phi1^2(x)phi2"
+        assert ascii_text(sym.describe()) == "phi1^2(x)phi2"
 
     def test_standard_hits_unit_characters(self):
         shape = LParamShape.from_dims((3, 2))
