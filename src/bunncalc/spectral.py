@@ -7,17 +7,20 @@ An operator attached to a highest weight decomposes into these translations
 weighted by the isotypic slices of the weight representation.  The slices
 depend only on the shape and the weight, never on the source: one pass over
 the weight's branching to the component blocks sorts its terms into them.
-The eigen check makes one pass over its whole stratum window: it builds the
-slices once, collects the sources of every stratum into one set, charges
-sources times slices translations to the enumeration budget before the
-first one, and then translates each source by each slice once, building
-each symbol once per call and still checking every source's canonical shape.
+The eigen check works in the size of each stratum's fiber, not in source
+and slice pairs: at a window stratum b it checks that (a) every character
+listed for b is listed once and its symbol lies on b, and (b) no other
+character p of b has p * chi^{-1} among the sources for a slice chi, where p
+ranges over the box of b (component i takes d_i = -rise * n_i / run for a
+segment (rise, run) of b with run | rise * n_i).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import product
+from math import prod
+from operator import add
 
 from .bundles import BudgetError, DomainError, enumeration_budget
 from .kottwitz import NewtonPoint
@@ -30,6 +33,7 @@ from .lparams import (
     character_of_sheaf,
     chi_inv,
     chi_mul,
+    chi_to_rep,
     make_F,
 )
 from .weights import WeilSymbol, check_dominant, levi_branching
@@ -125,22 +129,34 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
 
     For each listed stratum b, applying the weight-lam operator to the full
     symbol sum and restricting to b must reproduce, as a multiset, every
-    (piece at b) x (isotypic slice) pair.  Only finitely many source
-    characters can contribute at b; they are exactly eta * chi^{-1} for eta a
-    character of b and chi a character with nonzero slice.
+    (piece at b) x (isotypic slice) pair.  The sources that can contribute
+    are eta * chi^{-1} for eta a listed character of a window stratum and chi
+    a slice character.  Multiplying by chi is a bijection, so the two sides
+    agree at b exactly when (a) every eta listed for b is listed once and its
+    symbol lies on b, and (b) no other character p of b has p * chi^{-1}
+    among the sources for any slice chi.  For (b), component i of p can only
+    take d_i = -rise * n_i / run for a segment (rise, run) of b with
+    run | rise * n_i; the product of those choices (the box of b) is walked
+    with set lookups, and only a point that hits a source and is not listed
+    has its stratum computed, so (b) does not rest on b_to_chis.
 
-    The check is one pass over the whole window: the sources of all its
-    strata are collected once, and each is translated by every slice once.
-    A product counts at the stratum of its symbol when that stratum is in
-    the window, so one landing on the wrong window stratum fails the check.
-    Both sides are keyed by (character, slice index); the symbols they stand
-    for come from one memo that lives only as long as the call, and every
-    source's symbol has its canonical shape checked before it is translated.
-    The translation count, sources times slices, is charged to the
-    enumeration budget before the first translation.
+    Symbols come from one memo that lives only as long as the call; every
+    source's symbol has its canonical shape checked.  The lookups, slices
+    times the listed characters plus the box of each stratum, are charged to
+    the enumeration budget before the first symbol is built.
     """
     lam = check_dominant(lam, shape.n)
     slices = [chi for chi, _ in _slices(shape, lam)]
+    window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
+    boxes = {
+        b: [[-rise * ni // run for rise, run in b.segments if rise * ni % run == 0]
+            for ni in shape.dims]
+        for b in window
+    }
+    lookups = len(slices) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
+    budget = enumeration_budget()
+    if lookups > budget:
+        raise BudgetError(f"{lookups} window lookups exceed budget of {budget}")
     memo: dict[Character, SheafSymbol] = {}
 
     def sheaf_of(chi: Character) -> SheafSymbol:
@@ -149,30 +165,19 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
             sheaf = memo[chi] = make_F(shape, chi)
         return sheaf
 
-    rhs: dict[NewtonPoint, Counter] = {}
-    sources: set[Character] = set()
-    for b in strata:
-        if b in rhs:
-            continue
-        pairs = rhs[b] = Counter()
-        for eta in b_to_chis(shape, b):
-            for j, chi in enumerate(slices):
-                pairs[(eta, j)] += 1
-                sources.add(chi_mul(eta, chi_inv(chi)))
-    translations = len(sources) * len(slices)
-    budget = enumeration_budget()
-    if translations > budget:
-        raise BudgetError(f"{translations} translations exceed budget of {budget}")
-
-    lhs: dict[NewtonPoint, Counter] = {b: Counter() for b in rhs}
+    inverses = [chi_inv(chi) for chi in slices]
+    sources = {chi_mul(eta, inv) for chis in window.values() for eta in chis for inv in inverses}
     for src in sorted(sources):
         sheaf = sheaf_of(src)
-        xi = character_of_rep(shape, sheaf.rep)
-        if sheaf_of(xi) != sheaf:
+        if sheaf_of(character_of_rep(shape, sheaf.rep)) != sheaf:
             raise DomainError("sheaf symbol is not of the canonical translated shape")
-        for j, chi in enumerate(slices):
-            product = chi_mul(chi, xi)
-            pairs = lhs.get(sheaf_of(product).stratum)
-            if pairs is not None:
-                pairs[(product, j)] += 1
-    return lhs == rhs
+    for b, chis in window.items():
+        listed = set(chis)
+        if len(listed) != len(chis) or any(sheaf_of(eta).stratum != b for eta in chis):
+            return False
+        for p in product(*boxes[b]):
+            if p in listed or not any(tuple(map(add, p, inv)) in sources for inv in inverses):
+                continue
+            if chi_to_rep(shape, p).stratum == b:
+                return False
+    return True

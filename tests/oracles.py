@@ -5,7 +5,7 @@ complete homogeneous polynomials (no pattern enumeration), and admissible
 Newton points are re-derived from concave lattice paths with an explicit
 pointwise bound check.  Both paths are deliberately different from the
 library's own algorithms.  The Hasse diagram, weight multiplicity, Levi
-branching, Hecke decomposition, eigen check, character dictionary and
+branching, Hecke decomposition, eigen checks, character dictionary and
 polygon dominance oracles are the library's earlier, slower
 implementations: the cubic transitive reduction and the down-sets built by
 pairwise dominance tests, one visit per triangular
@@ -13,7 +13,8 @@ pattern, the count of triangular patterns one row length at a time,
 extraction against the whole character (once from the largest remaining
 weight, once in one walk over the block-dominant weights), a slice filter
 over every branching term per character, one pass per stratum keyed by
-symbols, bundles merged and split through Fraction slopes, and polygons
+symbols and one pass over the window translating every source by every
+slice, bundles merged and split through Fraction slopes, and polygons
 interpolated in Fractions.  The renderers of bundles, automorphism groups and
 representation symbols are the earlier ones, which read Fraction slopes.
 """
@@ -32,6 +33,7 @@ from bunncalc.kottwitz import bundle_to_b
 from bunncalc.lparams import (
     RepSymbol,
     b_to_chis,
+    character_of_rep,
     character_of_sheaf,
     chi_inv,
     chi_mul,
@@ -547,6 +549,46 @@ def verify_eigen_oracle(shape, lam, strata) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def verify_eigen_window_oracle(shape, lam, strata) -> bool:
+    """The termwise eigen identity in one pass over the whole window: the
+    sources of every stratum are collected into one set and each is
+    translated by every slice; a product counts at the stratum of its symbol
+    when that stratum is in the window, and both sides are compared as
+    multisets of (character, slice index) pairs."""
+    lam = check_dominant(lam, shape.n)
+    slices = [chi for chi, _ in _slices(shape, lam)]
+    memo: dict = {}
+
+    def sheaf_of(chi):
+        sheaf = memo.get(chi)
+        if sheaf is None:
+            sheaf = memo[chi] = make_F(shape, chi)
+        return sheaf
+
+    rhs: dict = {}
+    sources: set = set()
+    for b in strata:
+        if b in rhs:
+            continue
+        pairs = rhs[b] = Counter()
+        for eta in b_to_chis(shape, b):
+            for j, chi in enumerate(slices):
+                pairs[(eta, j)] += 1
+                sources.add(chi_mul(eta, chi_inv(chi)))
+    lhs: dict = {b: Counter() for b in rhs}
+    for src in sorted(sources):
+        sheaf = sheaf_of(src)
+        xi = character_of_rep(shape, sheaf.rep)
+        if sheaf_of(xi) != sheaf:
+            raise DomainError("sheaf symbol is not of the canonical translated shape")
+        for j, chi in enumerate(slices):
+            product = chi_mul(chi, xi)
+            pairs = lhs.get(sheaf_of(product).stratum)
+            if pairs is not None:
+                pairs[(product, j)] += 1
+    return lhs == rhs
 
 
 @lru_cache(maxsize=None)

@@ -199,19 +199,28 @@ class TestSpectral:
         )
         assert code == 0 and "holds" in out
 
-    def test_verify_out_of_budget_exits_1_at_once(self):
-        # 12384 slices on the torus of rank 8, and as many sources from the
-        # one character of O^8: 12384^2 translations, refused before the first
+    def run_verify_1_8(self, budget=None):
+        # 12384 slices on the torus of rank 8, the one character of O^8 and
+        # its one-point box, and nothing of O(1/8): 24768 window lookups
         src = str(Path(bunncalc.__file__).resolve().parent.parent)
         env = {k: v for k, v in os.environ.items() if k != "BUNNCALC_BUDGET"}
-        proc = subprocess.run(
+        if budget is not None:
+            env["BUNNCALC_BUDGET"] = str(budget)
+        return subprocess.run(
             [sys.executable, "-m", "bunncalc.cli", "spectral", "verify",
              "--dims", "1,1,1,1,1,1,1,1", "--lambda", "4,3,2,1,0,0,0,0",
              "--strata", "O^8;O(1/8)"],
             capture_output=True, env={**env, "PYTHONPATH": src}, text=True, timeout=10,
         )
+
+    def test_verify_out_of_budget_exits_1_at_once(self):
+        proc = self.run_verify_1_8(budget=24767)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert "153363456 translations exceed budget of 1000000" in proc.stderr
+        assert "24768 window lookups exceed budget of 24767" in proc.stderr
+
+    def test_verify_torus_of_rank_eight_holds_at_default_budget(self):
+        proc = self.run_verify_1_8()
+        assert proc.returncode == 0 and proc.stdout == "eigen identity: holds\n"
 
     def test_verify_empty_window_exit_2(self, capsys):
         args = ["--dims", "1,1", "--lambda", "3,0", "--strata", ";"]

@@ -12,6 +12,7 @@ from bunncalc import (
     BudgetError,
     BundleSpec,
     DomainError,
+    b_to_chis,
     bundle_to_b,
     chi_id,
     chi_inv,
@@ -32,9 +33,10 @@ import bunncalc.kottwitz as kottwitz
 import bunncalc.spectral as spectral
 import bunncalc.weights as weights
 import oracles
+from bunncalc.bundles import enumeration_budget
 from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol
 from conftest import all_compositions, normalized_weights, shape_and_chi
-from oracles import hecke_oracle, verify_eigen_oracle
+from oracles import hecke_oracle, verify_eigen_oracle, verify_eigen_window_oracle
 
 F = Fraction
 
@@ -237,6 +239,18 @@ class TestEigensheaf:
         assert verify_eigen(shape, (1, 1, 0), strata)
 
 
+def count_symbols(monkeypatch) -> Counter:
+    """Count the symbols spectral builds, by character."""
+    built: Counter = Counter()
+
+    def counting_make_F(shape_, chi):
+        built[chi] += 1
+        return make_F(shape_, chi)
+
+    monkeypatch.setattr(spectral, "make_F", counting_make_F)
+    return built
+
+
 class TestVerifyEigenWork:
     """What one verify_eigen call computes, counted rather than timed."""
 
@@ -260,7 +274,12 @@ class TestVerifyEigenWork:
         monkeypatch.setattr(spectral, "sigma_chi", counting_sigma_chi, raising=False)
         monkeypatch.setattr(weights, "sigma_chi", counting_sigma_chi)
         assert verify_eigen(shape, lam, strata)
-        assert len(built) > 100
+        # a symbol for each source and each listed character, and for no
+        # other product: a box point that hits a source is placed on its
+        # stratum through chi_to_rep
+        listed = {eta for b in strata for eta in b_to_chis(shape, b)}
+        sources = {chi_mul(eta, chi_inv(chi)) for eta in listed for chi, _, _ in dec.terms}
+        assert set(built) == sources | listed
         assert max(built.values()) == 1
         built.clear()
         hecke(shape, lam, make_F(shape, (1, 0, -1)))
@@ -285,6 +304,7 @@ class TestVerifyEigenWork:
         monkeypatch.setattr(oracles, "make_F", wrong_make_F)
         assert not verify_eigen(shape, (1, 0, 0), strata)
         assert not verify_eigen_oracle(shape, (1, 0, 0), strata)
+        assert not verify_eigen_window_oracle(shape, (1, 0, 0), strata)
 
     def test_no_pairing_and_few_fraction_hashes(self, monkeypatch):
         shape = LParamShape.from_dims((1, 2, 2))
@@ -337,38 +357,70 @@ class TestVerifyEigenWork:
 
         monkeypatch.setattr(spectral, "make_F", non_canonical_make_F)
         monkeypatch.setattr(oracles, "make_F", non_canonical_make_F)
-        for check in (verify_eigen, verify_eigen_oracle):
+        for check in (verify_eigen, verify_eigen_oracle, verify_eigen_window_oracle):
             with pytest.raises(DomainError, match="canonical"):
                 check(shape, (1, 0, 0), strata)
 
-    @pytest.mark.parametrize("limit,passes", [(714, True), (713, False)])
-    def test_translation_count_charged_before_translating(self, monkeypatch, limit, passes):
-        # 714 = 51 sources x 14 slices on the (1, 2, 2), (3, 1, 0, 0, 0) window
+    @pytest.mark.parametrize("limit,passes", [(1540, True), (1539, False)])
+    def test_lookup_count_charged_before_building(self, monkeypatch, limit, passes):
+        # 1540 = 14 slices x (14 listed characters + 96 box points) on the
+        # (1, 2, 2), (3, 1, 0, 0, 0) window
         shape = LParamShape.from_dims((1, 2, 2))
         lam = (3, 1, 0, 0, 0)
         strata = hecke_window(shape, lam)
-        built: Counter = Counter()
-
-        def counting_make_F(shape_, chi):
-            built[chi] += 1
-            return make_F(shape_, chi)
-
-        monkeypatch.setattr(spectral, "make_F", counting_make_F)
+        built = count_symbols(monkeypatch)
         monkeypatch.setenv("BUNNCALC_BUDGET", str(limit))
         if passes:
             assert verify_eigen(shape, lam, strata)
         else:
-            with pytest.raises(BudgetError, match="^714 translations exceed budget of 713$"):
+            with pytest.raises(BudgetError, match="^1540 window lookups exceed budget of 1539$"):
                 verify_eigen(shape, lam, strata)
             assert not built
 
-    def test_torus_of_rank_six_exceeds_default_budget(self, monkeypatch):
-        # 1296 slices, and as many sources from the one character of O^6:
-        # this call used to run for seconds and return True
+    def test_torus_of_rank_six_refused_under_small_budget(self, monkeypatch):
+        # 1296 slices x (the one character of O^6 + its box of one point)
+        shape = LParamShape.from_dims((1,) * 6)
+        built = count_symbols(monkeypatch)
+        monkeypatch.setenv("BUNNCALC_BUDGET", "2591")
+        with pytest.raises(BudgetError, match="^2592 window lookups exceed budget of 2591$"):
+            verify_eigen(shape, (4, 3, 2, 1, 0, 0), [point_from_vector((0,) * 6)])
+        assert not built
+
+    def test_torus_of_rank_six_holds_at_default_budget(self, monkeypatch):
+        # one symbol per source and one for the character of O^6
         monkeypatch.delenv("BUNNCALC_BUDGET", raising=False)
         shape = LParamShape.from_dims((1,) * 6)
-        with pytest.raises(BudgetError, match="^1679616 translations exceed budget of 1000000$"):
-            verify_eigen(shape, (4, 3, 2, 1, 0, 0), [point_from_vector((0,) * 6)])
+        built = count_symbols(monkeypatch)
+        assert verify_eigen(shape, (4, 3, 2, 1, 0, 0), [point_from_vector((0,) * 6)])
+        assert sum(built.values()) <= 1296 + 1
+
+    def test_window_read_once(self, monkeypatch):
+        # a generator window and a repeated stratum build what the list does
+        shape = LParamShape.from_dims((1, 1, 1))
+        lam = (3, 0, 0)
+        strata = hecke_window(shape, lam)
+        built = count_symbols(monkeypatch)
+        assert verify_eigen(shape, lam, strata)
+        once = Counter(built)
+        for window in ((b for b in strata), strata + strata[:1]):
+            built.clear()
+            assert verify_eigen(shape, lam, window)
+            assert built == once
+
+    def test_wrong_rank_stratum_rejected_before_charge(self, monkeypatch):
+        shape = LParamShape.from_dims((2, 1))
+        strata = [bundle_to_b(parse_bundle("O^3")), bundle_to_b(parse_bundle("O^4"))]
+        reads: Counter = Counter()
+
+        def counting_budget():
+            reads["budget"] += 1
+            return enumeration_budget()
+
+        monkeypatch.setattr(spectral, "enumeration_budget", counting_budget)
+        built = count_symbols(monkeypatch)
+        with pytest.raises(DomainError, match="rank mismatch"):
+            verify_eigen(shape, (1, 0, 0), strata)
+        assert not reads and not built
 
 
 EIGEN_DECK = [
@@ -388,14 +440,24 @@ def hecke_window(shape, lam, size=8):
     return sorted(strata, key=lambda p: p.slope_vector(), reverse=True)[:size]
 
 
+def all_checks(shape, lam, strata):
+    """The verdicts of the fiber check, the per-stratum oracle and the
+    one-pass window oracle, in that order."""
+    return [
+        check(shape, lam, strata)
+        for check in (verify_eigen, verify_eigen_oracle, verify_eigen_window_oracle)
+    ]
+
+
 class TestVerifyEigenAgainstOracle:
-    """The one pass over the window against one pass per stratum."""
+    """The fiber check against one pass per stratum and one pass over the
+    window."""
 
     @pytest.mark.parametrize("dims,lam", EIGEN_DECK)
     def test_deck_windows(self, dims, lam):
         shape = LParamShape.from_dims(dims)
         strata = hecke_window(shape, lam)
-        assert verify_eigen(shape, lam, strata) is verify_eigen_oracle(shape, lam, strata) is True
+        assert all_checks(shape, lam, strata) == [True] * 3
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_composition_and_exterior_power(self, n):
@@ -406,8 +468,7 @@ class TestVerifyEigenAgainstOracle:
                 strata = [make_F(shape, chi_id(shape.r)).stratum] + hecke_window(
                     shape, lam, size=None
                 )
-                got = verify_eigen(shape, lam, strata)
-                assert got is verify_eigen_oracle(shape, lam, strata) is True
+                assert all_checks(shape, lam, strata) == [True] * 3
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -424,5 +485,39 @@ class TestVerifyEigenAgainstOracle:
         # a stratum of no character of most shapes
         reached.append(point_from_vector((F(-1, n),) * n))
         strata = data.draw(st.lists(st.sampled_from(reached), min_size=1, max_size=6))
-        got = verify_eigen(shape, lam, strata)
-        assert got is verify_eigen_oracle(shape, lam, strata) is True
+        assert all_checks(shape, lam, strata) == [True] * 3
+
+    def check_mutation(self, monkeypatch, change, dims, lam, named):
+        """With b_to_chis's list passed through change, the three checks
+        agree on every deck window and all fail on the named window."""
+
+        def mutated(shape, b):
+            return change(b_to_chis(shape, b))
+
+        monkeypatch.setattr(spectral, "b_to_chis", mutated)
+        monkeypatch.setattr(oracles, "b_to_chis", mutated)
+        named = [bundle_to_b(parse_bundle(s)) for s in named]
+        assert all_checks(LParamShape.from_dims(dims), lam, named) == [False] * 3
+        for dims, lam in EIGEN_DECK:
+            shape = LParamShape.from_dims(dims)
+            assert len(set(all_checks(shape, lam, hecke_window(shape, lam)))) == 1
+
+    def test_missing_character_fails(self, monkeypatch):
+        # O(1)^2+O loses (0, 1, 1), which is still the translate of the
+        # source (0, 0, 0) by the slice (0, 1, 1)
+        named = ("O^3", "O(1)^2+O", "O(1)+O^2")
+        self.check_mutation(monkeypatch, lambda chis: chis[1:], (1, 1, 1), (1, 1, 0), named)
+
+    def test_wrong_character_fails(self, monkeypatch):
+        # each stratum also lists its first character shifted by one on every
+        # component, whose degree is r higher: O^3 lists (1, 1), which lies
+        # on O(1)+O(1/2)
+        def add_wrong(chis):
+            return chis + [tuple(x + 1 for x in chis[0])] if chis else chis
+
+        named = ("O^3", "O(1/2)+O", "O(1)+O^2")
+        self.check_mutation(monkeypatch, add_wrong, (2, 1), (1, 0, 0), named)
+
+    def test_repeated_character_fails(self, monkeypatch):
+        named = ("O^3", "O(1/2)+O", "O(1)+O^2")
+        self.check_mutation(monkeypatch, lambda chis: chis + chis[:1], (2, 1), (1, 0, 0), named)
