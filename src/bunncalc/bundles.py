@@ -9,13 +9,17 @@ Polygons with lattice breakpoints compare by their lattice tops and pair with
 2rho in integers, and parsing and the text and JSON forms run in integers.
 ``fractions.Fraction`` is left in the views ``parts`` and ``slope_classes()``,
 in ``reduce_slope``, ``bundle()``, ``normalize_bundle``'s input and ``rho_pairing``.
+
+Every stored value of the package is a frozen record made by ``record``: one
+compiled source per class gives it ``__init__``, ``__eq__``, ``__hash__`` and
+``__repr__`` over its fields, as ``dataclasses.dataclass(frozen=True)`` would,
+without loading ``dataclasses`` (and with it ``inspect``) on a CLI start.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
@@ -87,7 +91,64 @@ def check_segments(segments: Sequence[tuple[int, int]]) -> None:
         raise DomainError("slopes must be strictly decreasing")
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls):
+    """Make cls a frozen record of its annotated fields, ``ClassVar``s left out.
+
+    As ``collections.namedtuple`` does, one source per class is compiled: an
+    ``__init__`` taking the fields by position or keyword, a value set in the
+    class body being its default, that ends in ``self.__post_init__()`` if the
+    class defines one; ``__eq__`` between records of one class, and
+    ``__hash__`` as the hash of the field tuple.  These and ``__repr__`` are
+    those of ``dataclasses.dataclass(frozen=True)``.  Assigning or deleting
+    an attribute raises ``AttributeError``; ``__match_args__`` lists the fields.
+    """
+    fields = tuple(
+        name
+        for name, ann in cls.__dict__.get("__annotations__", {}).items()
+        if not str(ann).startswith(("ClassVar", "typing.ClassVar"))
+    )
+    defaults = {f"_default_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
+    scope = {"_setattr": object.__setattr__, **defaults}
+    params = [f"{n}=_default_{n}" if f"_default_{n}" in defaults else n for n in fields]
+    body = [f"    _setattr(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    own = "".join(f"self.{name}, " for name in fields)
+    other = "".join(f"other.{name}, " for name in fields)
+    exec("\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *body,
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({own}) == ({other})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({own}))",
+    ]), scope)
+    for name in ("__init__", "__eq__", "__hash__"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, scope[name])
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__match_args__ = fields
+    return cls
+
+
+@record
 class BundleSpec:
     """A bundle as its HN segments (deg, rank), one per stable class, slopes
     strictly decreasing.  The class O(p/q)^m is the segment (m*p, m*q), so its
@@ -167,6 +228,16 @@ def as_int(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{what} {x if isinstance(x, Number) else repr(x)} is not an integer")
+
+
+def check_dominant(lam, n: int | None = None) -> tuple[int, ...]:
+    """lam as a tuple of ints, weakly decreasing, of length n if n is given."""
+    lam = tuple(as_int(x, "weight entry") for x in lam)
+    if n is not None and len(lam) != n:
+        raise DomainError(f"weight must have length {n}, got {len(lam)}")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise DomainError(f"weight {lam} is not dominant (weakly decreasing)")
+    return lam
 
 
 def lattice_tops(segments: Iterable[tuple[int, int]]) -> tuple[int, ...]:

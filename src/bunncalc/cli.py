@@ -12,13 +12,18 @@ Each command is one function in the ``view_*`` module of its layer.  It
 computes its result once and returns only the view asked for: the JSON
 document under ``--json``, else its text lines, or the pair (view, exit code)
 when its exit code depends on the result.  ``main`` imports that module only
-after the arguments parse, so a command loads only its layer, ``--help`` none.
+after the arguments parse, so a command loads only its layer, ``--help`` none,
+and it imports ``json`` only to print a JSON document.
+
+A start pays only for the command it runs: ``build_parser(argv)`` adds every
+command's parser with its help line, so the top-level and group help pages
+and the "invalid choice" errors list them all, but it adds options only to
+the parser of the command that ``argv`` names.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import import_module
@@ -107,12 +112,29 @@ _COMMANDS = [
 ]
 
 
+_PATHS = frozenset(path for path, _, _, _ in _COMMANDS)
+
+
 def _add_option(parser, key: str) -> None:
     flag, kwargs = _OPTIONS[key]
     parser.add_argument(flag, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named_path(argv) -> tuple[str, ...]:
+    """The command path that argv names: each command name in argv that is a
+    subcommand of the path so far extends it.  The top-level and group parsers
+    take no option with a value, so the first such name at each level is the
+    one argparse dispatches on."""
+    path: tuple[str, ...] = ()
+    for token in argv:
+        if path + (token,) in _PATHS:
+            path += (token,)
+    return path
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of every command, with options only on the one argv names."""
+    named = _named_path(argv)
     top = argparse.ArgumentParser(
         prog="bunncalc",
         description="exact slope calculus, Newton strata, and character/stratum "
@@ -123,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = subparsers[path[:-1]].add_parser(path[-1], help=help_text)
         if view is None:
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        if path != named:
             continue
         for key in keys + ("json", "ascii"):
             if isinstance(key, tuple):
@@ -162,10 +186,10 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    argv = _merge_negative_values(list(argv))
+    args = build_parser(argv).parse_args(argv)
     module, _, name = args.view.rpartition(".")
     command = getattr(import_module(f".{module}", __package__), name)
     from .bundles import BudgetError, DomainError, ParseError
@@ -183,6 +207,8 @@ def main(argv=None) -> int:
     view, code = view if isinstance(view, tuple) else (view, 0)
     try:
         if isinstance(view, dict):
+            import json
+
             print(json.dumps(view, indent=2))
         else:
             for line in view:

@@ -9,7 +9,6 @@ nu_b = (-nu_E)_dom, so the endpoint invariant kappa(b) equals -deg(E_b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, groupby, islice
@@ -25,12 +24,13 @@ from .bundles import (
     check_segments,
     enumeration_budget,
     lattice_tops,
+    record,
     segment_pairing,
     slope_str,
 )
 
 
-@dataclass(frozen=True)
+@record
 class NewtonPoint:
     """Maximal segments (rise, run) of integers, slopes rise/run strictly decreasing."""
 
@@ -255,7 +255,7 @@ def parabolic_type(b: NewtonPoint) -> tuple[int, ...]:
     return tuple(run for _, run in b.segments)
 
 
-@dataclass(frozen=True)
+@record
 class InnerFormGroup:
     """Product of factors GL_m(D_{-lam}), one per bundle segment (deg, rank):
     lam = deg/rank, m = gcd(deg, rank); integral lam gives the split GL_m."""
@@ -286,7 +286,7 @@ def automorphism_group(e: BundleSpec) -> InnerFormGroup:
     return InnerFormGroup(e.segments)
 
 
-@dataclass(frozen=True)
+@record
 class CharacterExponents:
     """Exponents e_i of a character prod_i |det_i|^{e_i} of an inner form
     group, e_i at the position of factor i."""

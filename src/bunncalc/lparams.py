@@ -11,7 +11,6 @@ is the stratum segment (-sum d_i, sum n_i), so all of it runs in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
@@ -21,6 +20,7 @@ from .bundles import (
     DomainError,
     as_int,
     enumeration_budget,
+    record,
     slope_groups,
     slope_str,
 )
@@ -49,7 +49,7 @@ def chi_inv(a: Character) -> Character:
     return tuple(-x for x in a)
 
 
-@dataclass(frozen=True)
+@record
 class LParamShape:
     """r pairwise-distinct components as three columns: position i of dims,
     labels and torsion is component i."""
@@ -111,7 +111,7 @@ def chi_to_bundle(shape: LParamShape, chi: Character) -> BundleSpec:
     return b_to_bundle(chi_to_rep(shape, chi).stratum)
 
 
-@dataclass(frozen=True)
+@record
 class RepSymbol:
     """Representation symbol: the stratum plus one component-index tuple per
     slope class of the stratum, in decreasing bundle slope."""
@@ -151,7 +151,7 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SheafSymbol:
     """Shifted extension-by-zero of a twisted representation symbol."""
 
@@ -237,7 +237,7 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
+@record
 class ComponentShape:
     stack: str
     closed_point_law: str

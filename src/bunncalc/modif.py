@@ -6,7 +6,6 @@ segments (deg, rank), so everything here runs in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le
 
 from .bundles import (
@@ -14,9 +13,11 @@ from .bundles import (
     BundleSpec,
     DomainError,
     as_int,
+    check_dominant,
     enumeration_budget,
     lattice_tops,
     pairing_note,
+    record,
     segment_pairing,
 )
 from .kottwitz import (
@@ -27,7 +28,6 @@ from .kottwitz import (
     bundle_to_b,
     kappa_exponents,
 )
-from .weights import check_dominant
 
 
 def rho_weight(vec) -> int:
@@ -67,7 +67,7 @@ def _cuts_class(top: BundleSpec, bottom: BundleSpec) -> bool:
     return d1 * r2 == d2 * r1
 
 
-@dataclass(frozen=True)
+@record
 class BoyerFactorization:
     split_rank: int
     direction: str  # "source-parabolic" or "target-parabolic"

@@ -15,11 +15,10 @@ defect.  Every output carries an itemized twist ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .bundles import BundleSpec, DomainError, pairing_note
+from .bundles import BundleSpec, DomainError, check_dominant, pairing_note, record
 from .kottwitz import NewtonPoint, b_to_bundle, d_point, leq, point_from_vector
 from .lparams import (
     Character,
@@ -33,7 +32,7 @@ from .lparams import (
 )
 from .modif import is_minuscule, rho_weight
 from .spectral import hecke, stalk
-from .weights import WeilSymbol, check_dominant, dual_weight, dualize_symbol, sigma_chi
+from .weights import WeilSymbol, dual_weight, dualize_symbol, sigma_chi
 
 
 def _canonical_dual(sym: WeilSymbol) -> tuple[WeilSymbol, bool]:
@@ -45,7 +44,7 @@ def _canonical_dual(sym: WeilSymbol) -> tuple[WeilSymbol, bool]:
     return sym, False
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyPiece:
     rep: RepSymbol
     modulus_half_exponent: Fraction
@@ -56,7 +55,7 @@ class CohomologyPiece:
     induction: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyOutput:
     direction: str
     source: Character
@@ -200,7 +199,7 @@ def _induction_presentation(source_bundle: BundleSpec, mu_inv_weight) -> str | N
     return f"Ind_P [{levi}] with block cocharacters {' , '.join(mus)}"
 
 
-@dataclass(frozen=True)
+@record
 class IgusaOutput:
     stratum: NewtonPoint
     degree: int
@@ -235,7 +234,7 @@ def igusa_cohomology(shape: LParamShape, mu, b: NewtonPoint) -> IgusaOutput:
     return IgusaOutput(stratum=b, degree=d_point(b), pieces=pieces)
 
 
-@dataclass(frozen=True)
+@record
 class MantovanPiece:
     stratum: NewtonPoint
     d: int

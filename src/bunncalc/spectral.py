@@ -17,12 +17,11 @@ segment (rise, run) of b with run | rise * n_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import add
 
-from .bundles import BudgetError, DomainError, enumeration_budget
+from .bundles import BudgetError, DomainError, check_dominant, enumeration_budget, record
 from .kottwitz import NewtonPoint
 from .lparams import (
     Character,
@@ -36,7 +35,7 @@ from .lparams import (
     chi_to_rep,
     make_F,
 )
-from .weights import WeilSymbol, check_dominant, levi_branching
+from .weights import WeilSymbol, levi_branching
 
 
 def spectral_act(shape: LParamShape, chi: Character, sheaf: SheafSymbol) -> SheafSymbol:
@@ -51,7 +50,7 @@ def spectral_act(shape: LParamShape, chi: Character, sheaf: SheafSymbol) -> Shea
     return make_F(shape, chi_mul(chi, xi))
 
 
-@dataclass(frozen=True)
+@record
 class HeckeDecomposition:
     """Terms (chi, translated sheaf, isotypic slice), zero slices omitted."""
 
@@ -108,7 +107,7 @@ def stalk(dec: HeckeDecomposition, b: NewtonPoint) -> list[tuple[SheafSymbol, We
     return [(sheaf, sym) for _, sheaf, sym in dec.terms if sheaf.stratum == b]
 
 
-@dataclass(frozen=True)
+@record
 class EigensheafStalk:
     stratum: NewtonPoint
     pieces: tuple[SheafSymbol, ...]

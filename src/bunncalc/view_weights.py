@@ -1,10 +1,10 @@
 """Views of the weight commands: ``weights mult``, ``weights branch`` and
-``weights sigma``."""
+``weights sigma``.  Only ``sigma`` reads a parameter shape, so only it loads
+``lparams`` and ``view_characters``."""
 
 from __future__ import annotations
 
 from . import serialize as ser
-from .view_characters import shape_of
 from .view_strata import ints, text
 from .weights import levi_branching, sigma_chi, weight_multiplicities
 
@@ -43,6 +43,8 @@ def cmd_branch(args):
 
 
 def cmd_sigma(args):
+    from .view_characters import shape_of
+
     shape = shape_of(args)
     lam = ints(args.lam)
     chi = ints(args.chi)

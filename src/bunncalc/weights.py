@@ -15,13 +15,12 @@ Everything is exact and desk scale by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .bundles import BudgetError, DomainError, as_int
+from .bundles import BudgetError, DomainError, as_int, check_dominant, record
 
 if TYPE_CHECKING:
     from .lparams import Character, LParamShape
@@ -32,15 +31,6 @@ HighestWeight = tuple[int, ...]
 # determinant-twist normalization
 MAX_N = 8
 MAX_WEIGHT_SIZE = 12
-
-
-def check_dominant(lam, n: int | None = None) -> HighestWeight:
-    lam = tuple(as_int(x, "weight entry") for x in lam)
-    if n is not None and len(lam) != n:
-        raise DomainError(f"weight must have length {n}, got {len(lam)}")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise DomainError(f"weight {lam} is not dominant (weakly decreasing)")
-    return lam
 
 
 def dual_weight(lam) -> HighestWeight:
@@ -320,7 +310,7 @@ def _monomial_str(w: HighestWeight, label: str) -> str:
     return f"S_({','.join(map(str, w))})({label})"
 
 
-@dataclass(frozen=True)
+@record
 class WeilSymbol:
     """Formal sum of tensor monomials of per-component highest weights."""
 

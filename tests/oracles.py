@@ -17,10 +17,15 @@ symbols and one pass over the window translating every source by every
 slice, bundles merged and split through Fraction slopes, and polygons
 interpolated in Fractions.  The renderers of bundles, automorphism groups and
 representation symbols are the earlier ones, which read Fraction slopes.
+The stored values are checked against ``dataclasses.dataclass(frozen=True)``
+twins of the record classes, and the per-command parser against the earlier
+parser that adds the options of every command.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +34,7 @@ from math import gcd
 from operator import le
 
 from bunncalc.bundles import DomainError, normalize_bundle
+from bunncalc.cli import _COMMANDS, _add_option
 from bunncalc.kottwitz import bundle_to_b
 from bunncalc.lparams import (
     RepSymbol,
@@ -681,3 +687,42 @@ def rep_describe_oracle(rep, shape, ascii_mode: bool = False) -> str:
         labels = "+".join(shape.labels[i] for i in members)
         parts.append(f"pi[{labels}]@{slope_str_oracle(s)}")
     return boxtimes.join(parts)
+
+
+# what ``bundles.record`` adds to a class; a twin gets its own from dataclasses
+_RECORD_MADE = {
+    "__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+    "__match_args__", "__dict__", "__weakref__",
+}
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass of the record class cls: a class of the same name,
+    module, annotations, class values and methods, decorated with
+    ``dataclasses.dataclass(frozen=True)`` in place of ``bundles.record``."""
+    body = {name: value for name, value in vars(cls).items() if name not in _RECORD_MADE}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
+
+
+def build_parser_oracle() -> argparse.ArgumentParser:
+    """The parser with the options of every command, whatever is parsed."""
+    top = argparse.ArgumentParser(
+        prog="bunncalc",
+        description="exact slope calculus, Newton strata, and character/stratum "
+        "bookkeeping for spectral Hecke actions",
+    )
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for path, help_text, view, keys in _COMMANDS:
+        p = subparsers[path[:-1]].add_parser(path[-1], help=help_text)
+        if view is None:
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for key in keys + ("json", "ascii"):
+            if isinstance(key, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for member in key:
+                    _add_option(group, member)
+            else:
+                _add_option(p, key)
+        p.set_defaults(view=view)
+    return top

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import bunncalc
-from bunncalc.cli import _COMMANDS, EXIT_BROKEN_PIPE, main
+from bunncalc.cli import _COMMANDS, EXIT_BROKEN_PIPE, _merge_negative_values, build_parser, main
+from oracles import build_parser_oracle
+from test_golden import CASES, README
 
 
 def run(capsys, *argv):
@@ -362,6 +367,55 @@ class TestDispatch:
             assert callable(getattr(import_module(f"bunncalc.{module}"), name)), view
 
 
+def parse_outcome(parser, argv):
+    """The namespace, or the exit code, and what parsing argv printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:  # --help and usage errors
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def options_by_path(parser, path=()):
+    """The option destinations of each command path that has any, --help aside."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(options_by_path(sub, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            out.setdefault(path, []).append(action.dest)
+    return out
+
+
+# every argv of the golden corpus (README and extra commands, errors, help
+# pages) and the usage errors argparse reports before any command is named
+PARSED = list(CASES.values()) + [
+    [], ["nope"], ["kottwitz"], ["kottwitz", "nope"], ["-x", "bundle", "O"],
+    ["bundle", "O", "--json", "--nope"], ["shtuka", "--help", "--mu", "1,0"],
+]
+
+
+class TestParser:
+    """The parser built for the command named parses as the parser with the
+    options of every command does."""
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_parses_as_the_all_commands_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = _merge_negative_values(argv)
+        assert parse_outcome(build_parser(argv), argv) == parse_outcome(build_parser_oracle(), argv)
+
+    def test_options_only_for_the_named_command(self):
+        every = options_by_path(build_parser_oracle())
+        assert len(every) == 21
+        for path, dests in every.items():
+            assert options_by_path(build_parser([*path, "--json"])) == {path: dests}
+        assert options_by_path(build_parser(["--help"])) == {}
+
+
 # today's package exports, each resolved lazily from its submodule
 EXPORTS = [
     "BoyerFactorization", "BudgetError", "BundleSpec", "Character", "CharacterExponents",
@@ -378,25 +432,26 @@ EXPORTS = [
     "weight_multiplicities", "weyl_dim",
 ]
 
-# runs main(argv) in a fresh interpreter, then prints the bunncalc modules it loaded
+# runs main(argv) in a fresh interpreter, then prints every module loaded;
+# it imports nothing itself, so that what it reports is what main loaded
 LOADED_PROBE = """
-import json, sys
+import sys
 from bunncalc.cli import main
 try:
-    main(json.loads(sys.argv[1]))
+    main(sys.argv[1:])
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("bunncalc"))))
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def loaded_modules(argv):
+def loaded_modules(argv, cwd=None):
     src = str(Path(bunncalc.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_PROBE, json.dumps(argv)],
+        [sys.executable, "-c", LOADED_PROBE, *argv], cwd=cwd,
         capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1].split()
 
 
 class TestLazyLoading:
@@ -426,7 +481,21 @@ class TestLazyLoading:
             assert f"bunncalc.{layer}" not in loaded
 
     def test_help_loads_no_view(self):
-        assert loaded_modules(["--help"]) == ["bunncalc", "bunncalc.cli"]
+        loaded = loaded_modules(["--help"])
+        assert [m for m in loaded if m.startswith("bunncalc")] == ["bunncalc", "bunncalc.cli"]
+
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize("name", list(README))
+    def test_readme_command_loads_only_what_it_uses(self, name, mode, tmp_path):
+        loaded = set(loaded_modules(README[name] + (["--json"] if mode == "json" else []), tmp_path))
+        assert "bunncalc.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+        if mode == "text":
+            assert "json" not in loaded
+        if name in ("boyer", "modif-targets", "modif-necessary"):
+            assert "bunncalc.weights" not in loaded
+        if name in ("weights-mult", "weights-branch"):
+            assert "bunncalc.lparams" not in loaded
 
     def test_exports_unchanged(self):
         assert sorted(bunncalc.__all__) == EXPORTS

@@ -85,6 +85,16 @@ def test_no_module_imports_cli():
     assert importers == []
 
 
+def test_no_module_imports_dataclasses():
+    """Records are ``bundles.record``: ``dataclasses`` loads ``inspect``, and a
+    CLI start would pay for both."""
+    importers = [
+        p.name for p in SRC.glob("*.py")
+        if any(m.split(".")[0] == "dataclasses" for m in imported_modules(parse(p)))
+    ]
+    assert importers == []
+
+
 def test_no_private_name_imported_across_modules():
     """A module reads only the public names of the other package modules."""
     private = [

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -12,6 +11,7 @@ from bunncalc import (
     BudgetError,
     BundleSpec,
     DomainError,
+    HeckeDecomposition,
     b_to_chis,
     bundle_to_b,
     chi_id,
@@ -116,7 +116,7 @@ class TestHecke:
         shape = LParamShape.from_dims((1, 1))
         dec = hecke(shape, (1, 0), make_F(shape, chi_id(2)))
         with pytest.raises(DomainError):
-            dataclasses.replace(dec, terms=dec.terms[:1] * 2)
+            HeckeDecomposition(dec.weight, dec.source, dec.terms[:1] * 2)
 
     @pytest.mark.parametrize(
         "dims,lam",
