@@ -7,8 +7,8 @@ per stable class: O(p/q)^m is the segment (m*p, m*q), so m = gcd(deg, rank).
 Newton points are stored the same way, and both are checked by one validator.
 Polygons with lattice breakpoints compare by their lattice tops and pair with
 2rho in integers, and parsing and the text and JSON forms run in integers.
-``fractions.Fraction`` is left in the views ``parts`` and ``slope_classes()``,
-in ``reduce_slope``, ``bundle()``, ``normalize_bundle``'s input and ``rho_pairing``.
+``fractions.Fraction`` is left in ``reduce_slope``, ``bundle()``,
+``normalize_bundle``'s input and ``rho_pairing``.
 
 Every stored value of the package is a frozen record made by ``record``: one
 compiled source per class gives it ``__init__``, ``__eq__``, ``__hash__`` and
@@ -152,8 +152,7 @@ def record(cls):
 class BundleSpec:
     """A bundle as its HN segments (deg, rank), one per stable class, slopes
     strictly decreasing.  The class O(p/q)^m is the segment (m*p, m*q), so its
-    multiplicity is gcd(deg, rank); ``parts`` and ``slope_classes()`` are
-    Fraction views of the segments."""
+    multiplicity is gcd(deg, rank)."""
 
     segments: tuple[tuple[int, int], ...]
 
@@ -167,15 +166,6 @@ class BundleSpec:
     @property
     def deg(self) -> int:
         return sum(deg for deg, _ in self.segments)
-
-    @property
-    def parts(self) -> tuple[tuple[Slope, int], ...]:
-        """(slope, multiplicity) pairs, slopes strictly decreasing."""
-        return tuple((Fraction(deg, rank), gcd(deg, rank)) for deg, rank in self.segments)
-
-    def slope_classes(self) -> tuple[tuple[Slope, int], ...]:
-        """(slope, entry count) pairs, where the count is the class rank."""
-        return tuple((Fraction(deg, rank), rank) for deg, rank in self.segments)
 
     def __str__(self) -> str:
         return format_bundle(self)
@@ -258,6 +248,18 @@ def segment_pairing(segments: Iterable[tuple[int, int]]) -> int:
         rise_before += rise
         run_before += run
     return total
+
+
+def rho_weight(vec) -> int:
+    """<2rho, v> = sum_{i<j} (v_i - v_j) for a weakly decreasing integer vector."""
+    return segment_pairing((x, 1) for x in check_dominant(vec))
+
+
+def is_minuscule(vec) -> bool:
+    """Entries lie in {0, 1} after subtracting the smallest one."""
+    vec = tuple(as_int(x, "weight entry") for x in vec)
+    base = min(vec)
+    return all(x - base in (0, 1) for x in vec)
 
 
 def rho_pairing(classes: Sequence[tuple[Slope, int]]) -> int:

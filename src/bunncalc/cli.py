@@ -55,6 +55,7 @@ _OPTIONS = {
     "bprime": ("--bprime", _REQUIRED),
     "dot": ("--dot", {"help": "write a DOT digraph to this path"}),
     "stalk": ("--stalk", {"help": "restrict to the stratum of this bundle"}),
+    "stalk_required": ("--stalk", {"required": True, "help": "stratum as a bundle expression"}),
     "strata": ("--strata", {"required": True, "help": "';'-separated bundle expressions"}),
     "target": ("--target", {"required": True, "help": "target stratum as a bundle"}),
     "json": ("--json", {"action": "store_true", "help": "emit the JSON schema"}),
@@ -90,7 +91,7 @@ _COMMANDS = [
      _SHAPE + ("chi", "xi")),
     (("spectral", "hecke"), "operator decomposition", "view_spectral.cmd_hecke", _HECKE),
     (("spectral", "stalk"), "operator decomposition restricted to a stratum",
-     "view_spectral.cmd_hecke", _HECKE),
+     "view_spectral.cmd_hecke", _SHAPE + ("lam", "xi", "stalk_required")),
     (("spectral", "eigensheaf"), "eigen-stalk at a stratum", "view_spectral.cmd_eigensheaf",
      _SHAPE + ("bundle",)),
     (("spectral", "verify"), "termwise eigen identity on a stratum window",

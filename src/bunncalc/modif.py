@@ -12,12 +12,13 @@ from .bundles import (
     BudgetError,
     BundleSpec,
     DomainError,
-    as_int,
     check_dominant,
     enumeration_budget,
+    is_minuscule,
     lattice_tops,
     pairing_note,
     record,
+    rho_weight,
     segment_pairing,
 )
 from .kottwitz import (
@@ -28,18 +29,6 @@ from .kottwitz import (
     bundle_to_b,
     kappa_exponents,
 )
-
-
-def rho_weight(vec) -> int:
-    """<2rho, v> = sum_{i<j} (v_i - v_j) for a weakly decreasing integer vector."""
-    return segment_pairing((x, 1) for x in check_dominant(vec))
-
-
-def is_minuscule(vec) -> bool:
-    """Entries lie in {0, 1} after subtracting the smallest one."""
-    vec = tuple(as_int(x, "weight entry") for x in vec)
-    base = min(vec)
-    return all(x - base in (0, 1) for x in vec)
 
 
 def _split_at(e: BundleSpec, m: int) -> tuple[BundleSpec, BundleSpec] | None:

@@ -18,7 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import ClassVar
 
-from .bundles import BundleSpec, DomainError, check_dominant, pairing_note, record
+from .bundles import (
+    BundleSpec,
+    DomainError,
+    check_dominant,
+    is_minuscule,
+    pairing_note,
+    record,
+    rho_weight,
+)
 from .kottwitz import NewtonPoint, b_to_bundle, d_point, leq, point_from_vector
 from .lparams import (
     Character,
@@ -30,7 +38,6 @@ from .lparams import (
     chi_to_rep,
     make_F,
 )
-from .modif import is_minuscule, rho_weight
 from .spectral import hecke, stalk
 from .weights import WeilSymbol, dual_weight, dualize_symbol, sigma_chi
 

@@ -4,9 +4,9 @@ the resulting operator decompositions, and eigen-stalk bookkeeping.
 On the orbit of canonical symbols the action of a character is a pure
 translation: acting by chi on the symbol of xi yields the symbol of chi*xi.
 An operator attached to a highest weight decomposes into these translations
-weighted by the isotypic slices of the weight representation.  The slices
-depend only on the shape and the weight, never on the source: one pass over
-the weight's branching to the component blocks sorts its terms into them.
+weighted by the isotypic slices of the weight representation, which
+``weights.isotypic_slices`` groups from one pass over the branching; they
+depend only on the shape and the weight, never on the source.
 The eigen check works in the size of each stratum's fiber, not in source
 and slice pairs: at a window stratum b it checks that (a) every character
 listed for b is listed once and its symbol lies on b, and (b) no other
@@ -35,7 +35,7 @@ from .lparams import (
     chi_to_rep,
     make_F,
 )
-from .weights import WeilSymbol, levi_branching
+from .weights import WeilSymbol, isotypic_slices
 
 
 def spectral_act(shape: LParamShape, chi: Character, sheaf: SheafSymbol) -> SheafSymbol:
@@ -68,22 +68,6 @@ class HeckeDecomposition:
         return sum(sym.dim for _, _, sym in self.terms)
 
 
-def _slices(shape: LParamShape, lam) -> list[tuple[Character, WeilSymbol]]:
-    """The isotypic slices of r_lam, as (chi, slice) in descending chi.
-
-    One pass over the branching of r_lam to the component blocks groups its
-    terms by their character chi (the per-block central characters); each
-    slice keeps its terms in branching order.  lam must already be checked.
-    """
-    slices: dict[Character, list] = {}
-    for ws, mult in levi_branching(shape.n, lam, shape.dims):
-        slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
-    return [
-        (chi, WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=tuple(slices[chi])))
-        for chi in sorted(slices, reverse=True)
-    ]
-
-
 def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     """Decompose the weight-lam operator applied to a canonical symbol.
 
@@ -92,8 +76,10 @@ def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     """
     lam = check_dominant(lam, shape.n)
     xi = character_of_sheaf(shape, sheaf)
+    slices = isotypic_slices(shape, lam)
     terms = tuple(
-        (chi, make_F(shape, chi_mul(chi, xi)), sym) for chi, sym in _slices(shape, lam)
+        (chi, make_F(shape, chi_mul(chi, xi)), WeilSymbol(shape.dims, shape.labels, slices[chi]))
+        for chi in sorted(slices, reverse=True)
     )
     return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
@@ -145,14 +131,14 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     the enumeration budget before the first symbol is built.
     """
     lam = check_dominant(lam, shape.n)
-    slices = [chi for chi, _ in _slices(shape, lam)]
+    inverses = [chi_inv(chi) for chi in isotypic_slices(shape, lam)]
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
     boxes = {
         b: [[-rise * ni // run for rise, run in b.segments if rise * ni % run == 0]
             for ni in shape.dims]
         for b in window
     }
-    lookups = len(slices) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
+    lookups = len(inverses) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
     budget = enumeration_budget()
     if lookups > budget:
         raise BudgetError(f"{lookups} window lookups exceed budget of {budget}")
@@ -164,7 +150,6 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
             sheaf = memo[chi] = make_F(shape, chi)
         return sheaf
 
-    inverses = [chi_inv(chi) for chi in slices]
     sources = {chi_mul(eta, inv) for chis in window.values() for eta in chis for inv in inverses}
     for src in sorted(sources):
         sheaf = sheaf_of(src)

@@ -9,7 +9,9 @@ is listed from the orbit of a dominant one, with the twist put back once.
 Branching to a block Levi peels off one block at a time by the
 Littlewood-Richardson rule, counting LR fillings rather than weights, and
 recurses on the remainder with a memo that lives for one call; a tail of
-size-1 blocks is the torus, whose terms are the weights themselves.
+size-1 blocks is the torus, whose terms are the weights themselves.  The
+isotypic slices are that branching's terms grouped once by their
+per-block central characters; every slice the package reads comes from it.
 Everything is exact and desk scale by design.
 """
 
@@ -350,20 +352,24 @@ class WeilSymbol:
         return " ⊕ ".join(rendered)
 
 
-def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
-    """Isotypic slice of r_lam for the centralizer character chi.
+def isotypic_slices(shape: LParamShape, lam: HighestWeight) -> dict[Character, tuple]:
+    """The branching terms of r_lam to the component blocks, grouped by their
+    character chi (the per-block central characters |lam^(i)|); each group
+    keeps branching order.  lam must already be checked."""
+    slices: dict[Character, list] = {}
+    for ws, mult in levi_branching(shape.n, lam, shape.dims):
+        slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
+    return {chi: tuple(terms) for chi, terms in slices.items()}
 
-    Branch to the component-dimension blocks and keep the terms whose
-    per-block central characters |lam^(i)| match the exponents d_i.
-    """
+
+def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
+    """Isotypic slice of r_lam for the centralizer character chi: the terms
+    of the branching whose per-block central characters match the exponents
+    d_i, none if no term does."""
     chi = shape.check_chi(chi)
     lam = check_dominant(lam, shape.n)
-    terms = [
-        (ws, mult)
-        for ws, mult in levi_branching(shape.n, lam, shape.dims)
-        if all(sum(w) == d for w, d in zip(ws, chi))
-    ]
-    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=tuple(terms))
+    terms = isotypic_slices(shape, lam).get(chi, ())
+    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=terms)
 
 
 def dualize_symbol(sym: WeilSymbol) -> WeilSymbol:

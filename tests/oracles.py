@@ -45,11 +45,11 @@ from bunncalc.lparams import (
     chi_mul,
     make_F,
 )
-from bunncalc.spectral import HeckeDecomposition, _slices
+from bunncalc.spectral import HeckeDecomposition
 from bunncalc.weights import (
+    WeilSymbol,
     check_dominant,
     levi_branching,
-    sigma_chi,
     weight_multiplicities,
 )
 
@@ -447,13 +447,24 @@ def levi_branching_extraction_oracle(n: int, lam, blocks):
     return tuple(out)
 
 
+def parts_of(e) -> tuple[tuple[Fraction, int], ...]:
+    """A bundle's (slope, multiplicity) pairs, slopes strictly decreasing:
+    the Fraction view of its segments (deg, rank)."""
+    return tuple((Fraction(deg, rank), gcd(deg, rank)) for deg, rank in e.segments)
+
+
+def slope_classes_of(e) -> tuple[tuple[Fraction, int], ...]:
+    """A bundle's (slope, entry count) pairs, the count being the class rank."""
+    return tuple((Fraction(deg, rank), rank) for deg, rank in e.segments)
+
+
 def split_at_oracle(e, m):
     """Split the stable summands (decreasing slope) into a top part of rank m,
     one Fraction slope and multiplicity at a time."""
     top = []
     bottom = []
     remaining = m
-    for s, mult in e.parts:
+    for s, mult in parts_of(e):
         den = s.denominator
         if remaining >= mult * den:
             top.append((s, mult))
@@ -475,7 +486,7 @@ def split_at_oracle(e, m):
 def hn_polygon_oracle(e):
     """HN vertices as running sums of the Fraction slope vector, with a
     vertex wherever the slope changes and at the end."""
-    vec = [s for s, mult in e.parts for _ in range(mult * s.denominator)]
+    vec = [s for s, mult in parts_of(e) for _ in range(mult * s.denominator)]
     verts, y = [(0, Fraction(0))], Fraction(0)
     for x, s in enumerate(vec, 1):
         y += s
@@ -505,21 +516,34 @@ def chi_to_rep_oracle(shape, chi):
     return RepSymbol(stratum=bundle_to_b(e), members=members)
 
 
+def sigma_chi_oracle(shape, lam, chi):
+    """The isotypic slice of r_lam for chi: a filter over every branching
+    term, keeping those whose per-block central characters are chi."""
+    chi = shape.check_chi(chi)
+    lam = check_dominant(lam, shape.n)
+    terms = [
+        (ws, mult)
+        for ws, mult in levi_branching(shape.n, lam, shape.dims)
+        if all(sum(w) == d for w, d in zip(ws, chi))
+    ]
+    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=tuple(terms))
+
+
+def slices_oracle(shape, lam):
+    """(chi, slice) in descending chi, one sigma_chi_oracle filter for each
+    character that a branching term has."""
+    chis = {tuple(sum(w) for w in ws) for ws, _ in levi_branching(shape.n, lam, shape.dims)}
+    return [(chi, sigma_chi_oracle(shape, lam, chi)) for chi in sorted(chis, reverse=True)]
+
+
 def hecke_oracle(shape, lam, sheaf):
-    """The Hecke decomposition with one sigma_chi filter over every branching
-    term per character, and one make_F per term."""
+    """The Hecke decomposition from slices_oracle, one make_F per term."""
     lam = check_dominant(lam, shape.n)
     xi = character_of_sheaf(shape, sheaf)
-    chis: set = set()
-    for ws, _ in levi_branching(shape.n, lam, shape.dims):
-        chis.add(tuple(sum(w) for w in ws))
-    terms = []
-    for chi in sorted(chis, reverse=True):
-        sym = sigma_chi(shape, lam, chi)
-        if not sym.terms:
-            continue
-        terms.append((chi, make_F(shape, chi_mul(chi, xi)), sym))
-    return HeckeDecomposition(weight=lam, source=xi, terms=tuple(terms))
+    terms = tuple(
+        (chi, make_F(shape, chi_mul(chi, xi)), sym) for chi, sym in slices_oracle(shape, lam)
+    )
+    return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
 
 def verify_eigen_oracle(shape, lam, strata) -> bool:
@@ -528,7 +552,7 @@ def verify_eigen_oracle(shape, lam, strata) -> bool:
     products on b are compared with b's pieces as a multiset of
     (sheaf symbol, slice) pairs."""
     lam = check_dominant(lam, shape.n)
-    slices = _slices(shape, lam)
+    slices = slices_oracle(shape, lam)
     memo: dict = {}
 
     def sheaf_of(chi):
@@ -564,7 +588,7 @@ def verify_eigen_window_oracle(shape, lam, strata) -> bool:
     when that stratum is in the window, and both sides are compared as
     multisets of (character, slice index) pairs."""
     lam = check_dominant(lam, shape.n)
-    slices = [chi for chi, _ in _slices(shape, lam)]
+    slices = [chi for chi, _ in slices_oracle(shape, lam)]
     memo: dict = {}
 
     def sheaf_of(chi):
@@ -635,7 +659,7 @@ def slope_str_oracle(s: Fraction) -> str:
 def format_bundle_oracle(b, pretty: bool = False) -> str:
     """Canonical text form; with pretty=True uses a direct-sum glyph."""
     terms = []
-    for s, m in b.parts:
+    for s, m in parts_of(b):
         base = "O" if s == 0 else f"O({slope_str_oracle(s)})"
         terms.append(base if m == 1 else f"{base}^{m}")
     return (" ⊕ " if pretty else "+").join(terms)
@@ -644,14 +668,14 @@ def format_bundle_oracle(b, pretty: bool = False) -> str:
 def bundle_to_json_oracle(b) -> dict:
     return {
         "parts": [
-            {"num": s.numerator, "den": s.denominator, "mult": m} for s, m in b.parts
+            {"num": s.numerator, "den": s.denominator, "mult": m} for s, m in parts_of(b)
         ]
     }
 
 
 def group_factors_oracle(e) -> tuple[tuple[int, Fraction], ...]:
     """The automorphism group of a bundle as (m, slope), one per slope class."""
-    return tuple((m, s) for s, m in e.parts)
+    return tuple((m, s) for s, m in parts_of(e))
 
 
 def group_describe_oracle(factors, ascii_mode: bool = False) -> str:

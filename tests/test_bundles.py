@@ -32,7 +32,7 @@ from bunncalc.modif import _split_at
 from bunncalc.serialize import point_json
 from bunncalc.shtuka import is_minuscule
 from conftest import bundle_specs, fractions_built, small_bundles
-from oracles import hn_polygon_oracle, split_at_oracle
+from oracles import hn_polygon_oracle, parts_of, slope_classes_of, split_at_oracle
 
 F = Fraction
 
@@ -95,15 +95,15 @@ class TestReduceSlope:
 class TestNormalize:
     def test_merge_equal_slopes(self):
         spec = normalize_bundle([(F(1, 2), 1), (F(1, 2), 1), (F(0), 3)])
-        assert spec.parts == ((F(1, 2), 2), (F(0), 3))
+        assert parts_of(spec) == ((F(1, 2), 2), (F(0), 3))
 
     def test_sort_descending(self):
         spec = normalize_bundle([(F(0), 2), (F(1), 1)])
-        assert spec.parts == ((F(1), 1), (F(0), 2))
+        assert parts_of(spec) == ((F(1), 1), (F(0), 2))
 
     def test_already_normal(self):
         spec = normalize_bundle([(F(3, 4), 1), (F(1, 3), 1), (F(0), 3)])
-        assert spec.parts == ((F(3, 4), 1), (F(1, 3), 1), (F(0), 3))
+        assert parts_of(spec) == ((F(3, 4), 1), (F(1, 3), 1), (F(0), 3))
         assert (spec.rank, spec.deg) == (10, 4)
 
     def test_empty_rejected(self):
@@ -112,7 +112,7 @@ class TestNormalize:
 
     @given(bundle_specs())
     def test_idempotent(self, spec):
-        assert normalize_bundle(spec.parts) == spec
+        assert normalize_bundle(parts_of(spec)) == spec
 
     def test_float_slope_rank_over_budget_rejected(self):
         # 0.1 is the binary fraction 3602879701896397/2**55
@@ -130,7 +130,7 @@ class TestNormalize:
 
     @given(bundle_specs(), bundle_specs())
     def test_rank_degree_additive(self, a, b):
-        s = normalize_bundle(a.parts + b.parts)
+        s = normalize_bundle(parts_of(a) + parts_of(b))
         assert s.rank == a.rank + b.rank
         assert s.deg == a.deg + b.deg
 
@@ -196,19 +196,19 @@ class TestRhoPairing:
 
     @given(bundle_specs())
     def test_nonnegative_and_zero_iff_semistable(self, spec):
-        v = rho_pairing(spec.slope_classes())
+        v = rho_pairing(slope_classes_of(spec))
         assert v >= 0
-        assert (v == 0) == (len(spec.parts) == 1)
+        assert (v == 0) == (len(parts_of(spec)) == 1)
 
     @given(bundle_specs(), st.integers(-3, 3))
     def test_invariant_under_central_twist(self, spec, a):
-        twisted = normalize_bundle((s + a, m) for s, m in spec.parts)
-        assert rho_pairing(twisted.slope_classes()) == rho_pairing(spec.slope_classes())
+        twisted = normalize_bundle((s + a, m) for s, m in parts_of(spec))
+        assert rho_pairing(slope_classes_of(twisted)) == rho_pairing(slope_classes_of(spec))
 
     @given(bundle_specs())
     def test_equals_segment_pairing(self, spec):
-        segments = [(m * s.numerator, m * s.denominator) for s, m in spec.parts]
-        assert rho_pairing(spec.slope_classes()) == segment_pairing(segments)
+        segments = [(m * s.numerator, m * s.denominator) for s, m in parts_of(spec)]
+        assert rho_pairing(slope_classes_of(spec)) == segment_pairing(segments)
 
     def test_segment_pairing_unit_runs(self):
         # sum_{i<j} (v_i - v_j) for v = (3, 1, 0)
@@ -216,7 +216,7 @@ class TestRhoPairing:
 
     def test_flagged_instance_reports_formula_value(self):
         e = parse_bundle("O(3/2)+O(1/2)+O(1/3)+O^3")
-        assert rho_pairing(e.slope_classes()) == 27
+        assert rho_pairing(slope_classes_of(e)) == 27
         note = pairing_note(e.segments)
         assert note is not None and "26" in note and "27" in note
 
@@ -227,10 +227,10 @@ class TestRhoPairing:
 class TestGrammar:
     def test_worked_bundle(self):
         e = parse_bundle("O(3/4)+O(1/3)+O^3")
-        assert e.parts == ((F(3, 4), 1), (F(1, 3), 1), (F(0), 3))
+        assert parts_of(e) == ((F(3, 4), 1), (F(1, 3), 1), (F(0), 3))
 
     def test_trivial_power(self):
-        assert parse_bundle("O^4").parts == ((F(0), 4),)
+        assert parts_of(parse_bundle("O^4")) == ((F(0), 4),)
 
     def test_whitespace_insensitive(self):
         assert parse_bundle(" O(3/4) + O( 1/3) +O^3 ".replace("( 1", "(1")) == parse_bundle(
@@ -239,7 +239,7 @@ class TestGrammar:
 
     def test_negative_slopes(self):
         e = parse_bundle("O(-1)+O(-1/2)^2")
-        assert e.parts == ((F(-1, 2), 2), (F(-1), 1))
+        assert parts_of(e) == ((F(-1, 2), 2), (F(-1), 1))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match="position"):
@@ -286,8 +286,8 @@ class TestSegments:
     def test_stores_one_segment_per_class(self):
         e = parse_bundle("O(3/4)+O(1/2)^3+O^3")
         assert e.segments == ((3, 4), (3, 6), (0, 3))
-        assert e.parts == ((F(3, 4), 1), (F(1, 2), 3), (F(0), 3))
-        assert e.slope_classes() == ((F(3, 4), 4), (F(1, 2), 6), (F(0), 3))
+        assert parts_of(e) == ((F(3, 4), 1), (F(1, 2), 3), (F(0), 3))
+        assert slope_classes_of(e) == ((F(3, 4), 4), (F(1, 2), 6), (F(0), 3))
 
     @pytest.mark.parametrize(
         "segments,message",
@@ -304,7 +304,7 @@ class TestSegments:
 
     def test_views_match_fraction_oracles(self):
         for e in small_bundles():
-            assert normalize_bundle(e.parts) == e, e
+            assert normalize_bundle(parts_of(e)) == e, e
             assert b_to_bundle(bundle_to_b(e)) == e, e
             assert parse_bundle(format_bundle(e)) == e, e
             assert hn_polygon(e) == hn_polygon_oracle(e), e

@@ -496,6 +496,8 @@ class TestLazyLoading:
             assert "bunncalc.weights" not in loaded
         if name in ("weights-mult", "weights-branch"):
             assert "bunncalc.lparams" not in loaded
+        if name in ("shtuka", "hv", "igusa"):
+            assert "bunncalc.modif" not in loaded
 
     def test_exports_unchanged(self):
         assert sorted(bunncalc.__all__) == EXPORTS

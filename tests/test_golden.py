@@ -67,6 +67,12 @@ EXTRA = {
     "bundle-flagged": ["bundle", "O(3/2)+O(1/2)+O(1/3)+O^3"],
     "weights-mult-negative": ["weights", "mult", "-n", "3", "--lambda", "-1,-2,-4"],
     "kottwitz-hasse-dot": ["kottwitz", "hasse", "-n", "4", "--mu", "1,1,0,0", "--dot", DOT],
+    "weights-sigma-multiple": ["weights", "sigma", "--dims", "1,1,1", "--lambda", "2,1,0",
+                               "--chi", "1,1,1"],
+    "weights-sigma-sym": ["weights", "sigma", "--dims", "2,1", "--lambda", "2,0,0", "--chi", "2,0"],
+    "weights-sigma-schur": ["weights", "sigma", "--dims", "3", "--lambda", "2,1,0", "--chi", "3"],
+    "weights-sigma-empty": ["weights", "sigma", "--dims", "1,1", "--lambda", "3,0", "--chi", "5,0"],
+    "hv-induced": ["hv", "--dims", "2", "--xi", "1", "--mu-inv", "0,-1"],
 }
 
 MODES = {"text": [], "ascii": ["--ascii"], "json": ["--json"]}
@@ -76,6 +82,8 @@ ERRORS = {
     "error-parse-ints": ["weights", "mult", "-n", "2", "--lambda", "3,x"],
     "error-usage-shtuka": ["shtuka", "--dims", "1,1", "--xi", "0,0", "--target", "O^2"],
     "error-domain-enum": ["kottwitz", "enum", "-n", "2", "--mu", "0,1"],
+    "error-usage-spectral-stalk": ["spectral", "stalk", "--dims", "1,1", "--lambda", "3,0",
+                                   "--xi", "0,0"],
 }
 
 PARSERS = [

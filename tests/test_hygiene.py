@@ -78,6 +78,54 @@ def imported_modules(tree: ast.Module) -> list[str]:
     return out
 
 
+TYPE_CHECKING_TESTS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def load_time_imports(node: ast.AST) -> list[str]:
+    """The modules that running node imports: those of its import statements,
+    not counting the ones in a function body or under ``if TYPE_CHECKING:``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return imported_modules(node)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return []
+    if isinstance(node, ast.If) and ast.unparse(node.test) in TYPE_CHECKING_TESTS:
+        return [m for child in node.orelse for m in load_time_imports(child)]
+    return [m for child in ast.iter_child_nodes(node) for m in load_time_imports(child)]
+
+
+def package_modules(modules: list[str]) -> set[str]:
+    """The package modules among dotted names, by their short names."""
+    names = {p.stem for p in SRC.glob("*.py")}
+    return {m.split(".")[1] for m in modules if m.startswith("bunncalc.")} & names
+
+
+# the library layers, lowest first; a layer loads only layers of lower rank
+LAYERS = {"bundles": 0, "kottwitz": 1, "lparams": 2, "weights": 2, "modif": 2, "spectral": 3,
+          "shtuka": 4}
+
+
+def test_library_layer_order():
+    """bundles < kottwitz < {lparams, weights, modif} < spectral < shtuka: each
+    layer imports, when it loads, only layers below it, and no view or cli.
+    The modification layer (modif) and the cohomology layer (shtuka) share
+    their weight predicates through bundles, so neither imports the other
+    anywhere, nor a view or cli."""
+    upward = [
+        f"{name} loads {dep}"
+        for name, rank in LAYERS.items()
+        for dep in sorted(package_modules(load_time_imports(parse(SRC / f"{name}.py"))))
+        if LAYERS.get(dep, rank) >= rank
+    ]
+    assert upward == []
+    crossing = [
+        f"{name} imports {dep}"
+        for name, other in (("modif", "shtuka"), ("shtuka", "modif"))
+        for dep in sorted(package_modules(imported_modules(parse(SRC / f"{name}.py"))))
+        if dep == other or dep == "cli" or dep.startswith("view_")
+    ]
+    assert crossing == []
+
+
 def test_no_module_imports_cli():
     """``python -m bunncalc.cli`` runs cli as ``__main__``, so an import of
     ``bunncalc.cli`` from the package would run it a second time."""

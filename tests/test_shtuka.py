@@ -33,7 +33,7 @@ from bunncalc.lparams import LParamShape
 from bunncalc.shtuka import is_minuscule, rho_weight
 from bunncalc.weights import dual_weight
 from conftest import fractions_built
-from oracles import hn_lies_above_oracle
+from oracles import hn_lies_above_oracle, slope_classes_of
 
 F = Fraction
 
@@ -441,4 +441,5 @@ class TestHelpers:
 
     def test_rho_weight_matches_bundle_pairing(self):
         assert rho_weight((1, 0, 0)) == 2
-        assert rho_weight((2, 1, 0)) == rho_pairing(parse_bundle("O(2)+O(1)+O").slope_classes())
+        classes = slope_classes_of(parse_bundle("O(2)+O(1)+O"))
+        assert rho_weight((2, 1, 0)) == rho_pairing(classes)

@@ -1,5 +1,5 @@
 import re
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -24,6 +24,7 @@ from oracles import (
     levi_branching_extraction_oracle,
     levi_branching_oracle,
     schur_monomials,
+    sigma_chi_oracle,
     weight_mults_oracle,
     weight_mults_rows_oracle,
 )
@@ -409,6 +410,15 @@ class TestSigmaChi:
             chis.add(tuple(sum(w) for w in ws))
         total = sum(sigma_chi(shape, lam, chi).dim for chi in chis)
         assert total == weyl_dim(lam, shape.n)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_against_the_filter_oracle(self, n):
+        # every character with entries in -1..3, so empty slices too
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for lam in normalized_weights(n, 3):
+                for chi in product(range(-1, 4), repeat=shape.r):
+                    assert sigma_chi(shape, lam, chi) == sigma_chi_oracle(shape, lam, chi)
 
 
 class TestDuals:
