@@ -66,15 +66,26 @@ def slope_str(rise: int, run: int) -> str:
     return str(rise // g) if g == run else f"{rise // g}/{run // g}"
 
 
-def slope_groups(segments: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Indices of the segments (rise, run), run >= 1, grouped by slope, the
-    groups in strictly decreasing slope (compared by cross products)."""
-    groups: dict[tuple[int, int], list[int]] = {}
+# reduced slopes (p, q), q >= 1, in decreasing order
+_DECREASING_SLOPE = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
+
+
+def slope_groups(segments: Sequence[tuple[int, int]]) -> list[tuple[int, int, list[int]]]:
+    """The segments (rise, run), run >= 1, grouped by slope in one pass: per
+    class its summed (rise, run) and its member indices in input order, the
+    classes in strictly decreasing slope (compared by cross products)."""
+    groups: dict[tuple[int, int], list] = {}
     for i, (rise, run) in enumerate(segments):
         g = gcd(rise, run)
-        groups.setdefault((rise // g, run // g), []).append(i)
-    keys = sorted(groups, key=cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1]))
-    return [groups[k] for k in keys]
+        key = (rise // g, run // g)
+        cls = groups.get(key)
+        if cls is None:
+            groups[key] = [rise, run, [i]]
+        else:
+            cls[0] += rise
+            cls[1] += run
+            cls[2].append(i)
+    return [tuple(groups[k]) for k in sorted(groups, key=_DECREASING_SLOPE)]
 
 
 def check_segments(segments: Sequence[tuple[int, int]]) -> None:
@@ -174,8 +185,7 @@ class BundleSpec:
 def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
     """The bundle of segments (deg, rank) in any order: equal slopes merge.
     Its rank may not exceed the enumeration budget."""
-    classes = [[segments[i] for i in group] for group in slope_groups(segments)]
-    spec = BundleSpec(tuple((sum(d for d, _ in c), sum(r for _, r in c)) for c in classes))
+    spec = BundleSpec(tuple((deg, rank) for deg, rank, _ in slope_groups(segments)))
     budget = enumeration_budget()
     if spec.rank > budget:
         raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")

@@ -141,13 +141,9 @@ def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     group is one stratum segment."""
     chi = shape.check_chi(chi)
     classes = slope_groups(tuple(zip(chi, shape.dims)))
-    segments = tuple(
-        (-sum(chi[i] for i in members), sum(shape.dims[i] for i in members))
-        for members in reversed(classes)
-    )
     return RepSymbol(
-        stratum=NewtonPoint(segments),
-        members=tuple(tuple(members) for members in classes),
+        stratum=NewtonPoint(tuple((-d, n) for d, n, _ in reversed(classes))),
+        members=tuple(tuple(members) for _, _, members in classes),
     )
 
 

@@ -38,7 +38,7 @@ from .lparams import (
     chi_to_rep,
     make_F,
 )
-from .spectral import hecke, stalk
+from .spectral import hecke_stalk
 from .weights import WeilSymbol, dual_weight, dualize_symbol, sigma_chi
 
 
@@ -93,8 +93,10 @@ def shtuka_cohomology(
     """Stalk at the target stratum of the weight operator applied to the
     source symbol, with shifts and twists itemized.
 
-    The source is the canonical symbol of xi.  Each surviving term pairs the
-    translated representation symbol with its isotypic slice; its shift is
+    The source is the canonical symbol of xi.  The stalk comes from
+    ``spectral.hecke_stalk``, which builds symbols only for the terms chi * xi
+    that land on the target, never the whole decomposition.  Each term pairs
+    the translated representation symbol with its isotypic slice; its shift is
     d(target) - d(source) in the half-modulus source normalization, and the
     Tate twist is half the pairing of the applied weight.
     """
@@ -110,7 +112,6 @@ def shtuka_cohomology(
     source_sheaf = make_F(shape, xi)
     d_src = d_point(source_sheaf.stratum)
     d_tgt = d_point(target)
-    dec = hecke(shape, applied, source_sheaf)
     tate = Fraction(rho_weight(applied), 2)
     shift = d_tgt - d_src
     ledger = (
@@ -120,7 +121,7 @@ def shtuka_cohomology(
         ("satake normalization (tate)", tate),
     )
     pieces = []
-    for sheaf, sym in stalk(dec, target):
+    for sheaf, sym in hecke_stalk(shape, applied, source_sheaf, target):
         if direction == "inverse":
             sym_out, dual = _canonical_dual(sym)
         else:

@@ -7,12 +7,16 @@ An operator attached to a highest weight decomposes into these translations
 weighted by the isotypic slices of the weight representation, which
 ``weights.isotypic_slices`` groups from one pass over the branching; they
 depend only on the shape and the weight, never on the source.
-The eigen check works in the size of each stratum's fiber, not in source
-and slice pairs: at a window stratum b it checks that (a) every character
-listed for b is listed once and its symbol lies on b, and (b) no other
-character p of b has p * chi^{-1} among the sources for a slice chi, where p
-ranges over the box of b (component i takes d_i = -rise * n_i / run for a
-segment (rise, run) of b with run | rise * n_i).
+
+Stalks and the eigen check share the box of a stratum b: a character on b
+has component i at d_i = -rise * n_i / run for a segment (rise, run) of b
+with run | rise * n_i.  ``hecke_stalk`` builds a symbol only for a term
+chi * xi in the box whose components fill each segment's run, so it works in
+the size of the stalk, not of the decomposition.  The eigen check works in
+the size of each stratum's fiber, not in source and slice pairs: at a window
+stratum b it checks that (a) every character listed for b is listed once and
+its symbol lies on b, and (b) no other character p of the box of b has
+p * chi^{-1} among the sources for a slice chi.
 """
 
 from __future__ import annotations
@@ -84,13 +88,54 @@ def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
 
+def _check_rank(b: NewtonPoint, weight: tuple[int, ...]) -> None:
+    if b.rank != len(weight):
+        raise DomainError(f"stratum rank {b.rank} does not match weight length {len(weight)}")
+
+
 def stalk(dec: HeckeDecomposition, b: NewtonPoint) -> list[tuple[SheafSymbol, WeilSymbol]]:
     """Terms of the decomposition supported on the stratum b."""
-    if b.rank != len(dec.weight):
-        raise DomainError(
-            f"stratum rank {b.rank} does not match weight length {len(dec.weight)}"
-        )
+    _check_rank(b, dec.weight)
     return [(sheaf, sym) for _, sheaf, sym in dec.terms if sheaf.stratum == b]
+
+
+def _box(shape: LParamShape, b: NewtonPoint) -> list[dict[int, int]]:
+    """The box of b: for component i, each d_i = -rise * n_i / run with
+    run | rise * n_i, mapped to the index of its segment (rise, run) of b."""
+    return [
+        {-rise * ni // run: j for j, (rise, run) in enumerate(b.segments) if rise * ni % run == 0}
+        for ni in shape.dims
+    ]
+
+
+def hecke_stalk(
+    shape: LParamShape, lam, sheaf: SheafSymbol, b: NewtonPoint
+) -> list[tuple[SheafSymbol, WeilSymbol]]:
+    """``stalk(hecke(shape, lam, sheaf), b)``, in the size of the stalk.
+
+    The term of a slice chi lies on b exactly when every component of
+    chi * xi is in the box of b and the dimensions placed at each segment sum
+    to its run; only those terms get a symbol and a slice.  The checks are
+    hecke's, then stalk's, in that order.
+    """
+    lam = check_dominant(lam, shape.n)
+    xi = character_of_sheaf(shape, sheaf)
+    slices = isotypic_slices(shape, lam)
+    _check_rank(b, lam)
+    box = _box(shape, b)
+    runs = [run for _, run in b.segments]
+    terms = []
+    for chi in sorted(slices, reverse=True):
+        p = chi_mul(chi, xi)
+        slots = [js.get(d) for js, d in zip(box, p)]
+        if None in slots:
+            continue
+        placed = [0] * len(runs)
+        for j, ni in zip(slots, shape.dims):
+            placed[j] += ni
+        if placed == runs:
+            terms.append((make_F(shape, p), WeilSymbol(shape.dims, shape.labels, slices[chi])))
+    return terms
 
 
 @record
@@ -133,11 +178,7 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     lam = check_dominant(lam, shape.n)
     inverses = [chi_inv(chi) for chi in isotypic_slices(shape, lam)]
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
-    boxes = {
-        b: [[-rise * ni // run for rise, run in b.segments if rise * ni % run == 0]
-            for ni in shape.dims]
-        for b in window
-    }
+    boxes = {b: _box(shape, b) for b in window}
     lookups = len(inverses) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
     budget = enumeration_budget()
     if lookups > budget:

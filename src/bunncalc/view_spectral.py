@@ -1,14 +1,14 @@
 """Views of the spectral commands: ``spectral act``, ``hecke`` (also as
-``spectral hecke`` and ``spectral stalk``), ``spectral eigensheaf`` and
-``spectral verify``."""
+``spectral hecke`` and, with ``--stalk`` through ``hecke_stalk``, as
+``spectral stalk``), ``spectral eigensheaf`` and ``spectral verify``."""
 
 from __future__ import annotations
 
 from . import serialize as ser
-from .bundles import ParseError, parse_bundle
+from .bundles import ParseError, check_dominant, parse_bundle
 from .kottwitz import bundle_to_b, point_label
 from .lparams import make_F
-from .spectral import eigensheaf_stalk, hecke, spectral_act, stalk, verify_eigen
+from .spectral import eigensheaf_stalk, hecke, hecke_stalk, spectral_act, verify_eigen
 from .view_characters import shape_of
 from .view_strata import ints, text
 
@@ -27,10 +27,12 @@ def cmd_act(args):
 
 def cmd_hecke(args):
     shape = shape_of(args)
-    dec = hecke(shape, ints(args.lam), make_F(shape, ints(args.xi)))
+    lam, source = ints(args.lam), make_F(shape, ints(args.xi))
     if args.stalk:
+        # a bad weight is reported before a bad stratum
+        lam = check_dominant(lam, shape.n)
         b = bundle_to_b(parse_bundle(args.stalk))
-        picked = stalk(dec, b)
+        picked = hecke_stalk(shape, lam, source, b)
         if args.json:
             return {
                 "schema": ser.SCHEMA,
@@ -42,6 +44,7 @@ def cmd_hecke(args):
         return text(args, [f"{len(picked)} terms at ν={b}"] + [
             f"shift {s.shift}  sigma {w.describe()}" for s, w in picked
         ])
+    dec = hecke(shape, lam, source)
     if args.json:
         return {
             "schema": ser.SCHEMA,

@@ -447,6 +447,21 @@ def levi_branching_extraction_oracle(n: int, lam, blocks):
     return tuple(out)
 
 
+def merge_segments_oracle(segments) -> tuple[tuple[int, int], ...]:
+    """Sort the segments (rise, run) by Fraction slope, decreasing, and sum
+    each run of equal slopes."""
+    out: list[list[int]] = []
+    last = None
+    for rise, run in sorted(segments, key=lambda seg: Fraction(*seg), reverse=True):
+        if Fraction(rise, run) == last:
+            out[-1][0] += rise
+            out[-1][1] += run
+        else:
+            out.append([rise, run])
+            last = Fraction(rise, run)
+    return tuple(map(tuple, out))
+
+
 def parts_of(e) -> tuple[tuple[Fraction, int], ...]:
     """A bundle's (slope, multiplicity) pairs, slopes strictly decreasing:
     the Fraction view of its segments (deg, rank)."""

@@ -27,14 +27,59 @@ from bunncalc import (
     rho_pairing,
     weight_multiplicities,
 )
-from bunncalc.bundles import as_int, lattice_tops, pairing_note, segment_pairing
+from bunncalc.bundles import (
+    as_int,
+    lattice_tops,
+    merge_segments,
+    pairing_note,
+    segment_pairing,
+    slope_groups,
+)
 from bunncalc.modif import _split_at
 from bunncalc.serialize import point_json
 from bunncalc.shtuka import is_minuscule
 from conftest import bundle_specs, fractions_built, small_bundles
-from oracles import hn_polygon_oracle, parts_of, slope_classes_of, split_at_oracle
+from oracles import (
+    hn_polygon_oracle,
+    merge_segments_oracle,
+    parts_of,
+    slope_classes_of,
+    split_at_oracle,
+)
 
 F = Fraction
+
+
+segment_lists = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 5)), min_size=1, max_size=8)
+
+
+class TestSlopeGroups:
+    """One pass groups the segments and sums them; merge_segments reads the
+    sums.  Both against a sort-and-sum oracle."""
+
+    def test_repeated_and_unsorted_slopes(self):
+        segments = [(0, 1), (1, 2), (2, 1), (0, 3), (2, 4), (-1, 1), (1, 2), (-2, 2)]
+        assert slope_groups(segments) == [
+            (2, 1, [2]),
+            (4, 8, [1, 4, 6]),
+            (0, 4, [0, 3]),
+            (-3, 3, [5, 7]),
+        ]
+        assert merge_segments(segments).segments == merge_segments_oracle(segments)
+
+    @given(segment_lists)
+    def test_groups_partition_and_sum(self, segments):
+        groups = slope_groups(segments)
+        assert sorted(i for _, _, members in groups for i in members) == list(range(len(segments)))
+        for rise, run, members in groups:
+            assert members == sorted(members)
+            assert {F(*segments[i]) for i in members} == {F(rise, run)}
+            assert (rise, run) == tuple(map(sum, zip(*(segments[i] for i in members))))
+        assert tuple((rise, run) for rise, run, _ in groups) == merge_segments_oracle(segments)
+
+    @given(segment_lists)
+    def test_merge_matches_sort_and_sum(self, segments):
+        assert merge_segments(segments).segments == merge_segments_oracle(segments)
 
 
 class TestIntegerEntries:

@@ -8,7 +8,13 @@ the corpus was recorded with (3.11).
 
 Re-record, only when an output change is intended, with
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
+
+A bare ``--record`` rewrites the whole corpus.  Given names, it rewrites only
+those cases and their ``codes.json`` entries and leaves every other file
+byte-untouched; a name is a case id (``hecke.json``, ``help.shtuka``,
+``script.NAME``) or a case name without its mode, which stands for its
+text, ``--ascii`` and ``--json`` cases.
 """
 
 from __future__ import annotations
@@ -73,6 +79,10 @@ EXTRA = {
     "weights-sigma-schur": ["weights", "sigma", "--dims", "3", "--lambda", "2,1,0", "--chi", "3"],
     "weights-sigma-empty": ["weights", "sigma", "--dims", "1,1", "--lambda", "3,0", "--chi", "5,0"],
     "hv-induced": ["hv", "--dims", "2", "--xi", "1", "--mu-inv", "0,-1"],
+    "spectral-stalk-box-miss": ["spectral", "stalk", "--dims", "1,1", "--lambda", "4,0",
+                                "--xi", "0,0", "--stalk", "O(2)+O(1)"],
+    "shtuka-empty": ["shtuka", "--dims", "1,1", "--xi", "0,0", "--mu", "4,0",
+                     "--target", "O(2)+O(1)"],
 }
 
 MODES = {"text": [], "ascii": ["--ascii"], "json": ["--json"]}
@@ -213,27 +223,71 @@ def test_text_views_do_not_serialize(monkeypatch, tmp_path):
             check_case(case_id, tmp_path)
 
 
-def record() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for path in GOLDEN.iterdir():
-        path.unlink()
-    codes = {}
+def test_selective_record_rewrites_only_named_cases(monkeypatch, tmp_path):
+    """--record NAME rewrites the named cases and their codes and leaves every
+    other golden file untouched; an unknown name is refused."""
+    corpus = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name, data in corpus.items():
+        (golden / name).write_bytes(data)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys.modules[__name__], "CODES", golden / "codes.json")
+    named = ["shtuka-empty.json", "shtuka-empty.text", "shtuka-empty.ascii", "help.shtuka"]
+    codes = json.loads(corpus["codes.json"])
+    for case_id in named:
+        (golden / f"{case_id}.out").unlink()
+        del codes[case_id]
+    (golden / "codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    (golden / "hecke.text.err").write_bytes(b"stale")
+    written = {"codes.json", "hecke.text.out", "hecke.text.err"}
+    before = {p.name: p.stat().st_mtime_ns for p in golden.iterdir() if p.name not in written}
+    record(["shtuka-empty", "help.shtuka", "hecke.text"])
+    assert corpus == {p.name: p.read_bytes() for p in golden.iterdir()}
+    assert all((golden / name).stat().st_mtime_ns == ns for name, ns in before.items())
+    with pytest.raises(SystemExit, match="no golden case named 'nosuch'"):
+        record(["nosuch"])
+
+
+def _write_case(case_id: str, got: dict[str, object]) -> None:
+    """Write a case's files; an empty stderr or no --dot file leaves none."""
+    for suffix, data in (("out", got["out"]), ("err", got["err"] or None), ("dot", got["dot"])):
+        path = GOLDEN / f"{case_id}.{suffix}"
+        if data is not None:
+            path.write_bytes(data)
+        elif path.exists():
+            path.unlink()
+
+
+def record(names: list[str] | None = None) -> None:
+    """Re-record every case, or only the cases the names select."""
+    if names is None:
+        GOLDEN.mkdir(exist_ok=True)
+        for path in GOLDEN.iterdir():
+            path.unlink()
+        codes, case_ids, scripts = {}, list(CASES), SCRIPT_NAMES
+    else:
+        codes, case_ids, scripts = json.loads(CODES.read_text()), [], []
+        for name in names:
+            if name.startswith("script.") and name[7:] in SCRIPT_NAMES:
+                scripts.append(name[7:])
+                continue
+            picked = [c for c in CASES if c in (name, *(f"{name}.{mode}" for mode in MODES))]
+            if not picked:
+                raise SystemExit(f"no golden case named {name!r}")
+            case_ids += picked
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for case_id, argv in CASES.items():
-            got = run_case(argv, workdir)
+        for case_id in dict.fromkeys(case_ids):
+            got = run_case(CASES[case_id], workdir)
             codes[case_id] = got["code"]
-            (GOLDEN / f"{case_id}.out").write_bytes(got["out"])
-            if got["err"]:
-                (GOLDEN / f"{case_id}.err").write_bytes(got["err"])
-            if got["dot"] is not None:
-                (GOLDEN / f"{case_id}.dot").write_bytes(got["dot"])
-        for name in SCRIPT_NAMES:
+            _write_case(case_id, got)
+        for name in scripts:
             (GOLDEN / f"script.{name}.out").write_bytes(run_script(name, workdir))
     CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    record()
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [NAME ...]")
+    record(sys.argv[2:] or None)

@@ -162,6 +162,22 @@ class TestAgainstFractionOracle:
             for chi in product(range(-bound, bound + 1), repeat=shape.r):
                 assert chi_to_rep(shape, chi) == chi_to_rep_oracle(shape, chi)
 
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2), (2, 4, 1), (1, 3, 2), (3, 6, 3)])
+    def test_equal_slopes_across_unequal_dims(self, dims):
+        shape = LParamShape.from_dims(dims)
+        for chi in product(range(-4, 5), repeat=shape.r):
+            assert chi_to_rep(shape, chi) == chi_to_rep_oracle(shape, chi)
+
+    @pytest.mark.parametrize(
+        "chi, segments",
+        [((1, 2), ((-3, 6),)), ((-1, -2), ((3, 6),)), ((0, 0), ((0, 6),))],
+    )
+    def test_one_class_sums_both_components(self, chi, segments):
+        # slopes 1/2, -1/2 and 0 on dimensions 2 and 4 are one class each
+        rep = chi_to_rep(LParamShape.from_dims((2, 4)), chi)
+        assert rep.stratum.segments == segments
+        assert rep.members == ((0, 1),)
+
 
 class TestRepAndSheaf:
     def test_identity_rep(self):

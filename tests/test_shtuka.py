@@ -29,10 +29,11 @@ from bunncalc import (
     shtuka_cohomology,
     sigma_chi,
 )
-from bunncalc.lparams import LParamShape
+import bunncalc.spectral as spectral
+from bunncalc.lparams import LParamShape, SheafSymbol
 from bunncalc.shtuka import is_minuscule, rho_weight
 from bunncalc.weights import dual_weight
-from conftest import fractions_built
+from conftest import all_compositions, fractions_built, normalized_weights
 from oracles import hn_lies_above_oracle, slope_classes_of
 
 F = Fraction
@@ -119,6 +120,49 @@ class TestShtukaCohomology:
         out = shtuka_cohomology(shape, (0, 0), target, (1, 0), "forward")
         shift_entries = [v for name, v in out.twist_ledger if "tate" not in name]
         assert sum(shift_entries) == out.pieces[0].shift
+
+
+class TestShtukaStalkWork:
+    """The stalk is built in its own size: no whole decomposition, and one
+    symbol per piece besides the source and its canonical check."""
+
+    def test_never_calls_hecke(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("shtuka_cohomology called spectral.hecke")
+
+        monkeypatch.setattr(spectral, "hecke", refuse)
+        monkeypatch.setattr(spectral, "stalk", refuse)
+        shape = LParamShape.from_dims((1, 1))
+        target = bundle_to_b(parse_bundle("O^2"))
+        for weight, direction in (((3, 0), "forward"), ((0, -3), "inverse")):
+            out = shtuka_cohomology(shape, (-1, -2), target, weight, direction)
+            assert len(out.pieces) == 1
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_at_most_two_symbols_beyond_the_stalk(self, n, monkeypatch):
+        built = []
+        init = SheafSymbol.__init__
+
+        def counted_init(self, rep):
+            built.append(rep)
+            init(self, rep)
+
+        monkeypatch.setattr(SheafSymbol, "__init__", counted_init)
+        pieces = 0
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for lam in normalized_weights(n, 3):
+                sources = [tuple(c * ni for ni in dims) for c in (0, 1)] + [
+                    (1,) + (0,) * (shape.r - 1)
+                ]
+                for xi in sources:
+                    for target in enumerate_B(n, dual_weight(lam)):
+                        for direction in ("forward", "inverse"):
+                            built.clear()
+                            out = shtuka_cohomology(shape, xi, target, lam, direction)
+                            assert len(built) <= len(out.pieces) + 2
+                            pieces += len(out.pieces)
+        assert pieces > 0
 
 
 class TestHarrisViehmann:

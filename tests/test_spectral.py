@@ -34,7 +34,10 @@ import bunncalc.spectral as spectral
 import bunncalc.weights as weights
 import oracles
 from bunncalc.bundles import enumeration_budget
-from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol
+from bunncalc.cli import main
+from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol, chi_to_rep
+from bunncalc.spectral import hecke_stalk
+from bunncalc.weights import dual_weight
 from conftest import all_compositions, normalized_weights, shape_and_chi
 from oracles import hecke_oracle, verify_eigen_oracle, verify_eigen_window_oracle
 
@@ -201,6 +204,102 @@ class TestStalk:
         picked = stalk(dec, b)
         sigmas = sorted(sym.terms for _, sym in picked)
         assert sigmas == [((((1,), (2,)), 1),), ((((2,), (1,)), 1),)]
+
+
+class TestHeckeStalk:
+    """hecke_stalk builds symbols only for the terms on b, and equals the
+    stalk of the whole decomposition."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_weight_stratum_and_central_source(self, n):
+        for dims in all_compositions(n, max_parts=4):
+            shape = LParamShape.from_dims(dims)
+            for lam in normalized_weights(n, 4):
+                for weight in (lam, dual_weight(lam)):
+                    for c in (0, 1):
+                        f = make_F(shape, tuple(c * ni for ni in dims))
+                        # every term lies under dual_weight(weight), and the
+                        # central source c * dims shifts it by -c; the points
+                        # under that top hold the support and strata it misses
+                        top = tuple(x - c for x in dual_weight(weight))
+                        strata = kottwitz.enumerate_B(n, top)
+                        if sum(x - weight[-1] for x in weight) > weights.MAX_WEIGHT_SIZE:
+                            # the dual of (4,0,0,0,0) has normalized size 16
+                            for operator in (hecke, hecke_oracle):
+                                with pytest.raises(BudgetError):
+                                    operator(shape, weight, f)
+                            with pytest.raises(BudgetError):
+                                hecke_stalk(shape, weight, f, strata[0])
+                            continue
+                        dec = hecke(shape, weight, f)
+                        oracle = hecke_oracle(shape, weight, f)
+                        found = 0
+                        for b in strata:
+                            got = hecke_stalk(shape, weight, f, b)
+                            assert got == stalk(dec, b)
+                            assert got == [(s, w) for _, s, w in oracle.terms if s.stratum == b]
+                            found += len(got)
+                        # the strata walked hold the whole support
+                        assert found == len(dec.terms)
+
+    @given(shape_and_chi(max_r=4, max_dim=2, max_d=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stalk_of_hecke(self, data, draw):
+        shape, xi = data
+        weights_in_budget = [
+            w
+            for lam in normalized_weights(shape.n, 3)
+            for w in (lam, dual_weight(lam))
+            if sum(x - w[-1] for x in w) <= weights.MAX_WEIGHT_SIZE
+        ]
+        weight = draw.draw(st.sampled_from(weights_in_budget))
+        target = draw.draw(small_chis(shape.r, 4))
+        b = chi_to_rep(shape, target).stratum
+        f = make_F(shape, xi)
+        assert hecke_stalk(shape, weight, f, b) == stalk(hecke(shape, weight, f), b)
+
+    def test_box_miss_builds_no_symbol(self, monkeypatch):
+        # (2,2) is in the box of (-1,-2) but lies on O(2)^2
+        shape = LParamShape.from_dims((1, 1))
+        f = make_F(shape, chi_id(2))
+        b = bundle_to_b(parse_bundle("O(2)+O(1)"))
+        built = []
+        monkeypatch.setattr(spectral, "make_F", lambda *args: built.append(args))
+        assert hecke_stalk(shape, (4, 0), f, b) == []
+        assert built == []
+
+    def test_errors_in_hecke_then_stalk_order(self):
+        shape = LParamShape.from_dims((1, 1))
+        f = make_F(shape, chi_id(2))
+        wrong_rank = bundle_to_b(parse_bundle("O^3"))
+        bad = SheafSymbol(RepSymbol(point_from_vector((0, 0)), ((1, 0),)))
+        with pytest.raises(DomainError, match="not dominant"):
+            hecke_stalk(shape, (0, 3), bad, wrong_rank)
+        with pytest.raises(DomainError, match="canonical"):
+            hecke_stalk(shape, (3, 0), bad, wrong_rank)
+        with pytest.raises(DomainError, match="stratum rank 3 does not match weight length 2"):
+            hecke_stalk(shape, (3, 0), f, wrong_rank)
+        # hecke's branching budget comes before stalk's rank check
+        with pytest.raises(BudgetError):
+            hecke_stalk(shape, (weights.MAX_WEIGHT_SIZE + 1, 0), f, wrong_rank)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hecke", "--dims", "1,1", "--lambda", "0,3", "--xi", "0,0", "--stalk", "junk"],
+             "error: weight (0, 3) is not dominant (weakly decreasing)\n"),
+            (["spectral", "stalk", "--dims", "1,1", "--lambda", "3,0", "--xi", "0,0,0",
+              "--stalk", "junk"],
+             "error: character length 3 does not match 2 components\n"),
+            (["spectral", "stalk", "--dims", "1,1", "--lambda", "3,0", "--xi", "0,0",
+              "--stalk", "O^3"],
+             "error: stratum rank 3 does not match weight length 2\n"),
+        ],
+        ids=["weight-before-stratum", "character-length", "stratum-rank"],
+    )
+    def test_cli_error_precedence(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestEigensheaf:
