@@ -69,6 +69,12 @@ class NewtonPoint:
         ) + ")"
 
 
+def check_rank(b: NewtonPoint, n: int) -> None:
+    """The one check of a stratum against the rank it must have."""
+    if b.rank != n:
+        raise DomainError(f"rank mismatch: stratum has rank {b.rank}, expected {n}")
+
+
 def bundle_to_b(e: BundleSpec) -> NewtonPoint:
     """Negate the bundle's segments and reverse them into dominant order."""
     return NewtonPoint(tuple((-deg, rank) for deg, rank in reversed(e.segments)))
@@ -112,8 +118,7 @@ def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     corresponding top of b2.  Points with different endpoints compare as
     False (not an error), so poset utilities run on mixed lists.
     """
-    if b1.rank != b2.rank:
-        raise DomainError(f"rank mismatch: {b1.rank} vs {b2.rank}")
+    check_rank(b1, b2.rank)
     t1, t2 = b1.tops, b2.tops
     return t1[-1] == t2[-1] and all(map(le, t1, t2))
 

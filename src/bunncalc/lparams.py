@@ -7,6 +7,12 @@ of the centralizer torus are integer r-vectors; the character chi = (d_i)
 corresponds to the stratum of the bundle sum_i O(d_i/n_i)^{gcd(d_i, n_i)} and
 to the representation symbol cut out by the fibers of i -> d_i/n_i; a fiber
 is the stratum segment (-sum d_i, sum n_i), so all of it runs in integers.
+
+The other way round, the box of a stratum b (``stratum_box``) lists for each
+component the values d_i that can sit on a segment of b; a character lies on
+b exactly when each d_i is in the box and the dimensions placed at each
+segment sum to its run.  ``b_to_chis`` walks the box, and
+``spectral.hecke_stalk`` and ``spectral.verify_eigen`` read it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .kottwitz import (
     NewtonPoint,
     automorphism_group,
     b_to_bundle,
+    check_rank,
     d_point,
 )
 
@@ -195,41 +202,47 @@ def character_of_sheaf(shape: LParamShape, sheaf: SheafSymbol) -> Character:
     return chi
 
 
-def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
-    """All characters whose stratum is b, in ascending lexicographic order.
+def stratum_box(shape: LParamShape, b: NewtonPoint) -> list[dict[int, int]]:
+    """The box of b: for component i, each d_i = -rise * n_i / run with
+    run | rise * n_i, mapped to the index of its segment (rise, run) of b."""
+    check_rank(b, shape.n)
+    return [
+        {-rise * ni // run: j for j, (rise, run) in enumerate(b.segments) if rise * ni % run == 0}
+        for ni in shape.dims
+    ]
 
-    Components are distributed over the slope classes of the bundle of b;
-    the class of segment (rise, run) may host component j only if
-    run | rise * n_j, and the hosted dimensions must sum to the class rank.
-    """
-    if b.rank != shape.n:
-        raise DomainError(f"rank mismatch: point has {b.rank}, shape has {shape.n}")
-    segments = tuple(reversed(b.segments))
+
+def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
+    """All characters whose stratum is b, in ascending lexicographic order:
+    each component takes a value of the box of b, and the dimensions placed
+    at a segment may not exceed its run."""
+    box = stratum_box(shape, b)
     order = sorted(range(shape.r), key=lambda i: -shape.dims[i])
     budget = enumeration_budget()
 
     out: list[Character] = []
     pushed = 0
     # depth-first: the first len(chi) components of order are placed, and
-    # remaining is the rank each class still has to host
-    stack = [((), tuple(run for _, run in segments))]
+    # remaining is the rank each segment still has to host; the ranks sum to
+    # n, so a node with every component placed has filled every segment
+    stack = [((), tuple(run for _, run in b.segments))]
     while stack:
         chi, remaining = stack.pop()
         if len(chi) == shape.r:
-            if not any(remaining):
-                placed = dict(zip(order, chi))
-                out.append(tuple(placed[i] for i in range(shape.r)))
+            placed = dict(zip(order, chi))
+            out.append(tuple(placed[i] for i in range(shape.r)))
             continue
-        ni = shape.dims[order[len(chi)]]
-        for cls, (rise, run) in enumerate(segments):
-            if rise * ni % run == 0 and remaining[cls] >= ni:
+        i = order[len(chi)]
+        ni = shape.dims[i]
+        for d, j in box[i].items():
+            if remaining[j] >= ni:
                 # every character is a pushed node, so this also bounds the output
                 pushed += 1
                 if pushed > budget:
                     raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
-                rest = remaining[:cls] + (remaining[cls] - ni,) + remaining[cls + 1 :]
-                stack.append((chi + (-rise * ni // run,), rest))
-    # class slopes are distinct, so distinct placements give distinct characters
+                rest = remaining[:j] + (remaining[j] - ni,) + remaining[j + 1 :]
+                stack.append((chi + (d,), rest))
+    # segment slopes are distinct, so distinct placements give distinct characters
     return sorted(out)
 
 

@@ -15,8 +15,18 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .bundles import BundleSpec, ascii_text, bundle_to_json, format_bundle, hn_polygon
-from .kottwitz import CharacterExponents, InnerFormGroup, NewtonPoint, d_point, parabolic_type
+from .bundles import BundleSpec, ascii_text, bundle_to_json, format_bundle, hn_polygon, pairing_note
+from .kottwitz import (
+    CharacterExponents,
+    InnerFormGroup,
+    NewtonPoint,
+    automorphism_group,
+    bundle_to_b,
+    d_point,
+    kappa_exponents,
+    modulus_exponents,
+    parabolic_type,
+)
 
 if TYPE_CHECKING:
     from .lparams import LParamShape, RepSymbol, SheafSymbol
@@ -140,10 +150,8 @@ def cohomology_json(out: CohomologyOutput) -> dict:
     }
 
 
-def bundle_report_json(e: BundleSpec, invariants: tuple) -> dict:
-    """The bundle's report; ``invariants`` are (Newton point, automorphism
-    group, modulus and inverse-modulus exponents, pairing note) of ``e``."""
-    b, group, modulus, kappa, note = invariants
+def bundle_report_json(e: BundleSpec) -> dict:
+    b = bundle_to_b(e)
     out = {
         "schema": SCHEMA,
         "bundle": bundle_to_json(e),
@@ -155,10 +163,11 @@ def bundle_report_json(e: BundleSpec, invariants: tuple) -> dict:
         "kappa": b.kappa,
         "d": d_point(b),
         "parabolic_type": list(parabolic_type(b)),
-        "automorphisms": group_json(group),
-        "modulus_exponents": exponents_json(modulus),
-        "kappa_exponents": exponents_json(kappa),
+        "automorphisms": group_json(automorphism_group(e)),
+        "modulus_exponents": exponents_json(modulus_exponents(e)),
+        "kappa_exponents": exponents_json(kappa_exponents(e)),
     }
+    note = pairing_note(e.segments)
     if note:
         out["notes"] = [note]
     return out

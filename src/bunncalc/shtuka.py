@@ -27,7 +27,7 @@ from .bundles import (
     record,
     rho_weight,
 )
-from .kottwitz import NewtonPoint, b_to_bundle, d_point, leq, point_from_vector
+from .kottwitz import NewtonPoint, b_to_bundle, check_rank, d_point, leq, point_from_vector
 from .lparams import (
     Character,
     LParamShape,
@@ -36,7 +36,6 @@ from .lparams import (
     chi_id,
     chi_inv,
     chi_to_rep,
-    make_F,
 )
 from .spectral import hecke_stalk
 from .weights import WeilSymbol, dual_weight, dualize_symbol, sigma_chi
@@ -93,24 +92,22 @@ def shtuka_cohomology(
     """Stalk at the target stratum of the weight operator applied to the
     source symbol, with shifts and twists itemized.
 
-    The source is the canonical symbol of xi.  The stalk comes from
-    ``spectral.hecke_stalk``, which builds symbols only for the terms chi * xi
-    that land on the target, never the whole decomposition.  Each term pairs
-    the translated representation symbol with its isotypic slice; its shift is
+    The source is the canonical symbol of xi, of which only the stratum is
+    read.  The stalk comes from ``spectral.hecke_stalk``, which builds symbols
+    only for the terms chi * xi that land on the target: not for the whole
+    decomposition, and not for the source.  Each term pairs the translated
+    representation symbol with its isotypic slice; its shift is
     d(target) - d(source) in the half-modulus source normalization, and the
     Tate twist is half the pairing of the applied weight.
     """
     if direction not in ("forward", "inverse"):
         raise DomainError(f"direction must be forward or inverse, got {direction!r}")
     xi = shape.check_chi(xi)
-    if target.rank != shape.n:
-        raise DomainError(
-            f"target rank {target.rank} does not match shape rank {shape.n}"
-        )
+    check_rank(target, shape.n)
     mu_weight = check_dominant(mu_weight, shape.n)
     applied = mu_weight if direction == "forward" else dual_weight(mu_weight)
-    source_sheaf = make_F(shape, xi)
-    d_src = d_point(source_sheaf.stratum)
+    source = chi_to_rep(shape, xi).stratum
+    d_src = d_point(source)
     d_tgt = d_point(target)
     tate = Fraction(rho_weight(applied), 2)
     shift = d_tgt - d_src
@@ -121,7 +118,7 @@ def shtuka_cohomology(
         ("satake normalization (tate)", tate),
     )
     pieces = []
-    for sheaf, sym in hecke_stalk(shape, applied, source_sheaf, target):
+    for sheaf, sym in hecke_stalk(shape, applied, xi, target):
         if direction == "inverse":
             sym_out, dual = _canonical_dual(sym)
         else:
@@ -139,7 +136,7 @@ def shtuka_cohomology(
     notes = (
         "source slot normalized as half-modulus twist of the representation "
         "(the inverse |det|-character of the source stratum is absorbed)",
-    ) + _sign_convention_notes(source_sheaf.stratum)
+    ) + _sign_convention_notes(source)
     return CohomologyOutput(
         direction=direction,
         source=xi,
@@ -235,7 +232,8 @@ def igusa_cohomology(shape: LParamShape, mu, b: NewtonPoint) -> IgusaOutput:
     mu = check_dominant(mu, shape.n)
     if not is_minuscule(mu):
         raise DomainError("cocharacter must be minuscule")
-    if b.rank != shape.n or not leq(b, point_from_vector(dual_weight(mu))):
+    check_rank(b, shape.n)
+    if not leq(b, point_from_vector(dual_weight(mu))):
         raise DomainError("stratum is not in the admissible set for the inverse cocharacter")
     chis = b_to_chis(shape, b)
     pieces = tuple((chi, chi_to_rep(shape, chi)) for chi in chis)
@@ -256,8 +254,7 @@ def mantovan_pieces(shape: LParamShape, mu, b: NewtonPoint) -> MantovanPiece:
     """Graded piece attached to one stratum: the local complex paired with the
     stratum's tower, shifted by 2 d_b - d and twisted by -d/2."""
     mu = check_dominant(mu, shape.n)
-    if b.rank != shape.n:
-        raise DomainError(f"stratum rank {b.rank} does not match {shape.n}")
+    check_rank(b, shape.n)
     d = rho_weight(mu)
     d_b = d_point(b)
     text = (

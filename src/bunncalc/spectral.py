@@ -8,9 +8,8 @@ weighted by the isotypic slices of the weight representation, which
 ``weights.isotypic_slices`` groups from one pass over the branching; they
 depend only on the shape and the weight, never on the source.
 
-Stalks and the eigen check share the box of a stratum b: a character on b
-has component i at d_i = -rise * n_i / run for a segment (rise, run) of b
-with run | rise * n_i.  ``hecke_stalk`` builds a symbol only for a term
+Stalks and the eigen check read the box of a stratum b from
+``lparams.stratum_box``.  ``hecke_stalk`` builds a symbol only for a term
 chi * xi in the box whose components fill each segment's run, so it works in
 the size of the stalk, not of the decomposition.  The eigen check works in
 the size of each stratum's fiber, not in source and slice pairs: at a window
@@ -26,7 +25,7 @@ from math import prod
 from operator import add
 
 from .bundles import BudgetError, DomainError, check_dominant, enumeration_budget, record
-from .kottwitz import NewtonPoint
+from .kottwitz import NewtonPoint, check_rank
 from .lparams import (
     Character,
     LParamShape,
@@ -38,6 +37,7 @@ from .lparams import (
     chi_mul,
     chi_to_rep,
     make_F,
+    stratum_box,
 )
 from .weights import WeilSymbol, isotypic_slices
 
@@ -88,41 +88,27 @@ def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
 
-def _check_rank(b: NewtonPoint, weight: tuple[int, ...]) -> None:
-    if b.rank != len(weight):
-        raise DomainError(f"stratum rank {b.rank} does not match weight length {len(weight)}")
-
-
 def stalk(dec: HeckeDecomposition, b: NewtonPoint) -> list[tuple[SheafSymbol, WeilSymbol]]:
     """Terms of the decomposition supported on the stratum b."""
-    _check_rank(b, dec.weight)
+    check_rank(b, len(dec.weight))
     return [(sheaf, sym) for _, sheaf, sym in dec.terms if sheaf.stratum == b]
 
 
-def _box(shape: LParamShape, b: NewtonPoint) -> list[dict[int, int]]:
-    """The box of b: for component i, each d_i = -rise * n_i / run with
-    run | rise * n_i, mapped to the index of its segment (rise, run) of b."""
-    return [
-        {-rise * ni // run: j for j, (rise, run) in enumerate(b.segments) if rise * ni % run == 0}
-        for ni in shape.dims
-    ]
-
-
 def hecke_stalk(
-    shape: LParamShape, lam, sheaf: SheafSymbol, b: NewtonPoint
+    shape: LParamShape, lam, xi: Character, b: NewtonPoint
 ) -> list[tuple[SheafSymbol, WeilSymbol]]:
-    """``stalk(hecke(shape, lam, sheaf), b)``, in the size of the stalk.
+    """``stalk(hecke(shape, lam, make_F(shape, xi)), b)`` in the stalk's size.
 
     The term of a slice chi lies on b exactly when every component of
     chi * xi is in the box of b and the dimensions placed at each segment sum
-    to its run; only those terms get a symbol and a slice.  The checks are
-    hecke's, then stalk's, in that order.
+    to its run; only those terms get a symbol and a slice, and the source
+    gets none.  The checks are hecke's (with xi checked as a character), then
+    stalk's, in that order.
     """
     lam = check_dominant(lam, shape.n)
-    xi = character_of_sheaf(shape, sheaf)
+    xi = shape.check_chi(xi)
     slices = isotypic_slices(shape, lam)
-    _check_rank(b, lam)
-    box = _box(shape, b)
+    box = stratum_box(shape, b)
     runs = [run for _, run in b.segments]
     terms = []
     for chi in sorted(slices, reverse=True):
@@ -164,11 +150,10 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     a slice character.  Multiplying by chi is a bijection, so the two sides
     agree at b exactly when (a) every eta listed for b is listed once and its
     symbol lies on b, and (b) no other character p of b has p * chi^{-1}
-    among the sources for any slice chi.  For (b), component i of p can only
-    take d_i = -rise * n_i / run for a segment (rise, run) of b with
-    run | rise * n_i; the product of those choices (the box of b) is walked
-    with set lookups, and only a point that hits a source and is not listed
-    has its stratum computed, so (b) does not rest on b_to_chis.
+    among the sources for any slice chi.  For (b), every point of the box of
+    b (``lparams.stratum_box``) is walked with set lookups, and only a point
+    that hits a source and is not listed has its stratum computed, by
+    chi_to_rep, so (b) does not rest on the search inside b_to_chis.
 
     Symbols come from one memo that lives only as long as the call; every
     source's symbol has its canonical shape checked.  The lookups, slices
@@ -178,7 +163,7 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     lam = check_dominant(lam, shape.n)
     inverses = [chi_inv(chi) for chi in isotypic_slices(shape, lam)]
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
-    boxes = {b: _box(shape, b) for b in window}
+    boxes = {b: stratum_box(shape, b) for b in window}
     lookups = len(inverses) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
     budget = enumeration_budget()
     if lookups > budget:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from . import serialize as ser
 from .bundles import bundle_to_json, format_bundle, parse_bundle
-from .kottwitz import bundle_to_b, point_label
-from .lparams import LParamShape, b_to_chis, chi_to_bundle, component_shape, make_F
-from .view_strata import bundle_invariants, ints, text
+from .kottwitz import b_to_bundle, bundle_to_b, point_label
+from .lparams import LParamShape, b_to_chis, component_shape, make_F
+from .view_strata import ints, text
 
 
 def shape_of(args) -> LParamShape:
@@ -18,14 +18,14 @@ def shape_of(args) -> LParamShape:
 def cmd_chi_to_b(args):
     shape = shape_of(args)
     chi = ints(args.chi)
-    e = chi_to_bundle(shape, chi)
     sheaf = make_F(shape, chi)
+    e = b_to_bundle(sheaf.stratum)
     if args.json:
         return {
             "schema": ser.SCHEMA,
             "shape": ser.shape_json(shape),
             "chi": list(chi),
-            "bundle": ser.bundle_report_json(e, bundle_invariants(e)),
+            "bundle": ser.bundle_report_json(e),
             "sheaf": ser.sheaf_json(sheaf),
         }
     return text(args, [

@@ -27,12 +27,12 @@ def cmd_act(args):
 
 def cmd_hecke(args):
     shape = shape_of(args)
-    lam, source = ints(args.lam), make_F(shape, ints(args.xi))
+    lam, xi = ints(args.lam), shape.check_chi(ints(args.xi))
     if args.stalk:
         # a bad weight is reported before a bad stratum
         lam = check_dominant(lam, shape.n)
         b = bundle_to_b(parse_bundle(args.stalk))
-        picked = hecke_stalk(shape, lam, source, b)
+        picked = hecke_stalk(shape, lam, xi, b)
         if args.json:
             return {
                 "schema": ser.SCHEMA,
@@ -44,7 +44,7 @@ def cmd_hecke(args):
         return text(args, [f"{len(picked)} terms at ν={b}"] + [
             f"shift {s.shift}  sigma {w.describe()}" for s, w in picked
         ])
-    dec = hecke(shape, lam, source)
+    dec = hecke(shape, lam, make_F(shape, xi))
     if args.json:
         return {
             "schema": ser.SCHEMA,

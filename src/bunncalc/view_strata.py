@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from . import serialize as ser
 from .bundles import (
-    BundleSpec,
     ParseError,
     ascii_text,
     format_bundle,
@@ -39,24 +38,11 @@ def text(args, lines: list[str]) -> list[str]:
     return [ascii_text(line) for line in lines] if args.ascii else lines
 
 
-def bundle_invariants(e: BundleSpec) -> tuple:
-    """(Newton point, automorphism group, modulus and inverse-modulus
-    exponents, pairing note) of a bundle: what both of its views show."""
-    return (
-        bundle_to_b(e),
-        automorphism_group(e),
-        modulus_exponents(e),
-        kappa_exponents(e),
-        pairing_note(e.segments),
-    )
-
-
 def cmd_bundle(args):
     e = parse_bundle(args.expr)
-    invariants = bundle_invariants(e)
     if args.json:
-        return ser.bundle_report_json(e, invariants)
-    b, group, modulus, kappa, note = invariants
+        return ser.bundle_report_json(e)
+    b = bundle_to_b(e)
     lines = [
         f"bundle: {format_bundle(e, pretty=not args.ascii)}",
         f"rank={e.rank} deg={e.deg}",
@@ -64,10 +50,11 @@ def cmd_bundle(args):
         + " ".join(f"({x},{y})" for x, y in hn_polygon(e)),
         point_label(b),
         f"parabolic type: {parabolic_type(b)}",
-        f"automorphisms: {group.describe()}",
-        f"modulus exponents: {modulus}",
-        f"inverse-modulus exponents: {kappa}",
+        f"automorphisms: {automorphism_group(e).describe()}",
+        f"modulus exponents: {modulus_exponents(e)}",
+        f"inverse-modulus exponents: {kappa_exponents(e)}",
     ]
+    note = pairing_note(e.segments)
     if note:
         lines.append(note)
     return text(args, lines)

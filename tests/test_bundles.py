@@ -29,6 +29,7 @@ from bunncalc import (
 )
 from bunncalc.bundles import (
     as_int,
+    check_dominant,
     lattice_tops,
     merge_segments,
     pairing_note,
@@ -178,6 +179,40 @@ class TestNormalize:
         s = normalize_bundle(parts_of(a) + parts_of(b))
         assert s.rank == a.rank + b.rank
         assert s.deg == a.deg + b.deg
+
+
+class TestRejections:
+    """Input checks that no other test reaches, each named by its message."""
+
+    CASES = {
+        "normalize-multiplicity": (
+            lambda: normalize_bundle([(F(1), 0)]), DomainError, "multiplicity must be >= 1, got 0"
+        ),
+        "dominant-length": (
+            lambda: check_dominant((1, 0), 3), DomainError, "weight must have length 3, got 2"
+        ),
+        "rho-unsorted": (
+            lambda: rho_pairing([(F(0), 1), (F(1), 1)]),
+            DomainError,
+            "slope classes must be strictly decreasing",
+        ),
+        "rho-count": (
+            lambda: rho_pairing([(F(1), 0)]), DomainError, "class count must be >= 1, got 0"
+        ),
+        "parse-empty": (lambda: parse_bundle(""), ParseError, "empty bundle expression"),
+        "parse-zero-power": (
+            lambda: parse_bundle("O^0"), ParseError, "zero multiplicity at position 0"
+        ),
+        "parse-missing-plus": (
+            lambda: parse_bundle("O(1)O"), ParseError, r"expected '\+' at position 4: 'O'"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_with_its_message(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestRankDegree:

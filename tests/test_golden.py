@@ -92,6 +92,7 @@ ERRORS = {
     "error-parse-ints": ["weights", "mult", "-n", "2", "--lambda", "3,x"],
     "error-usage-shtuka": ["shtuka", "--dims", "1,1", "--xi", "0,0", "--target", "O^2"],
     "error-domain-enum": ["kottwitz", "enum", "-n", "2", "--mu", "0,1"],
+    "error-domain-rank": ["igusa", "--dims", "1,1", "--mu", "1,0", "--b", "O^3"],
     "error-usage-spectral-stalk": ["spectral", "stalk", "--dims", "1,1", "--lambda", "3,0",
                                    "--xi", "0,0"],
 }

@@ -78,6 +78,10 @@ class TestConversion:
         with pytest.raises(DomainError, match="breakpoints not integral"):
             point_from_vector([F(1, 2)] * 3)
 
+    def test_increasing_vector_rejected(self):
+        with pytest.raises(DomainError, match="slope vector must be weakly decreasing"):
+            point_from_vector((0, 1))
+
     def test_inexact_slopes_rejected(self):
         with pytest.raises(DomainError, match="not a pair of integers"):
             NewtonPoint(((0.5, 2),))
@@ -276,6 +280,10 @@ class TestEnumerate:
             for s, c in p.classes:
                 assert c % s.denominator == 0
 
+    def test_wrong_mu_length_rejected(self):
+        with pytest.raises(DomainError, match="mu must have length 3, got 2"):
+            enumerate_B(3, (1, 0))
+
     def test_non_dominant_mu_rejected(self):
         with pytest.raises(DomainError):
             enumerate_B(2, (0, 1))
@@ -289,6 +297,9 @@ class TestHasse:
         lo, hi = edges[0]
         assert lo.slope_vector() == (F(1, 2), F(1, 2))
         assert hi.slope_vector() == (F(1), F(0))
+
+    def test_empty_list_no_edges(self):
+        assert hasse([]) == []
 
     def test_singleton_no_edges(self):
         assert hasse(enumerate_B(3, (0, 0, 0))) == []

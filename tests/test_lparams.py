@@ -219,6 +219,12 @@ class TestRepAndSheaf:
         assert character_of_rep(shape, chi_to_rep(shape, chi)) == chi
         assert character_of_sheaf(shape, make_F(shape, chi)) == chi
 
+    def test_partition_missing_a_component_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        rep = RepSymbol(point_from_vector((0, 0)), ((0,),))
+        with pytest.raises(DomainError, match="does not cover all components"):
+            character_of_rep(shape, rep)
+
     def test_malformed_sheaf_rejected(self):
         shape = LParamShape.from_dims((1, 1))
         rep = make_F(shape, (1, 0)).rep
@@ -299,6 +305,19 @@ class TestBToChis:
         b = bundle_to_b(chi_to_bundle(shape, chi))
         assert chi in b_to_chis(shape, b)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_fiber_of_small_characters(self, n):
+        # chi_to_rep groups characters without the box.  A stratum reached
+        # from |d_i| <= 2 * n_i has its slopes in [-2, 2], so each of its
+        # characters is in that range too and each group is a whole fiber.
+        for dims in all_compositions(n, max_parts=4):
+            shape = LParamShape.from_dims(dims)
+            fibers: dict = {}
+            for chi in product(*(range(-2 * ni, 2 * ni + 1) for ni in dims)):
+                fibers.setdefault(chi_to_rep(shape, chi).stratum, []).append(chi)
+            for b, chis in fibers.items():
+                assert b_to_chis(shape, b) == sorted(chis)
+
 
 class TestComponentShape:
     def test_single_component(self):
@@ -324,3 +343,7 @@ class TestCharacterOps:
         r = len(chi)
         assert chi_mul(chi, chi_inv(chi)) == chi_id(r)
         assert chi_mul(chi, chi_id(r)) == chi
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="character length mismatch: 1 vs 2"):
+            chi_mul((1,), (1, 2))

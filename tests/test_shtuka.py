@@ -30,6 +30,7 @@ from bunncalc import (
     sigma_chi,
 )
 import bunncalc.spectral as spectral
+from bunncalc.cli import main
 from bunncalc.lparams import LParamShape, SheafSymbol
 from bunncalc.shtuka import is_minuscule, rho_weight
 from bunncalc.weights import dual_weight
@@ -114,6 +115,12 @@ class TestShtukaCohomology:
         with pytest.raises(DomainError):
             shtuka_cohomology(shape, (0, 0), bundle_to_b(parse_bundle("O^3")), (1, 0))
 
+    def test_unknown_direction_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        target = bundle_to_b(parse_bundle("O^2"))
+        with pytest.raises(DomainError, match="direction must be forward or inverse"):
+            shtuka_cohomology(shape, (0, 0), target, (1, 0), "sideways")
+
     def test_ledger_totals_shift(self):
         shape = LParamShape.from_dims((1, 1))
         target = bundle_to_b(parse_bundle("O(1)+O"))
@@ -123,8 +130,8 @@ class TestShtukaCohomology:
 
 
 class TestShtukaStalkWork:
-    """The stalk is built in its own size: no whole decomposition, and one
-    symbol per piece besides the source and its canonical check."""
+    """The stalk is built in its own size: no whole decomposition, no source
+    symbol, and one symbol per piece."""
 
     def test_never_calls_hecke(self, monkeypatch):
         def refuse(*_args):
@@ -139,7 +146,7 @@ class TestShtukaStalkWork:
             assert len(out.pieces) == 1
 
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_at_most_two_symbols_beyond_the_stalk(self, n, monkeypatch):
+    def test_one_symbol_per_piece(self, n, monkeypatch):
         built = []
         init = SheafSymbol.__init__
 
@@ -160,7 +167,7 @@ class TestShtukaStalkWork:
                         for direction in ("forward", "inverse"):
                             built.clear()
                             out = shtuka_cohomology(shape, xi, target, lam, direction)
-                            assert len(built) <= len(out.pieces) + 2
+                            assert len(built) == len(out.pieces)
                             pieces += len(out.pieces)
         assert pieces > 0
 
@@ -194,6 +201,13 @@ class TestHarrisViehmann:
         assert piece.induction is not None
         assert "GL_2 x GL_3" in piece.induction
         assert "(1,0)" in piece.induction and "(1,0,0)" in piece.induction
+
+    def test_source_off_the_block_cocharacters_not_induced(self, capsys):
+        # the source bundle O(-2) has degree outside [0, rank], so the
+        # minuscule (2) has no block cocharacters and no induced: line
+        assert main(["hv", "--dims", "1", "--xi", "-2", "--mu-inv", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "1 pieces" in out and "induced" not in out
 
     def test_degree_mismatch_gives_empty(self):
         shape = LParamShape.from_dims((1, 1))
@@ -315,6 +329,19 @@ class TestBoyer:
                 parse_bundle("O^2"), parse_bundle("O(2)+O"), (2, 0), 1
             )
 
+    @pytest.mark.parametrize(
+        "b, bprime, message",
+        [
+            ("O^3", "O(1/2)", r"rank mismatch: bundles of rank 3, 2 with \|mu\| = 2"),
+            ("O^2", "O(1/2)", "target bundle does not split at rank 1"),
+            ("O^2", "O(2)+O(-1)", "no applicable factorization: target top part degree 2"),
+        ],
+        ids=["rank", "target-split", "no-variant"],
+    )
+    def test_rejected_rank_one_split(self, b, bprime, message):
+        with pytest.raises(DomainError, match=message):
+            boyer_factorize(parse_bundle(b), parse_bundle(bprime), (1, 0), 1)
+
     def test_unsplittable_rank_rejected(self):
         with pytest.raises(DomainError, match="does not split"):
             boyer_factorize(
@@ -368,6 +395,14 @@ class TestModifications:
         assert len(modification_targets_rank_one(5, 3)) == 3
         with pytest.raises(BudgetError, match="4 modification sources exceed budget of 3"):
             modification_targets_rank_one(5, 2)
+
+    def test_nprime_above_n_rejected(self):
+        with pytest.raises(DomainError, match="need 1 <= n' <= n, got n'=3, n=2"):
+            modification_targets_rank_one(2, 3)
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="rank of both bundles must equal the length of mu"):
+            modification_necessary(parse_bundle("O^3"), parse_bundle("O^2"), (0, 0))
 
     def test_degree_mismatch_fails(self):
         assert not modification_necessary(
@@ -435,6 +470,11 @@ class TestIgusa:
         b = bundle_to_b(parse_bundle("O(1/2)"))
         out = igusa_cohomology(shape, (1, 0), b)
         assert out.count == 1 and out.degree == 0
+
+    def test_non_minuscule_rejected(self):
+        shape = LParamShape.from_dims((1, 1))
+        with pytest.raises(DomainError, match="cocharacter must be minuscule"):
+            igusa_cohomology(shape, (2, 0), bundle_to_b(parse_bundle("O(1)^2")))
 
     def test_inadmissible_stratum_rejected(self):
         shape = LParamShape.from_dims((1, 1))

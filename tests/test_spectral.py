@@ -20,9 +20,13 @@ from bunncalc import (
     d_point,
     eigensheaf_stalk,
     hecke,
+    igusa_cohomology,
+    leq,
     make_F,
+    mantovan_pieces,
     parse_bundle,
     point_from_vector,
+    shtuka_cohomology,
     sigma_chi,
     spectral_act,
     stalk,
@@ -46,6 +50,30 @@ F = Fraction
 
 def small_chis(r, bound=2):
     return st.tuples(*[st.integers(-bound, bound) for _ in range(r)])
+
+
+RANK_MESSAGE = "rank mismatch: stratum has rank 3, expected 2"
+
+# every entry point that takes a stratum, given a rank-3 stratum b on rank-2 input
+RANK_CALLS = {
+    "leq": lambda shape, b: leq(b, point_from_vector((0, 0))),
+    "b_to_chis": b_to_chis,
+    "eigensheaf_stalk": eigensheaf_stalk,
+    "stalk": lambda shape, b: stalk(hecke(shape, (1, 0), make_F(shape, (0, 0))), b),
+    "hecke_stalk": lambda shape, b: hecke_stalk(shape, (1, 0), (0, 0), b),
+    "verify_eigen": lambda shape, b: verify_eigen(shape, (1, 0), [b]),
+    "shtuka_cohomology": lambda shape, b: shtuka_cohomology(shape, (0, 0), b, (1, 0)),
+    "igusa_cohomology": lambda shape, b: igusa_cohomology(shape, (1, 0), b),
+    "mantovan_pieces": lambda shape, b: mantovan_pieces(shape, (1, 0), b),
+}
+
+
+@pytest.mark.parametrize("call", RANK_CALLS.values(), ids=RANK_CALLS.keys())
+def test_one_rank_message(call):
+    shape = LParamShape.from_dims((1, 1))
+    with pytest.raises(DomainError) as exc:
+        call(shape, point_from_vector((0, 0, 0)))
+    assert str(exc.value) == RANK_MESSAGE
 
 
 class TestSpectralAct:
@@ -217,7 +245,8 @@ class TestHeckeStalk:
             for lam in normalized_weights(n, 4):
                 for weight in (lam, dual_weight(lam)):
                     for c in (0, 1):
-                        f = make_F(shape, tuple(c * ni for ni in dims))
+                        xi = tuple(c * ni for ni in dims)
+                        f = make_F(shape, xi)
                         # every term lies under dual_weight(weight), and the
                         # central source c * dims shifts it by -c; the points
                         # under that top hold the support and strata it misses
@@ -229,13 +258,13 @@ class TestHeckeStalk:
                                 with pytest.raises(BudgetError):
                                     operator(shape, weight, f)
                             with pytest.raises(BudgetError):
-                                hecke_stalk(shape, weight, f, strata[0])
+                                hecke_stalk(shape, weight, xi, strata[0])
                             continue
                         dec = hecke(shape, weight, f)
                         oracle = hecke_oracle(shape, weight, f)
                         found = 0
                         for b in strata:
-                            got = hecke_stalk(shape, weight, f, b)
+                            got = hecke_stalk(shape, weight, xi, b)
                             assert got == stalk(dec, b)
                             assert got == [(s, w) for _, s, w in oracle.terms if s.stratum == b]
                             found += len(got)
@@ -255,33 +284,29 @@ class TestHeckeStalk:
         weight = draw.draw(st.sampled_from(weights_in_budget))
         target = draw.draw(small_chis(shape.r, 4))
         b = chi_to_rep(shape, target).stratum
-        f = make_F(shape, xi)
-        assert hecke_stalk(shape, weight, f, b) == stalk(hecke(shape, weight, f), b)
+        assert hecke_stalk(shape, weight, xi, b) == stalk(hecke(shape, weight, make_F(shape, xi)), b)
 
     def test_box_miss_builds_no_symbol(self, monkeypatch):
         # (2,2) is in the box of (-1,-2) but lies on O(2)^2
         shape = LParamShape.from_dims((1, 1))
-        f = make_F(shape, chi_id(2))
         b = bundle_to_b(parse_bundle("O(2)+O(1)"))
         built = []
         monkeypatch.setattr(spectral, "make_F", lambda *args: built.append(args))
-        assert hecke_stalk(shape, (4, 0), f, b) == []
+        assert hecke_stalk(shape, (4, 0), chi_id(2), b) == []
         assert built == []
 
     def test_errors_in_hecke_then_stalk_order(self):
         shape = LParamShape.from_dims((1, 1))
-        f = make_F(shape, chi_id(2))
         wrong_rank = bundle_to_b(parse_bundle("O^3"))
-        bad = SheafSymbol(RepSymbol(point_from_vector((0, 0)), ((1, 0),)))
         with pytest.raises(DomainError, match="not dominant"):
-            hecke_stalk(shape, (0, 3), bad, wrong_rank)
-        with pytest.raises(DomainError, match="canonical"):
-            hecke_stalk(shape, (3, 0), bad, wrong_rank)
-        with pytest.raises(DomainError, match="stratum rank 3 does not match weight length 2"):
-            hecke_stalk(shape, (3, 0), f, wrong_rank)
+            hecke_stalk(shape, (0, 3), (0, 0, 0), wrong_rank)
+        with pytest.raises(DomainError, match="character length 3"):
+            hecke_stalk(shape, (3, 0), (0, 0, 0), wrong_rank)
+        with pytest.raises(DomainError, match=RANK_MESSAGE):
+            hecke_stalk(shape, (3, 0), (0, 0), wrong_rank)
         # hecke's branching budget comes before stalk's rank check
         with pytest.raises(BudgetError):
-            hecke_stalk(shape, (weights.MAX_WEIGHT_SIZE + 1, 0), f, wrong_rank)
+            hecke_stalk(shape, (weights.MAX_WEIGHT_SIZE + 1, 0), (0, 0), wrong_rank)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -293,7 +318,7 @@ class TestHeckeStalk:
              "error: character length 3 does not match 2 components\n"),
             (["spectral", "stalk", "--dims", "1,1", "--lambda", "3,0", "--xi", "0,0",
               "--stalk", "O^3"],
-             "error: stratum rank 3 does not match weight length 2\n"),
+             f"error: {RANK_MESSAGE}\n"),
         ],
         ids=["weight-before-stratum", "character-length", "stratum-rank"],
     )
