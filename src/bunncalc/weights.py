@@ -11,7 +11,9 @@ Littlewood-Richardson rule, counting LR fillings rather than weights, and
 recurses on the remainder with a memo that lives for one call; a tail of
 size-1 blocks is the torus, whose terms are the weights themselves.  The
 isotypic slices are that branching's terms grouped once by their
-per-block central characters; every slice the package reads comes from it.
+per-block central characters, for the callers that read every slice.  One
+slice alone (sigma_chi) is branched by the same peel with the size of each
+block's weight fixed by the character, so the other slices are never built.
 Everything is exact and desk scale by design.
 """
 
@@ -182,26 +184,33 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     return dict(_weights(lam))
 
 
-def _lr_rows(lam, a, i, alpha, ends, content, out) -> None:
+def _lr_rows(lam, a, i, alpha, ends, content, out, left=None) -> None:
     """Fill rows i, i + 1, ... of an LR tableau of shape lam/alpha and count
     each finished filling in ``out`` under (alpha, content).
 
     ``ends[v]`` is the column just past the entries <= v of row i - 1 (the
     cells of alpha count as entries 0), so an entry v + 1 of row i must stand
     left of it; ``content[v]`` counts the entries v + 1 in rows above i.
+    ``left``, when given, is the number of cells of alpha still to place:
+    row i takes at most that many, and at least what rows i + 1, ..., a - 1
+    cannot hold, so every alpha filled has the size asked for.
     """
     if i == len(lam) or lam[i] == 0:
         key = (alpha + (0,) * (a - len(alpha)), content)
         out[key] = out.get(key, 0) + 1
         return
     if i >= a:
-        _lr_cells(lam, a, i, alpha, ends, content, 0, 0, (0,), (), out)
+        _lr_cells(lam, a, i, alpha, ends, content, 0, 0, (0,), (), out, left)
         return
-    for s in range(min(lam[i], ends[0]), -1, -1):
-        _lr_cells(lam, a, i, alpha + (s,), ends, content, 0, s, (s,), (), out)
+    top, low = min(lam[i], ends[0]), 0
+    if left is not None:
+        top, low = min(top, left), max(0, left - sum(lam[i + 1:a]))
+    for s in range(top, low - 1, -1):
+        rest = None if left is None else left - s
+        _lr_cells(lam, a, i, alpha + (s,), ends, content, 0, s, (s,), (), out, rest)
 
 
-def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out) -> None:
+def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out, left) -> None:
     """Place the entries v + 1 of row i from column q on, then the larger ones.
 
     Rows weakly increase, so the entries v + 1 are one run; columns strictly
@@ -212,7 +221,7 @@ def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out)
     m = len(content)
     end = lam[i]
     if v == m:
-        _lr_rows(lam, a, i + 1, alpha, row_ends[:m], row_content, out)
+        _lr_rows(lam, a, i + 1, alpha, row_ends[:m], row_content, out, left)
         return
     top = min(end, max(q, ends[v]))
     if v:
@@ -222,7 +231,7 @@ def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out)
     for stop in range(top, low - 1, -1):
         _lr_cells(
             lam, a, i, alpha, ends, content, v + 1, stop,
-            row_ends + (stop,), row_content + (content[v] + stop - q,), out,
+            row_ends + (stop,), row_content + (content[v] + stop - q,), out, left,
         )
 
 
@@ -252,6 +261,40 @@ def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
                 key = (alpha,) + rest
                 out[key] = out.get(key, 0) + c * mult
     return out.items()
+
+
+def _slice(lam: HighestWeight, blocks: tuple[int, ...], sizes: tuple[int, ...], memo: dict):
+    """The terms of ``_branch(lam, blocks, ...)`` whose block weights have
+    the sizes ``sizes``, as a mapping (block weights) -> multiplicity.  The
+    first block is peeled with |alpha| = sizes[0], and not at all when that
+    lies outside 0..lam_1 + ... + lam_a.  ``memo`` maps each peeled
+    remainder to its terms for this call; as in ``_branch``, the
+    remainder's length fixes the blocks and sizes it still meets.  |lam| =
+    sum(sizes) is the caller's to check."""
+    if len(blocks) == 1:
+        return {(lam,): 1}
+    out = memo.get(lam)
+    if out is None:
+        a = blocks[0]
+        m = len(lam) - a
+        peel: dict = {}
+        if 0 <= sizes[0] <= sum(lam[:a]):
+            _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel, sizes[0])
+        out = memo[lam] = {}
+        for (alpha, beta), c in peel.items():
+            for rest, mult in _slice(beta, blocks[1:], sizes[1:], memo).items():
+                ws = (alpha,) + rest
+                out[ws] = out.get(ws, 0) + c * mult
+    return out
+
+
+def _descending(terms, c: int) -> tuple:
+    """Branching terms of a normalized weight, sorted descending, with the
+    shift c added back to every block weight."""
+    terms = sorted(terms, reverse=True)
+    if c == 0:
+        return tuple(terms)
+    return tuple((tuple(tuple(x + c for x in w) for w in ws), mult) for ws, mult in terms)
 
 
 def levi_branching(
@@ -287,11 +330,8 @@ def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     c = lam[-1]
     norm = tuple(x - c for x in lam)
     _check_budget(n, norm)
-    terms = sorted(_branch(norm, blocks, {}), reverse=True)
-    if c == 0:
-        return tuple(terms)
     # one cache entry per request: the normalized terms are shifted here
-    return tuple((tuple(tuple(x + c for x in w) for w in ws), mult) for ws, mult in terms)
+    return _descending(_branch(norm, blocks, {}), c)
 
 
 levi_branching.cache_info = _levi_branching_cached.cache_info
@@ -355,7 +395,9 @@ class WeilSymbol:
 def isotypic_slices(shape: LParamShape, lam: HighestWeight) -> dict[Character, tuple]:
     """The branching terms of r_lam to the component blocks, grouped by their
     character chi (the per-block central characters |lam^(i)|); each group
-    keeps branching order.  lam must already be checked."""
+    keeps branching order.  lam must already be checked.  For the callers
+    that read every slice; one slice is ``sigma_chi``'s, which branches
+    only that slice."""
     slices: dict[Character, list] = {}
     for ws, mult in levi_branching(shape.n, lam, shape.dims):
         slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
@@ -365,10 +407,22 @@ def isotypic_slices(shape: LParamShape, lam: HighestWeight) -> dict[Character, t
 def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
     """Isotypic slice of r_lam for the centralizer character chi: the terms
     of the branching whose per-block central characters match the exponents
-    d_i, none if no term does."""
+    d_i, descending, none if no term does; the same terms as
+    ``isotypic_slices(shape, lam).get(chi, ())``.
+
+    Only this slice is branched.  After the shift c = lam_n, chi fixes the
+    size d_i - n_i c of every block's weight, so each block is peeled with
+    its size fixed and the rest of the branching is never built.
+    """
     chi = shape.check_chi(chi)
     lam = check_dominant(lam, shape.n)
-    terms = isotypic_slices(shape, lam).get(chi, ())
+    c = lam[-1]
+    norm = tuple(x - c for x in lam)
+    _check_budget(shape.n, norm)
+    sizes = tuple(d - m * c for d, m in zip(chi, shape.dims))
+    terms = ()
+    if sum(sizes) == sum(norm):
+        terms = _descending(_slice(norm, shape.dims, sizes, {}).items(), c)
     return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=terms)
 
 

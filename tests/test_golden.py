@@ -78,6 +78,8 @@ EXTRA = {
     "weights-sigma-sym": ["weights", "sigma", "--dims", "2,1", "--lambda", "2,0,0", "--chi", "2,0"],
     "weights-sigma-schur": ["weights", "sigma", "--dims", "3", "--lambda", "2,1,0", "--chi", "3"],
     "weights-sigma-empty": ["weights", "sigma", "--dims", "1,1", "--lambda", "3,0", "--chi", "5,0"],
+    "weights-sigma-wide": ["weights", "sigma", "--dims", "4,4", "--lambda", "6,3,0,-1,-1,-1,-1,-1",
+                           "--chi", "2,2"],
     "hv-induced": ["hv", "--dims", "2", "--xi", "1", "--mu-inv", "0,-1"],
     "spectral-stalk-box-miss": ["spectral", "stalk", "--dims", "1,1", "--lambda", "4,0",
                                 "--xi", "0,0", "--stalk", "O(2)+O(1)"],

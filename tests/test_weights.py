@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bunncalc.weights as weights
 from bunncalc import (
     DomainError,
     ascii_text,
     dual_weight,
+    harris_viehmann,
     levi_branching,
     sigma_chi,
     weight_multiplicities,
     weyl_dim,
 )
+from bunncalc.cli import main
 from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
-from bunncalc.weights import _weight_mults_cached, check_dominant
+from bunncalc.weights import _weight_mults_cached, check_dominant, isotypic_slices
 from conftest import all_compositions, normalized_weights
 from oracles import (
     branching_expansion,
@@ -419,6 +422,134 @@ class TestSigmaChi:
             for lam in normalized_weights(n, 3):
                 for chi in product(range(-1, 4), repeat=shape.r):
                     assert sigma_chi(shape, lam, chi) == sigma_chi_oracle(shape, lam, chi)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_against_the_branching_oracle(self, n):
+        # the slices of levi_branching_oracle, which splits products off the
+        # whole weight character and shares no LR code with sigma_chi; the
+        # characters are every slice's, each with one unit moved to a
+        # neighbouring block, and ones whose block sizes k_i = d_i - n_i c
+        # are negative, exceed lam_1 + ... + lam_a in the first block, or do
+        # not add up to the size
+        kinds = {"empty": 0, "negative": 0, "over": 0}
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for norm in normalized_weights(n, 4):
+                size, top = sum(norm), sum(norm[: dims[0]])
+                for c in (-2, 1):
+                    lam = tuple(x + c for x in norm)
+                    want: dict = {}
+                    for ws, mult in levi_branching_oracle(n, lam, dims):
+                        want.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
+                    rest = (0,) * (shape.r - 2)
+                    pad = (0,) * (shape.r - 1)
+                    sizes = {(size + 1,) + pad, (-1,) + pad}
+                    if shape.r > 1:
+                        sizes |= {(-1, size + 1) + rest, (top + 1, size - top - 1) + rest}
+                    for chi in want:
+                        for i in range(shape.r - 1):
+                            for step in (1, -1):
+                                moved = list(chi)
+                                moved[i] += step
+                                moved[i + 1] -= step
+                                sizes.add(tuple(d - m * c for d, m in zip(moved, dims)))
+                    chis = set(want) | {tuple(k + m * c for k, m in zip(ks, dims)) for ks in sizes}
+                    for chi in chis:
+                        terms = sigma_chi(shape, lam, chi).terms
+                        assert terms == tuple(want.get(chi, ())), (dims, lam, chi)
+                        ks = [d - m * c for d, m in zip(chi, dims)]
+                        kinds["empty"] += not terms
+                        kinds["negative"] += min(ks) < 0
+                        kinds["over"] += ks[0] > top
+        assert all(kinds.values()), kinds
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_block_sums_give_the_split_weight(self, n):
+        # the character of block sums of lam has one term, lam cut in two,
+        # with multiplicity 1: alpha = lam[:a] is the only alpha that large
+        for norm in normalized_weights(n, 8):
+            for a in range(1, n):
+                shape = LParamShape.from_dims((a, n - a))
+                lam = tuple(x + a % 3 - 1 for x in norm)
+                chi = (sum(lam[:a]), sum(lam[a:]))
+                assert sigma_chi(shape, lam, chi).terms == (((lam[:a], lam[a:]), 1),)
+
+    @pytest.mark.parametrize(
+        "dims,lam,chi,cap",
+        [
+            ((4, 5), (1,) + (0,) * 8, (1, 0), "n=9 (max 8)"),
+            ((4, 5), (1,) + (0,) * 8, (1, 1), "n=9 (max 8)"),
+            ((1,) * 9, (1,) + (0,) * 8, (1,) + (0,) * 8, "n=9 (max 8)"),
+            ((1, 1), (13, 0), (13, 0), "size 13 (max 12)"),
+            ((1, 1), (13, 0), (14, -1), "size 13 (max 12)"),
+            ((2, 2, 2), (13,) + (0,) * 5, (13, 0, 0), "size 13 (max 12)"),
+            ((2, 1), (14, 1, 1), (0, 0), "size 13 (max 12)"),
+        ],
+        ids=["n9", "n9-empty", "n9-torus", "size13", "size13-empty", "size13-three",
+             "size13-shifted-empty"],
+    )
+    def test_budget_rejected(self, dims, lam, chi, cap):
+        # the caps of levi_branching, also for a slice that is empty
+        with pytest.raises(BudgetError, match=re.escape(cap)):
+            sigma_chi(LParamShape.from_dims(dims), lam, chi)
+
+    def test_errors_in_character_weight_cap_order(self):
+        shape = LParamShape.from_dims((4, 5))
+        over = (13,) + (0,) * 8
+        with pytest.raises(DomainError, match="character length 3 does not match 2 components"):
+            sigma_chi(shape, over[::-1], (0, 0, 0))
+        with pytest.raises(DomainError, match="not dominant"):
+            sigma_chi(shape, over[::-1], (13, 0))
+        with pytest.raises(BudgetError, match=re.escape("n=9 (max 8), normalized size 13")):
+            sigma_chi(shape, over, (13, 0))
+
+    @pytest.mark.parametrize(
+        "chi, lam, message",
+        [
+            ("0,0,0", "0,0,0,0,0,0,0,0,13",
+             "error: character length 3 does not match 2 components\n"),
+            ("13,0", "0,0,0,0,0,0,0,0,13",
+             "error: weight (0, 0, 0, 0, 0, 0, 0, 0, 13) is not dominant (weakly decreasing)\n"),
+            ("13,0", "13,0,0,0,0,0,0,0,0",
+             "error: weight enumeration out of budget: n=9 (max 8), "
+             "normalized size 13 (max 12)\n"),
+        ],
+        ids=["character-length", "weight", "cap"],
+    )
+    def test_cli_error_precedence(self, chi, lam, message, capsys):
+        argv = ["weights", "sigma", "--dims", "4,5", "--lambda", lam, "--chi", chi]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+
+    def test_reads_no_branching(self, monkeypatch):
+        # a fallback to the whole branching, cached or not, fails here
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return levi_branching(*args)
+
+        monkeypatch.setattr(weights, "levi_branching", counting)
+        before = weights._levi_branching_cached.cache_info()
+        groups = [
+            ((1, 1), (4, 0)),
+            ((1, 2), (6, 0, 0)),
+            ((1, 1, 1), (3, 0, 0)),
+            ((1, 2, 2), (3, 1, 0, 0, 0)),
+            ((1, 1, 1, 1), (2, 0, 0, 0)),
+            ((4, 4), (6, 3, 0, -1, -1, -1, -1, -1)),
+        ]
+        hits = 0
+        for dims, lam in groups:
+            shape = LParamShape.from_dims(dims)
+            for chi in product(range(-1, 3), repeat=shape.r):
+                hits += bool(sigma_chi(shape, lam, chi).terms)
+                hits += bool(harris_viehmann(shape, chi, lam).pieces)
+        assert hits and not calls
+        assert weights._levi_branching_cached.cache_info() == before
+        # the slices, by contrast, do branch
+        isotypic_slices(LParamShape.from_dims((1, 1)), (4, 0))
+        assert calls == [(2, (4, 0), (1, 1))]
 
 
 class TestDuals:
