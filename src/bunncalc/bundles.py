@@ -222,6 +222,8 @@ def hn_polygon(b: BundleSpec) -> tuple[tuple[int, int], ...]:
 def as_int(x, what: str) -> int:
     """x as an int; a value with a fractional part is rejected, not truncated,
     and so are a string and any value int() refuses, named by its repr."""
+    if type(x) is int:
+        return x
     try:
         if not isinstance(x, str) and x == int(x):
             return int(x)

@@ -7,6 +7,9 @@ of the centralizer torus are integer r-vectors; the character chi = (d_i)
 corresponds to the stratum of the bundle sum_i O(d_i/n_i)^{gcd(d_i, n_i)} and
 to the representation symbol cut out by the fibers of i -> d_i/n_i; a fiber
 is the stratum segment (-sum d_i, sum n_i), so all of it runs in integers.
+That dictionary depends on the dimensions and chi alone, so ``chi_to_rep``
+keeps its symbols in one bounded memo keyed by (dims, chi); the records are
+frozen, so every caller may share one.
 
 The other way round, the box of a stratum b (``stratum_box``) lists for each
 component the values d_i that can sit on a segment of b; a character lies on
@@ -18,6 +21,8 @@ segment sum to its run.  ``b_to_chis`` walks the box, and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import ClassVar
 
 from .bundles import (
@@ -49,7 +54,7 @@ def chi_id(r: int) -> Character:
 def chi_mul(a: Character, b: Character) -> Character:
     if len(a) != len(b):
         raise DomainError(f"character length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def chi_inv(a: Character) -> Character:
@@ -75,7 +80,9 @@ class LParamShape:
             raise DomainError("parameter shape needs at least one component")
         for dim, k, label in zip(self.dims, self.torsion, self.labels):
             for what, v in (("component dimension", dim), ("torsion number", k)):
-                if not isinstance(v, int):
+                # a bool would be stored as True and, hashing as 1, share its
+                # symbols with the integer shape through chi_to_rep's memo
+                if not isinstance(v, int) or isinstance(v, bool):
                     raise DomainError(f"{what} {v!r} is not an integer")
                 if v < 1:
                     raise DomainError(f"{what} must be >= 1, got {v}")
@@ -145,13 +152,27 @@ class RepSymbol:
 
 def chi_to_rep(shape: LParamShape, chi: Character) -> RepSymbol:
     """Components grouped by their slope d_i/n_i, in decreasing slope; each
-    group is one stratum segment."""
-    chi = shape.check_chi(chi)
-    classes = slope_groups(tuple(zip(chi, shape.dims)))
+    group is one stratum segment.
+
+    The symbol depends only on the dimensions and the checked chi, so it is
+    read from one bounded memo keyed by (dims, chi); shapes that differ only
+    in labels or torsion share an entry, and a refused chi raises before the
+    lookup.  ``chi_to_rep.cache_info`` and ``chi_to_rep.cache_clear`` expose
+    the memo."""
+    return _rep(shape.dims, shape.check_chi(chi))
+
+
+@lru_cache(maxsize=4096)
+def _rep(dims: tuple[int, ...], chi: Character) -> RepSymbol:
+    classes = slope_groups(tuple(zip(chi, dims)))
     return RepSymbol(
         stratum=NewtonPoint(tuple((-d, n) for d, n, _ in reversed(classes))),
         members=tuple(tuple(members) for _, _, members in classes),
     )
+
+
+chi_to_rep.cache_info = _rep.cache_info
+chi_to_rep.cache_clear = _rep.cache_clear
 
 
 @record

@@ -19,7 +19,8 @@ interpolated in Fractions.  The renderers of bundles, automorphism groups and
 representation symbols are the earlier ones, which read Fraction slopes.
 The stored values are checked against ``dataclasses.dataclass(frozen=True)``
 twins of the record classes, and the per-command parser against the earlier
-parser that adds the options of every command.
+parser that adds the options of every command.  The integer check is the
+earlier one, which sends every value, a plain int too, through ``int()``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
+from numbers import Number
 from operator import le
 
 from bunncalc.bundles import DomainError, normalize_bundle
@@ -445,6 +447,16 @@ def levi_branching_extraction_oracle(n: int, lam, blocks):
                 raise AssertionError("branching extraction went negative")
             left[v] = rest
     return tuple(out)
+
+
+def as_int_oracle(x, what: str) -> int:
+    """x as an int through int() and an equality test, whatever its type."""
+    try:
+        if not isinstance(x, str) and x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} {x if isinstance(x, Number) else repr(x)} is not an integer")
 
 
 def merge_segments_oracle(segments) -> tuple[tuple[int, int], ...]:

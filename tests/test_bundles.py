@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from operator import le
 
@@ -41,6 +42,7 @@ from bunncalc.serialize import point_json
 from bunncalc.shtuka import is_minuscule
 from conftest import bundle_specs, fractions_built, small_bundles
 from oracles import (
+    as_int_oracle,
     hn_polygon_oracle,
     merge_segments_oracle,
     parts_of,
@@ -120,6 +122,25 @@ class TestIntegerEntries:
         assert as_int(F(6, 2), "entry") == 3 and type(as_int(3.0, "entry")) is int
         with pytest.raises(DomainError, match="entry 1/2 is not an integer"):
             as_int(F(1, 2), "entry")
+
+    class Count(int):
+        """A numeric subclass of int, which the plain-int shortcut must not take."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 3, -7, 10**40, True, False, F(3), F(1, 2), 3.0, 1.5, float("inf"),
+         float("nan"), Decimal(4), Decimal("2.5"), Count(5), "2", None, [1]],
+        ids=repr,
+    )
+    def test_as_int_matches_the_int_round_trip(self, x):
+        def outcome(fn):
+            try:
+                out = fn(x, "entry")
+            except DomainError as exc:
+                return "DomainError", str(exc)
+            return out, type(out)
+
+        assert outcome(as_int) == outcome(as_int_oracle)
 
 
 class TestReduceSlope:

@@ -18,6 +18,7 @@ from bunncalc import (
     chi_to_bundle,
     chi_to_rep,
     component_shape,
+    hecke,
     make_F,
     parse_bundle,
     point_from_vector,
@@ -91,6 +92,18 @@ class TestShape:
             LParamShape((1,), ("a",), torsion)
 
     @pytest.mark.parametrize(
+        "dims, torsion, message",
+        [
+            ((True, 2), (1, 1), "component dimension True"),
+            ((1, 2), (1, False), "torsion number False"),
+        ],
+    )
+    def test_bool_columns_rejected(self, dims, torsion, message):
+        # a stored True would hash as 1 and share chi_to_rep's memo entries
+        with pytest.raises(DomainError, match=f"{message} is not an integer"):
+            LParamShape(dims, ("a", "b"), torsion)
+
+    @pytest.mark.parametrize(
         "dims,torsion,message",
         [
             (("x",), None, "dimension 'x' is not an integer"),
@@ -112,6 +125,12 @@ class TestShape:
     def test_values_below_one_rejected(self, dims, torsion):
         with pytest.raises(DomainError, match="must be >= 1, got 0"):
             LParamShape(dims, ("a",), torsion)
+
+    def test_rank_equal_to_budget_accepted(self, monkeypatch):
+        monkeypatch.setenv("BUNNCALC_BUDGET", "5")
+        assert LParamShape.from_dims((2, 3)).n == 5
+        with pytest.raises(BudgetError, match="shape rank 6 exceeds budget of 5"):
+            LParamShape.from_dims((3, 3))
 
     def test_empty_shape_rejected(self):
         with pytest.raises(DomainError, match="at least one component"):
@@ -239,6 +258,15 @@ class TestRepAndSheaf:
             with pytest.raises(DomainError):
                 character_of_sheaf(shape, SheafSymbol(RepSymbol(stratum, members)))
 
+    @pytest.mark.parametrize("dims, component", [((2, 1), 2), ((1, 2), 1)])
+    def test_non_integral_slope_names_its_component(self, dims, component):
+        # slope 1/2 on one class of rank 4 is integral on the dimension-2
+        # component only
+        rep = RepSymbol(point_from_vector((F(-1, 2),) * 4), ((0, 1),))
+        message = f"slope 1/2 is not integral on component {component}$"
+        with pytest.raises(DomainError, match=message):
+            character_of_rep(LParamShape.from_dims(dims), rep)
+
     def test_members_match_slope_classes(self):
         rep = chi_to_rep(LParamShape.from_dims((1, 1)), (1, 0))
         with pytest.raises(DomainError, match="one member tuple per slope class"):
@@ -291,6 +319,17 @@ class TestBToChis:
         shape = LParamShape.from_dims((1,) * 11)
         b = bundle_to_b(parse_bundle("+".join(f"O({d})" for d in range(1, 12))))
         with pytest.raises(BudgetError, match="1001 search nodes exceed budget of 1000"):
+            b_to_chis(shape, b)
+
+    def test_budget_equal_to_node_count_accepted(self, monkeypatch):
+        # four unit components on four distinct slopes: 4 + 4*3 + 4*3*2 + 4!
+        # = 64 pushed nodes, the last 24 of them the characters
+        shape = LParamShape.from_dims((1, 1, 1, 1))
+        b = bundle_to_b(parse_bundle("O(2)+O(1)+O+O(-1)"))
+        monkeypatch.setenv("BUNNCALC_BUDGET", "64")
+        assert len(b_to_chis(shape, b)) == 24
+        monkeypatch.setenv("BUNNCALC_BUDGET", "63")
+        with pytest.raises(BudgetError, match="64 search nodes exceed budget of 63"):
             b_to_chis(shape, b)
 
     def test_rank_mismatch_rejected(self):
@@ -347,3 +386,64 @@ class TestCharacterOps:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError, match="character length mismatch: 1 vs 2"):
             chi_mul((1,), (1, 2))
+
+
+class TestRepMemo:
+    """chi_to_rep reads one bounded memo keyed by (dims, chi)."""
+
+    @pytest.mark.parametrize("r", range(1, 4))
+    def test_cold_and_warm_match_the_oracle(self, r):
+        for dims in product(range(1, 4), repeat=r):
+            shape = LParamShape.from_dims(dims)
+            chis = list(product(range(-3, 4), repeat=r))
+            expected = [chi_to_rep_oracle(shape, chi) for chi in chis]
+            chi_to_rep.cache_clear()
+            assert [chi_to_rep(shape, chi) for chi in chis] == expected
+            cold = chi_to_rep.cache_info()
+            assert (cold.hits, cold.misses) == (0, len(chis))
+            assert [chi_to_rep(shape, chi) for chi in chis] == expected
+            warm = chi_to_rep.cache_info()
+            assert (warm.hits, warm.misses) == (len(chis), len(chis))
+
+    def test_labels_share_an_entry_and_describe_their_own(self):
+        first = LParamShape.from_dims((2, 1), labels=("a", "b"))
+        second = LParamShape((2, 1), ("x", "y"), (3, 1))
+        chi_to_rep.cache_clear()
+        rep = chi_to_rep(first, (2, 0))
+        assert chi_to_rep(second, (2, 0)) is rep
+        info = chi_to_rep.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert rep.describe(first) == "pi[a]@1 ⊠ pi[b]@0"
+        assert rep.describe(second) == "pi[x]@1 ⊠ pi[y]@0"
+
+    @pytest.mark.parametrize("chi", [(1,), (1, 0, 0), (F(1, 2), 0), (0.5, 0), ("1", 0)])
+    def test_refused_character_is_not_stored(self, chi):
+        shape = LParamShape.from_dims((2, 1))
+        with pytest.raises(DomainError) as checked:
+            shape.check_chi(chi)
+        before = chi_to_rep.cache_info()
+        with pytest.raises(DomainError) as refused:
+            chi_to_rep(shape, chi)
+        assert str(refused.value) == str(checked.value)
+        assert chi_to_rep.cache_info() == before
+
+    def test_memo_is_bounded(self):
+        maxsize = chi_to_rep.cache_info().maxsize
+        assert maxsize == 4096
+        shape = LParamShape.from_dims((1,))
+        chi_to_rep.cache_clear()
+        for d in range(maxsize + 1):
+            chi_to_rep(shape, (d,))
+        info = chi_to_rep.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 1, maxsize)
+
+    def test_second_hecke_adds_no_miss(self):
+        shape = LParamShape.from_dims((1, 2, 2))
+        lam = (3, 1, 0, 0, 0)
+        source = make_F(shape, (1, 0, 2))
+        chi_to_rep.cache_clear()
+        first = hecke(shape, lam, source)
+        misses = chi_to_rep.cache_info().misses
+        assert misses > 0
+        assert hecke(shape, lam, source) == first
+        assert chi_to_rep.cache_info().misses == misses
