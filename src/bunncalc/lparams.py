@@ -14,15 +14,17 @@ frozen, so every caller may share one.
 The other way round, the box of a stratum b (``stratum_box``) lists for each
 component the values d_i that can sit on a segment of b; a character lies on
 b exactly when each d_i is in the box and the dimensions placed at each
-segment sum to its run.  ``b_to_chis`` walks the box, and
-``spectral.hecke_stalk`` and ``spectral.verify_eigen`` read it.
+segment sum to its run.  ``b_to_chis`` walks the box depth first to list
+the characters of b, ``count_chis`` counts them layer by layer without
+listing any, and ``spectral.hecke_stalk`` reads the box to keep only the
+terms that land on b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 from typing import ClassVar
 
 from .bundles import (
@@ -265,6 +267,40 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
                 stack.append((chi + (d,), rest))
     # segment slopes are distinct, so distinct placements give distinct characters
     return sorted(out)
+
+
+def count_chis(shape: LParamShape, b: NewtonPoint) -> tuple[int, int]:
+    """The number of characters whose stratum is b, and the DP states that
+    counted them, without listing any.
+
+    The components are placed in b_to_chis's order, one layer each; a state
+    of a layer is the rank each segment of b still has to host, mapped to the
+    number of placements reaching it.  Distinct placements give distinct
+    characters, so the count is the ways of the last layer.  A layer holds at
+    most as many states as b_to_chis pushes nodes at that depth; each state
+    is charged to the enumeration budget as it is made.
+    """
+    box = stratum_box(shape, b)
+    budget = enumeration_budget()
+    layer = {tuple(run for _, run in b.segments): 1}
+    states = 0
+    # a stable sort, so equal dimensions keep b_to_chis's order too
+    for ni, row in sorted(zip(shape.dims, box), key=itemgetter(0), reverse=True):
+        nxt: dict[tuple[int, ...], int] = {}
+        for remaining, ways in layer.items():
+            for j in row.values():
+                if remaining[j] >= ni:
+                    rest = remaining[:j] + (remaining[j] - ni,) + remaining[j + 1 :]
+                    reached = nxt.get(rest)
+                    if reached is None:
+                        states += 1
+                        if states > budget:
+                            raise BudgetError(f"{states} count states exceed budget of {budget}")
+                        reached = 0
+                    nxt[rest] = reached + ways
+        layer = nxt
+    # the ranks sum to n, so every state of the last layer has filled every segment
+    return sum(layer.values()), states
 
 
 @record

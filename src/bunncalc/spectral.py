@@ -8,21 +8,17 @@ weighted by the isotypic slices of the weight representation, which
 ``weights.isotypic_slices`` groups from one pass over the branching; they
 depend only on the shape and the weight, never on the source.
 
-Stalks and the eigen check read the box of a stratum b from
-``lparams.stratum_box``.  ``hecke_stalk`` builds a symbol only for a term
-chi * xi in the box whose components fill each segment's run, so it works in
-the size of the stalk, not of the decomposition.  The eigen check works in
-the size of each stratum's fiber, not in source and slice pairs: at a window
+Stalks read the box of a stratum b from ``lparams.stratum_box``:
+``hecke_stalk`` builds a symbol only for a term chi * xi in the box whose
+components fill each segment's run, so it works in the size of the stalk,
+not of the decomposition.  The eigen check works in the size of each
+stratum's list of characters, not in source and slice pairs: at a window
 stratum b it checks that (a) every character listed for b is listed once and
-its symbol lies on b, and (b) no other character p of the box of b has
-p * chi^{-1} among the sources for a slice chi.
+its symbol lies on b, and (b) ``lparams.count_chis`` counts as many
+characters of b as are listed, so the list holds every character of b.
 """
 
 from __future__ import annotations
-
-from itertools import product
-from math import prod
-from operator import add
 
 from .bundles import BudgetError, DomainError, check_dominant, enumeration_budget, record
 from .kottwitz import NewtonPoint, check_rank
@@ -35,7 +31,7 @@ from .lparams import (
     character_of_sheaf,
     chi_inv,
     chi_mul,
-    chi_to_rep,
+    count_chis,
     make_F,
     stratum_box,
 )
@@ -148,23 +144,24 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     (piece at b) x (isotypic slice) pair.  The sources that can contribute
     are eta * chi^{-1} for eta a listed character of a window stratum and chi
     a slice character.  Multiplying by chi is a bijection, so the two sides
-    agree at b exactly when (a) every eta listed for b is listed once and its
-    symbol lies on b, and (b) no other character p of b has p * chi^{-1}
-    among the sources for any slice chi.  For (b), every point of the box of
-    b (``lparams.stratum_box``) is walked with set lookups, and only a point
-    that hits a source and is not listed has its stratum computed, by
-    chi_to_rep, so (b) does not rest on the search inside b_to_chis.
+    agree at b when (a) every eta listed for b is listed once and its symbol
+    lies on b, and (b) the characters of b number as many as are listed, by
+    ``lparams.count_chis``, a layered count that does not rest on the search
+    inside b_to_chis.  Together (a) and (b) say the list is every character
+    of b, so no unlisted character of b is hit from a source, and a
+    character missing from the list fails the check even when no source hits
+    it.
 
     Symbols come from one memo that lives only as long as the call; every
     source's symbol has its canonical shape checked.  The lookups, slices
-    times the listed characters plus the box of each stratum, are charged to
-    the enumeration budget before the first symbol is built.
+    times the listed characters plus the count's states for each stratum,
+    are charged to the enumeration budget before the first symbol is built.
     """
     lam = check_dominant(lam, shape.n)
     inverses = [chi_inv(chi) for chi in isotypic_slices(shape, lam)]
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
-    boxes = {b: stratum_box(shape, b) for b in window}
-    lookups = len(inverses) * sum(len(window[b]) + prod(map(len, box)) for b, box in boxes.items())
+    counts = {b: count_chis(shape, b) for b in window}
+    lookups = sum(len(inverses) * len(chis) + counts[b][1] for b, chis in window.items())
     budget = enumeration_budget()
     if lookups > budget:
         raise BudgetError(f"{lookups} window lookups exceed budget of {budget}")
@@ -181,13 +178,8 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
         sheaf = sheaf_of(src)
         if sheaf_of(character_of_rep(shape, sheaf.rep)) != sheaf:
             raise DomainError("sheaf symbol is not of the canonical translated shape")
-    for b, chis in window.items():
-        listed = set(chis)
-        if len(listed) != len(chis) or any(sheaf_of(eta).stratum != b for eta in chis):
-            return False
-        for p in product(*boxes[b]):
-            if p in listed or not any(tuple(map(add, p, inv)) in sources for inv in inverses):
-                continue
-            if chi_to_rep(shape, p).stratum == b:
-                return False
-    return True
+    return all(
+        len(set(chis)) == len(chis) == counts[b][0]
+        and all(sheaf_of(eta).stratum == b for eta in chis)
+        for b, chis in window.items()
+    )

@@ -36,6 +36,10 @@ HighestWeight = tuple[int, ...]
 MAX_N = 8
 MAX_WEIGHT_SIZE = 12
 
+# entries each of the two caches keeps, least recently used first out; a
+# session of sweeps over dozens of weights still never evicts
+CACHE_SIZE = 256
+
 
 def dual_weight(lam) -> HighestWeight:
     """Highest weight of the dual representation: negated and reversed."""
@@ -119,7 +123,7 @@ def _kostka(nu: tuple, rest: tuple, memo: dict) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _weight_mults_cached(n: int, norm: HighestWeight) -> tuple[tuple[HighestWeight, int], ...]:
     """(mu, K_{norm, mu}) for every dominant weight mu of r_norm, that is,
     every partition mu dominated by the partition ``norm`` with at most n
@@ -176,12 +180,18 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     Dominant lam may have negative entries; they are absorbed into a
     determinant twist.  The multiplicity of a weight w is the Kostka number
     K_{lam - c, sort(w) - c}, c = lam_n, which is the same on the whole
-    S_n-orbit of w, so only the dominant weights are counted.
+    S_n-orbit of w, so only the dominant weights are counted.  The table of
+    each normalized weight is kept in a cache of ``CACHE_SIZE`` entries that
+    ``weight_multiplicities.cache_info`` and ``cache_clear`` expose.
     """
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
     return dict(_weights(lam))
+
+
+weight_multiplicities.cache_info = _weight_mults_cached.cache_info
+weight_multiplicities.cache_clear = _weight_mults_cached.cache_clear
 
 
 def _lr_rows(lam, a, i, alpha, ends, content, out, left=None) -> None:
@@ -311,7 +321,9 @@ def levi_branching(
     call only.  A remainder of size-1 blocks is the torus, whose terms are
     the weights with their multiplicities, listed from the orbits of the
     dominant ones.  Branching to the torus itself skips the shift: it lists
-    the weights of lam, twist included, in the order of the result.
+    the weights of lam, twist included, in the order of the result.  Each
+    request's terms are kept in a cache of ``CACHE_SIZE`` entries that
+    ``levi_branching.cache_info`` and ``cache_clear`` expose.
     """
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
@@ -322,7 +334,7 @@ def levi_branching(
     return _levi_branching_cached(n, lam, blocks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     # n blocks partitioning n are the torus
     if len(blocks) == n:

@@ -204,9 +204,9 @@ class TestSpectral:
         )
         assert code == 0 and "holds" in out
 
-    def run_verify_1_8(self, budget=None):
+    def run_verify_1_8(self, strata="O^8;O(1/8)", budget=None):
         # 12384 slices on the torus of rank 8, the one character of O^8 and
-        # its one-point box, and nothing of O(1/8): 24768 window lookups
+        # its 8 count states, and nothing of O(1/8): 12392 window lookups
         src = str(Path(bunncalc.__file__).resolve().parent.parent)
         env = {k: v for k, v in os.environ.items() if k != "BUNNCALC_BUDGET"}
         if budget is not None:
@@ -214,18 +214,31 @@ class TestSpectral:
         return subprocess.run(
             [sys.executable, "-m", "bunncalc.cli", "spectral", "verify",
              "--dims", "1,1,1,1,1,1,1,1", "--lambda", "4,3,2,1,0,0,0,0",
-             "--strata", "O^8;O(1/8)"],
+             "--strata", strata],
             capture_output=True, env={**env, "PYTHONPATH": src}, text=True, timeout=10,
         )
 
     def test_verify_out_of_budget_exits_1_at_once(self):
-        proc = self.run_verify_1_8(budget=24767)
+        proc = self.run_verify_1_8(budget=12391)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert "24768 window lookups exceed budget of 24767" in proc.stderr
+        assert "12392 window lookups exceed budget of 12391" in proc.stderr
+        proc = self.run_verify_1_8(budget=12392)
+        assert proc.returncode == 0 and proc.stdout == "eigen identity: holds\n"
 
     def test_verify_torus_of_rank_eight_holds_at_default_budget(self):
         proc = self.run_verify_1_8()
         assert proc.returncode == 0 and proc.stdout == "eigen identity: holds\n"
+
+    def test_verify_eight_characters_hold_at_default_budget(self):
+        # 12384 slices x 8 characters + 15 count states = 99087 lookups
+        proc = self.run_verify_1_8("O(1)+O^7")
+        assert proc.returncode == 0 and proc.stdout == "eigen identity: holds\n"
+
+    def test_verify_280_characters_refused_at_default_budget(self):
+        # 12384 slices x 280 characters + 39 count states
+        proc = self.run_verify_1_8("O(2)+O(1)^3+O^4")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: 3467559 window lookups exceed budget of 1000000\n"
 
     def test_verify_empty_window_exit_2(self, capsys):
         args = ["--dims", "1,1", "--lambda", "3,0", "--strata", ";"]

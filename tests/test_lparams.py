@@ -18,6 +18,7 @@ from bunncalc import (
     chi_to_bundle,
     chi_to_rep,
     component_shape,
+    enumerate_B,
     hecke,
     make_F,
     parse_bundle,
@@ -29,6 +30,7 @@ from bunncalc.lparams import (
     SheafSymbol,
     character_of_rep,
     character_of_sheaf,
+    count_chis,
 )
 from conftest import all_compositions, shape_and_chi, unreachable_after
 from oracles import chi_to_rep_oracle
@@ -356,6 +358,48 @@ class TestBToChis:
                 fibers.setdefault(chi_to_rep(shape, chi).stratum, []).append(chi)
             for b, chis in fibers.items():
                 assert b_to_chis(shape, b) == sorted(chis)
+
+
+class TestCountChis:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_listing(self, n):
+        # every stratum of a few Newton sets, against every composition of n
+        mus = {(1,) + (0,) * (n - 1), (n,) + (0,) * (n - 1), (2, 1, 1, 0, 0, 0)[:n]}
+        strata = {b for mu in mus for b in enumerate_B(n, mu)}
+        empty = 0
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for b in strata:
+                count, _ = count_chis(shape, b)
+                assert count == len(b_to_chis(shape, b))
+                empty += not count
+        # rank 1 has one stratum and one component, whose slope is integral
+        assert empty or n == 1
+
+    def test_counts_what_the_listing_refuses(self, monkeypatch):
+        # 11! characters on eleven distinct slopes, one state per set of
+        # placed slopes
+        monkeypatch.delenv("BUNNCALC_BUDGET", raising=False)
+        shape = LParamShape.from_dims((1,) * 11)
+        b = bundle_to_b(parse_bundle("+".join(f"O({d})" for d in range(1, 12))))
+        assert count_chis(shape, b) == (factorial(11), 2**11 - 1)
+
+    def test_budget_equal_to_state_count_accepted(self, monkeypatch):
+        # four unit components on four distinct slopes: 4 + 6 + 4 + 1 = 15
+        # states, one per set of filled segments, for 24 characters
+        shape = LParamShape.from_dims((1, 1, 1, 1))
+        b = bundle_to_b(parse_bundle("O(2)+O(1)+O+O(-1)"))
+        monkeypatch.setenv("BUNNCALC_BUDGET", "15")
+        assert count_chis(shape, b) == (24, 15)
+        monkeypatch.setenv("BUNNCALC_BUDGET", "14")
+        with pytest.raises(BudgetError, match="^15 count states exceed budget of 14$"):
+            count_chis(shape, b)
+
+    def test_deep_shape_needs_no_recursion(self):
+        # one layer per component, far past the default recursion limit
+        r = 3000
+        shape = LParamShape.from_dims((1,) * r)
+        assert count_chis(shape, bundle_to_b(parse_bundle(f"O^{r}"))) == (1, r)
 
 
 class TestComponentShape:

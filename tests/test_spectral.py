@@ -39,7 +39,7 @@ import bunncalc.weights as weights
 import oracles
 from bunncalc.bundles import enumeration_budget
 from bunncalc.cli import main
-from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol, chi_to_rep
+from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol, chi_to_rep, count_chis
 from bunncalc.spectral import hecke_stalk
 from bunncalc.weights import dual_weight
 from conftest import all_compositions, normalized_weights, shape_and_chi
@@ -62,6 +62,7 @@ RANK_CALLS = {
     "stalk": lambda shape, b: stalk(hecke(shape, (1, 0), make_F(shape, (0, 0))), b),
     "hecke_stalk": lambda shape, b: hecke_stalk(shape, (1, 0), (0, 0), b),
     "verify_eigen": lambda shape, b: verify_eigen(shape, (1, 0), [b]),
+    "count_chis": count_chis,
     "shtuka_cohomology": lambda shape, b: shtuka_cohomology(shape, (0, 0), b, (1, 0)),
     "igusa_cohomology": lambda shape, b: igusa_cohomology(shape, (1, 0), b),
     "mantovan_pieces": lambda shape, b: mantovan_pieces(shape, (1, 0), b),
@@ -399,8 +400,7 @@ class TestVerifyEigenWork:
         monkeypatch.setattr(weights, "sigma_chi", counting_sigma_chi)
         assert verify_eigen(shape, lam, strata)
         # a symbol for each source and each listed character, and for no
-        # other product: a box point that hits a source is placed on its
-        # stratum through chi_to_rep
+        # other product
         listed = {eta for b in strata for eta in b_to_chis(shape, b)}
         sources = {chi_mul(eta, chi_inv(chi)) for eta in listed for chi, _, _ in dec.terms}
         assert set(built) == sources | listed
@@ -485,9 +485,9 @@ class TestVerifyEigenWork:
             with pytest.raises(DomainError, match="canonical"):
                 check(shape, (1, 0, 0), strata)
 
-    @pytest.mark.parametrize("limit,passes", [(1540, True), (1539, False)])
+    @pytest.mark.parametrize("limit,passes", [(226, True), (225, False)])
     def test_lookup_count_charged_before_building(self, monkeypatch, limit, passes):
-        # 1540 = 14 slices x (14 listed characters + 96 box points) on the
+        # 226 = 14 slices x 14 listed characters + 30 count states on the
         # (1, 2, 2), (3, 1, 0, 0, 0) window
         shape = LParamShape.from_dims((1, 2, 2))
         lam = (3, 1, 0, 0, 0)
@@ -497,18 +497,21 @@ class TestVerifyEigenWork:
         if passes:
             assert verify_eigen(shape, lam, strata)
         else:
-            with pytest.raises(BudgetError, match="^1540 window lookups exceed budget of 1539$"):
+            with pytest.raises(BudgetError, match="^226 window lookups exceed budget of 225$"):
                 verify_eigen(shape, lam, strata)
             assert not built
 
     def test_torus_of_rank_six_refused_under_small_budget(self, monkeypatch):
-        # 1296 slices x (the one character of O^6 + its box of one point)
+        # 1296 slices x the one character of O^6 + its 6 count states
         shape = LParamShape.from_dims((1,) * 6)
+        strata = [point_from_vector((0,) * 6)]
         built = count_symbols(monkeypatch)
-        monkeypatch.setenv("BUNNCALC_BUDGET", "2591")
-        with pytest.raises(BudgetError, match="^2592 window lookups exceed budget of 2591$"):
-            verify_eigen(shape, (4, 3, 2, 1, 0, 0), [point_from_vector((0,) * 6)])
+        monkeypatch.setenv("BUNNCALC_BUDGET", "1301")
+        with pytest.raises(BudgetError, match="^1302 window lookups exceed budget of 1301$"):
+            verify_eigen(shape, (4, 3, 2, 1, 0, 0), strata)
         assert not built
+        monkeypatch.setenv("BUNNCALC_BUDGET", "1302")
+        assert verify_eigen(shape, (4, 3, 2, 1, 0, 0), strata)
 
     def test_torus_of_rank_six_holds_at_default_budget(self, monkeypatch):
         # one symbol per source and one for the character of O^6
@@ -612,8 +615,8 @@ class TestVerifyEigenAgainstOracle:
         assert all_checks(shape, lam, strata) == [True] * 3
 
     def check_mutation(self, monkeypatch, change, dims, lam, named):
-        """With b_to_chis's list passed through change, the three checks
-        agree on every deck window and all fail on the named window."""
+        """With b_to_chis's list passed through change, all three checks fail
+        on the named window; returns their verdicts on every deck window."""
 
         def mutated(shape, b):
             return change(b_to_chis(shape, b))
@@ -622,15 +625,36 @@ class TestVerifyEigenAgainstOracle:
         monkeypatch.setattr(oracles, "b_to_chis", mutated)
         named = [bundle_to_b(parse_bundle(s)) for s in named]
         assert all_checks(LParamShape.from_dims(dims), lam, named) == [False] * 3
-        for dims, lam in EIGEN_DECK:
-            shape = LParamShape.from_dims(dims)
-            assert len(set(all_checks(shape, lam, hecke_window(shape, lam)))) == 1
+        deck = [(LParamShape.from_dims(d), lam) for d, lam in EIGEN_DECK]
+        return [all_checks(shape, lam, hecke_window(shape, lam)) for shape, lam in deck]
 
     def test_missing_character_fails(self, monkeypatch):
         # O(1)^2+O loses (0, 1, 1), which is still the translate of the
         # source (0, 0, 0) by the slice (0, 1, 1)
         named = ("O^3", "O(1)^2+O", "O(1)+O^2")
-        self.check_mutation(monkeypatch, lambda chis: chis[1:], (1, 1, 1), (1, 1, 0), named)
+        deck = self.check_mutation(
+            monkeypatch, lambda chis: chis[1:], (1, 1, 1), (1, 1, 0), named
+        )
+        # every deck stratum loses a character, which the count catches even
+        # where no source hits it; the oracles only see the characters hit
+        assert all(not fiber and first == second for fiber, first, second in deck)
+
+    def test_missing_character_no_source_hits_fails(self, monkeypatch):
+        # the determinant has the one slice (1, 1, 1), so each source's only
+        # product is the listed character it came from: the oracles cannot
+        # see that O(1)^2+O lost (0, 1, 1), and the count does
+        shape = LParamShape.from_dims((1, 1, 1))
+        lam = (1, 1, 1)
+        strata = [bundle_to_b(parse_bundle(s)) for s in ("O^3", "O(1)^2+O")]
+        assert all_checks(shape, lam, strata) == [True] * 3
+
+        def mutated(shape_, b):
+            return b_to_chis(shape_, b)[1:]
+
+        monkeypatch.setattr(spectral, "b_to_chis", mutated)
+        monkeypatch.setattr(oracles, "b_to_chis", mutated)
+        assert mutated(shape, strata[1]) == [(1, 0, 1), (1, 1, 0)]
+        assert all_checks(shape, lam, strata) == [False, True, True]
 
     def test_wrong_character_fails(self, monkeypatch):
         # each stratum also lists its first character shifted by one on every
@@ -640,8 +664,12 @@ class TestVerifyEigenAgainstOracle:
             return chis + [tuple(x + 1 for x in chis[0])] if chis else chis
 
         named = ("O^3", "O(1/2)+O", "O(1)+O^2")
-        self.check_mutation(monkeypatch, add_wrong, (2, 1), (1, 0, 0), named)
+        deck = self.check_mutation(monkeypatch, add_wrong, (2, 1), (1, 0, 0), named)
+        assert all(len(set(verdicts)) == 1 for verdicts in deck)
 
     def test_repeated_character_fails(self, monkeypatch):
         named = ("O^3", "O(1/2)+O", "O(1)+O^2")
-        self.check_mutation(monkeypatch, lambda chis: chis + chis[:1], (2, 1), (1, 0, 0), named)
+        deck = self.check_mutation(
+            monkeypatch, lambda chis: chis + chis[:1], (2, 1), (1, 0, 0), named
+        )
+        assert all(len(set(verdicts)) == 1 for verdicts in deck)

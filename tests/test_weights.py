@@ -229,6 +229,41 @@ class TestKostkaTable:
         assert _weight_mults_cached.cache_info().currsize == 1
 
 
+class TestCacheBounds:
+    """Both weight caches hold a fixed number of entries, and an evicted
+    entry is recomputed to the same result."""
+
+    def test_both_caches_are_bounded(self):
+        assert weight_multiplicities.cache_info().maxsize == weights.CACHE_SIZE == 256
+        assert levi_branching.cache_info().maxsize == 256
+        assert weight_multiplicities.cache_info == _weight_mults_cached.cache_info
+
+    def test_table_unchanged_after_eviction(self):
+        # 257 distinct normalized weights: the first is evicted by the last
+        keys = [(n, lam) for n in range(1, 9) for lam in normalized_weights(n, 8)][:257]
+        assert len(keys) == 257
+        weight_multiplicities.cache_clear()
+        first = weight_multiplicities(*keys[0])
+        for n, lam in keys[1:]:
+            weight_multiplicities(n, lam)
+        info = weight_multiplicities.cache_info()
+        assert (info.misses, info.currsize) == (257, 256)
+        assert weight_multiplicities(*keys[0]) == first == weight_mults_oracle(*keys[0])
+        assert weight_multiplicities.cache_info().misses == 258
+
+    def test_branching_unchanged_after_eviction(self):
+        # 256 shifts of the standard weight of GL_2, each its own entry
+        levi_branching.cache_clear()
+        first = levi_branching(4, (2, 1, 0, 0), (2, 2))
+        for k in range(256):
+            levi_branching(2, (k + 1, k), (1, 1))
+        info = levi_branching.cache_info()
+        assert (info.misses, info.currsize) == (257, 256)
+        again = levi_branching(4, (2, 1, 0, 0), (2, 2))
+        assert again == first == levi_branching_oracle(4, (2, 1, 0, 0), (2, 2))
+        assert levi_branching.cache_info().misses == 258
+
+
 class TestAgainstPatternOracles:
     """The Kostka table and the block-dominant walk against the earlier
     pattern-by-pattern enumeration and whole-character extraction."""
