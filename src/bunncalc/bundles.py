@@ -98,8 +98,12 @@ def check_segments(segments: Sequence[tuple[int, int]]) -> None:
             raise DomainError(f"segment ({rise!r}, {run!r}) is not a pair of integers")
         if run < 1:
             raise DomainError(f"class count must be >= 1, got {run}")
-    if any(r2 * m1 >= r1 * m2 for (r1, m1), (r2, m2) in zip(segments, segments[1:])):
-        raise DomainError("slopes must be strictly decreasing")
+    pairs = iter(segments)
+    r1, m1 = next(pairs)
+    for r2, m2 in pairs:
+        if r2 * m1 >= r1 * m2:
+            raise DomainError("slopes must be strictly decreasing")
+        r1, m1 = r2, m2
 
 
 def _frozen_setattr(self, name, value):

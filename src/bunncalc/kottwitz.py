@@ -50,7 +50,7 @@ class NewtonPoint:
     @cached_property
     def tops(self) -> tuple[int, ...]:
         """floor(nu(x)) for x = 0..rank; dominance is <= entry by entry.
-        Computed once per point: the sorts, leq and hasse all read it."""
+        Seeded by enumerate_B, else computed once: the sorts, leq and hasse all read it."""
         return lattice_tops(self.segments)
 
     @property
@@ -123,13 +123,18 @@ def leq(b1: NewtonPoint, b2: NewtonPoint) -> bool:
     return t1[-1] == t2[-1] and all(map(le, t1, t2))
 
 
+def _with_tops(point: NewtonPoint, tops: tuple[int, ...]) -> NewtonPoint:
+    vars(point)["tops"] = tops  # the slot that cached_property fills itself
+    return point
+
+
 def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     """All Newton points with endpoint sum(mu) lying under the mu-polygon.
 
-    mu is a weakly decreasing integer n-tuple.  Points are produced in
-    descending dominance order, ties broken lexicographically (the output is
-    sorted lexicographically descending on lattice tops, which is that order
-    on slope vectors and linearizes the dominance order).
+    n >= 1 and mu is a weakly decreasing integer n-tuple.  Points are
+    produced in descending dominance order, ties broken lexicographically
+    (the output is sorted lexicographically descending on lattice tops, which
+    is that order on slope vectors and linearizes the dominance order).
 
     The search is output-sensitive: a segment is only tried if its path can
     still be completed.  From (x, y), every later slope is smaller, so a
@@ -138,8 +143,12 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     always completes the path: it stays under the concave mu-polygon, its
     slope is at least mu_n and below that of the segment before it.  So every
     node emits the point that ends in its chord when it is popped, and the
-    search charges 2 * points - 1 nodes, at most points * n.
+    search charges 2 * points - 1 nodes, at most points * n.  Each node
+    carries the lattice tops of its path, extended by those of each segment,
+    so every point leaves with its tops cache seeded.
     """
+    if n < 1:
+        raise DomainError(f"rank n must be >= 1, got {n}")
     mu = tuple(as_int(x, "mu entry") for x in mu)
     if len(mu) != n:
         raise DomainError(f"mu must have length {n}, got {len(mu)}")
@@ -151,10 +160,10 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
 
     results: list[NewtonPoint] = []
     pushed = 0
-    # depth-first over partial paths: segments acc of (rise, run) reach (x, y)
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    # depth-first over partial paths: segments acc of (rise, run) with tops reach (x, y)
+    stack = [(0, 0, (), (0,))]
     while stack:
-        x, y, acc = stack.pop()
+        x, y, acc, tops = stack.pop()
         rest, left = n - x, total - y
         # dy from above the chord to the mu-polygon, below the last slope
         ranges = []
@@ -170,10 +179,12 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
         pushed += 1 + sum(hi - lo + 1 for _, lo, hi in ranges)
         if pushed > budget:
             raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
-        results.append(NewtonPoint(acc + ((left, rest),)))
+        chord = tuple([y + left * k // rest for k in range(1, rest + 1)])
+        results.append(_with_tops(NewtonPoint(acc + ((left, rest),)), tops + chord))
         for dx, lo, hi in ranges:
             for dy in range(lo, hi + 1):
-                stack.append((x + dx, y + dy, acc + ((dy, dx),)))
+                seg = tuple([y + dy * k // dx for k in range(1, dx + 1)])
+                stack.append((x + dx, y + dy, acc + ((dy, dx),), tops + seg))
     # the first differing top has the sign of the first differing slope
     results.sort(key=lambda p: p.tops, reverse=True)
     return results
@@ -242,15 +253,23 @@ def dot_export(points) -> str:
 
 
 def dot_text(points, edges) -> str:
-    """dot_export's rendering, given the covering edges of the points."""
+    """dot_export's rendering, given the covering edges of the points.  Nodes are
+    named b0, b1, ... by rank descending on lattice tops, which are injective, and
+    edges find their names by tops; a point listed twice or an edge endpoint
+    not among the points raises DomainError."""
     # lattice tops order lexicographically as the slope vectors do
     pts = sorted(points, key=lambda p: p.tops, reverse=True)
-    names = {p: f"b{i}" for i, p in enumerate(pts)}
+    names = {p.tops: f"b{i}" for i, p in enumerate(pts)}
+    if len(names) < len(pts):
+        twice = next(a for a, b in zip(pts, pts[1:]) if a.tops == b.tops)
+        raise DomainError(f"dot_text requires distinct points: {twice} is listed twice")
     lines = ["digraph kottwitz {"]
-    for p in pts:
-        lines.append(f'  {names[p]} [label="{point_label(p)}"];')
+    lines += [f'  b{i} [label="{point_label(p)}"];' for i, p in enumerate(pts)]
     for lo, hi in edges:
-        lines.append(f"  {names[lo]} -> {names[hi]};")
+        a, b = names.get(lo.tops), names.get(hi.tops)
+        if a is None or b is None:
+            raise DomainError(f"edge endpoint {lo if a is None else hi} is not among the points")
+        lines.append(f"  {a} -> {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -89,6 +89,11 @@ class TestKottwitz:
         code, _, err = run(capsys, "kottwitz", "enum", "-n", "2", "--mu", "0,1")
         assert code == 1 and "dominant" in err
 
+    def test_rank_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "kottwitz", "enum", "-n", "0", "--mu", "0")
+        assert code == 1 and out == ""
+        assert "rank n must be >= 1, got 0" in err
+
     @pytest.mark.parametrize("command", ["enum", "hasse"])
     def test_unwritable_dot_path_exit_2(self, capsys, tmp_path, command):
         dot = str(tmp_path / "missing" / "x.dot")

@@ -195,7 +195,41 @@ class TestLatticeTops:
         monkeypatch.setattr(kottwitz, "lattice_tops", counted)
         pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
         dot_text(pts, hasse(pts))
-        assert calls["tops"] == len(pts) == 122
+        # enumerate_B seeds every point's tops, so none is computed
+        assert calls["tops"] == 0 and len(pts) == 122
+        # a point built otherwise computes its tops on the first read only
+        fresh = [NewtonPoint(p.segments) for p in pts]
+        dot_text(fresh, hasse(fresh))
+        assert calls["tops"] == 122
+
+    def test_dot_text_hashes_no_point(self, monkeypatch):
+        pts = enumerate_B(8, (3, 3, 3, 3, 3, 2, 1, 0))
+        edges = hasse(pts)
+        calls = Counter()
+        point_hash = NewtonPoint.__hash__
+
+        def counted(self):
+            calls["hash"] += 1
+            return point_hash(self)
+
+        monkeypatch.setattr(NewtonPoint, "__hash__", counted)
+        text = dot_text(pts, edges)
+        assert calls["hash"] == 0 and text.count(" -> ") == len(edges)
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_enumeration_seeds_the_tops(self, big):
+        classes = [(5, 4, 2, 1) + (0,) * 10] if big else small_classes()
+        for mu in classes:
+            pts = enumerate_B(len(mu), mu)
+            assert all(vars(p)["tops"] == lattice_tops(p.segments) for p in pts), mu
+            assert pts == sorted(pts, key=lambda p: lattice_tops(p.segments), reverse=True), mu
+
+    def test_seeded_point_is_an_ordinary_point(self):
+        for p in enumerate_B(5, (2, 1, 1, 0, 0)):
+            fresh = NewtonPoint(p.segments)
+            assert repr(p) == repr(fresh) == f"NewtonPoint(segments={p.segments!r})"
+            assert p == fresh and hash(p) == hash(fresh) == hash((p.segments,))
+            assert p.tops == fresh.tops and vars(p) == vars(fresh)
 
 
 class TestLeq:
@@ -279,6 +313,11 @@ class TestEnumerate:
         for p in pts:
             for s, c in p.classes:
                 assert c % s.denominator == 0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rank_below_one_rejected(self, n):
+        with pytest.raises(DomainError, match=f"rank n must be >= 1, got {n}"):
+            enumerate_B(n, ())
 
     def test_wrong_mu_length_rejected(self):
         with pytest.raises(DomainError, match="mu must have length 3, got 2"):
@@ -408,6 +447,25 @@ class TestHasse:
         pts = enumerate_B(3, (1, 0, 0))
         with pytest.raises(DomainError):
             hasse(pts + pts[:1])
+
+    def test_dot_text_names_nodes_by_rank(self):
+        pts = enumerate_B(3, (1, 0, 0))
+        text = dot_text(pts[::-1], hasse(pts))
+        assert [line.split()[0] for line in text.splitlines()[1:4]] == ["b0", "b1", "b2"]
+        assert "b0 [label=\"ν=(1,0,0)" in text and "b1 -> b0;" in text and "b2 -> b1;" in text
+
+    def test_dot_text_rejects_a_point_listed_twice(self):
+        p = point_from_vector([1, 0])
+        with pytest.raises(DomainError, match=r"distinct points: \(1,0\) is listed twice"):
+            dot_text([p, p], [])
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_dot_text_rejects_a_stray_edge_endpoint(self, end):
+        lo, hi = hasse(enumerate_B(2, (1, 0)))[0]
+        stray = point_from_vector([2, 0])
+        edge = (stray, hi) if end == 0 else (lo, stray)
+        with pytest.raises(DomainError, match=r"edge endpoint \(2,0\) is not among the points"):
+            dot_text([lo, hi], [edge])
 
     def test_dot_export_is_deterministic(self):
         pts = enumerate_B(3, (1, 0, 0))
