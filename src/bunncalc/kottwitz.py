@@ -147,6 +147,7 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
     carries the lattice tops of its path, extended by those of each segment,
     so every point leaves with its tops cache seeded.
     """
+    n = as_int(n, "rank n")
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     mu = tuple(as_int(x, "mu entry") for x in mu)

@@ -4,9 +4,9 @@ the resulting operator decompositions, and eigen-stalk bookkeeping.
 On the orbit of canonical symbols the action of a character is a pure
 translation: acting by chi on the symbol of xi yields the symbol of chi*xi.
 An operator attached to a highest weight decomposes into these translations
-weighted by the isotypic slices of the weight representation, which
-``weights.isotypic_slices`` groups from one pass over the branching; they
-depend only on the shape and the weight, never on the source.
+weighted by the isotypic slices of the weight representation.  They depend
+only on the shape and the weight, never on the source, so every call shares
+the cached (chi, slice) pairs of ``weights.isotypic_slices``.
 
 Stalks read the box of a stratum b from ``lparams.stratum_box``:
 ``hecke_stalk`` builds a symbol only for a term chi * xi in the box whose
@@ -76,10 +76,8 @@ def hecke(shape: LParamShape, lam, sheaf: SheafSymbol) -> HeckeDecomposition:
     """
     lam = check_dominant(lam, shape.n)
     xi = character_of_sheaf(shape, sheaf)
-    slices = isotypic_slices(shape, lam)
     terms = tuple(
-        (chi, make_F(shape, chi_mul(chi, xi)), WeilSymbol(shape.dims, shape.labels, slices[chi]))
-        for chi in sorted(slices, reverse=True)
+        (chi, make_F(shape, chi_mul(chi, xi)), sym) for chi, sym in isotypic_slices(shape, lam)
     )
     return HeckeDecomposition(weight=lam, source=xi, terms=terms)
 
@@ -107,7 +105,7 @@ def hecke_stalk(
     box = stratum_box(shape, b)
     runs = [run for _, run in b.segments]
     terms = []
-    for chi in sorted(slices, reverse=True):
+    for chi, sym in slices:
         p = chi_mul(chi, xi)
         slots = [js.get(d) for js, d in zip(box, p)]
         if None in slots:
@@ -116,7 +114,7 @@ def hecke_stalk(
         for j, ni in zip(slots, shape.dims):
             placed[j] += ni
         if placed == runs:
-            terms.append((make_F(shape, p), WeilSymbol(shape.dims, shape.labels, slices[chi])))
+            terms.append((make_F(shape, p), sym))
     return terms
 
 
@@ -153,12 +151,13 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     it.
 
     Symbols come from one memo that lives only as long as the call; every
-    source's symbol has its canonical shape checked.  The lookups, slices
-    times the listed characters plus the count's states for each stratum,
-    are charged to the enumeration budget before the first symbol is built.
+    source's symbol must read back as the source (the canonical check).  The
+    lookups, slices times the listed characters plus the count's states for
+    each stratum, are charged to the enumeration budget before the first
+    symbol is built.
     """
     lam = check_dominant(lam, shape.n)
-    inverses = [chi_inv(chi) for chi in isotypic_slices(shape, lam)]
+    inverses = [chi_inv(chi) for chi, _ in isotypic_slices(shape, lam)]
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
     counts = {b: count_chis(shape, b) for b in window}
     lookups = sum(len(inverses) * len(chis) + counts[b][1] for b, chis in window.items())
@@ -175,8 +174,7 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
 
     sources = {chi_mul(eta, inv) for chis in window.values() for eta in chis for inv in inverses}
     for src in sorted(sources):
-        sheaf = sheaf_of(src)
-        if sheaf_of(character_of_rep(shape, sheaf.rep)) != sheaf:
+        if character_of_rep(shape, sheaf_of(src).rep) != src:
             raise DomainError("sheaf symbol is not of the canonical translated shape")
     return all(
         len(set(chis)) == len(chis) == counts[b][0]

@@ -10,8 +10,8 @@ Branching to a block Levi peels off one block at a time by the
 Littlewood-Richardson rule, counting LR fillings rather than weights, and
 recurses on the remainder with a memo that lives for one call; a tail of
 size-1 blocks is the torus, whose terms are the weights themselves.  The
-isotypic slices are that branching's terms grouped once by their
-per-block central characters, for the callers that read every slice.  One
+isotypic slices group that branching's terms by their per-block central
+characters into (character, symbol) pairs, cached per weight and shape.  One
 slice alone (sigma_chi) is branched by the same peel with the size of each
 block's weight fixed by the character, so the other slices are never built.
 Everything is exact and desk scale by design.
@@ -36,7 +36,7 @@ HighestWeight = tuple[int, ...]
 MAX_N = 8
 MAX_WEIGHT_SIZE = 12
 
-# entries each of the two caches keeps, least recently used first out; a
+# entries each of the three caches keeps, least recently used first out; a
 # session of sweeps over dozens of weights still never evicts
 CACHE_SIZE = 256
 
@@ -49,6 +49,7 @@ def dual_weight(lam) -> HighestWeight:
 
 def weyl_dim(lam, m: int) -> int:
     """prod_{a<b} (lam_a - lam_b + b - a)/(b - a), as one exact division."""
+    m = as_int(m, "rank m")
     lam = check_dominant(lam, m)
     num = 1
     den = 1
@@ -184,6 +185,7 @@ def weight_multiplicities(n: int, lam) -> dict[HighestWeight, int]:
     each normalized weight is kept in a cache of ``CACHE_SIZE`` entries that
     ``weight_multiplicities.cache_info`` and ``cache_clear`` expose.
     """
+    n = as_int(n, "rank n")
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
@@ -325,6 +327,7 @@ def levi_branching(
     request's terms are kept in a cache of ``CACHE_SIZE`` entries that
     ``levi_branching.cache_info`` and ``cache_clear`` expose.
     """
+    n = as_int(n, "rank n")
     if n < 1:
         raise DomainError(f"rank n must be >= 1, got {n}")
     lam = check_dominant(lam, n)
@@ -404,27 +407,43 @@ class WeilSymbol:
         return " ⊕ ".join(rendered)
 
 
-def isotypic_slices(shape: LParamShape, lam: HighestWeight) -> dict[Character, tuple]:
-    """The branching terms of r_lam to the component blocks, grouped by their
-    character chi (the per-block central characters |lam^(i)|); each group
-    keeps branching order.  lam must already be checked.  For the callers
-    that read every slice; one slice is ``sigma_chi``'s, which branches
-    only that slice."""
-    slices: dict[Character, list] = {}
-    for ws, mult in levi_branching(shape.n, lam, shape.dims):
+def isotypic_slices(
+    shape: LParamShape, lam: HighestWeight
+) -> tuple[tuple[Character, WeilSymbol], ...]:
+    """(chi, slice) pairs of r_lam, descending in chi (the per-block central
+    characters |lam^(i)|), one per character a branching term has; lam must
+    already be checked.  A miss groups the terms of ``levi_branching`` once;
+    the pairs depend only on lam, dims and labels, and are kept, frozen
+    symbols shared by every caller, in a cache of ``CACHE_SIZE`` entries
+    that ``isotypic_slices.cache_info`` and ``cache_clear`` expose."""
+    return _slices_cached(lam, shape.dims, shape.labels)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _slices_cached(lam: HighestWeight, dims: tuple[int, ...], labels: tuple[str, ...]):
+    slices: dict = {}
+    for ws, mult in levi_branching(sum(dims), lam, dims):
         slices.setdefault(tuple(map(sum, ws)), []).append((ws, mult))
-    return {chi: tuple(terms) for chi, terms in slices.items()}
+    return tuple(
+        (chi, WeilSymbol(dims, labels, tuple(terms)))
+        for chi, terms in sorted(slices.items(), reverse=True)
+    )
+
+
+isotypic_slices.cache_info = _slices_cached.cache_info
+isotypic_slices.cache_clear = _slices_cached.cache_clear
 
 
 def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
     """Isotypic slice of r_lam for the centralizer character chi: the terms
     of the branching whose per-block central characters match the exponents
-    d_i, descending, none if no term does; the same terms as
-    ``isotypic_slices(shape, lam).get(chi, ())``.
+    d_i, descending, none if no term does; the slice that
+    ``isotypic_slices(shape, lam)`` pairs with chi, if it has one.
 
-    Only this slice is branched.  After the shift c = lam_n, chi fixes the
-    size d_i - n_i c of every block's weight, so each block is peeled with
-    its size fixed and the rest of the branching is never built.
+    Only this slice is branched, and no cache is read.  After the shift
+    c = lam_n, chi fixes the size d_i - n_i c of every block's weight, so
+    each block is peeled with its size fixed and the rest of the branching is
+    never built.
     """
     chi = shape.check_chi(chi)
     lam = check_dominant(lam, shape.n)

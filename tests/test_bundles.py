@@ -27,6 +27,7 @@ from bunncalc import (
     reduce_slope,
     rho_pairing,
     weight_multiplicities,
+    weyl_dim,
 )
 from bunncalc.bundles import (
     as_int,
@@ -109,6 +110,20 @@ class TestIntegerEntries:
             lambda dims: LParamShape.from_dims(dims).dims, ((1.5, 1),), ((1.0, F(1)),), ((1, 1),)
         ),
         "is_minuscule": (is_minuscule, ((1, 0.5),), ((1.0, F(0)),), ((1, 0),)),
+        "enumerate_B rank": (enumerate_B, (2.5, (1, 0)), (2.0, (1, 0)), (2, (1, 0))),
+        "enumerate_B rank string": (enumerate_B, ("2", (1, 0)), (2.0, (1, 0)), (2, (1, 0))),
+        "weight_multiplicities rank": (
+            weight_multiplicities, (2.5, (1, 0)), (2.0, (1, 0)), (2, (1, 0))
+        ),
+        "weight_multiplicities rank string": (
+            weight_multiplicities, ("2", (1, 0)), (F(2), (1, 0)), (2, (1, 0))
+        ),
+        "levi_branching rank": (
+            levi_branching, ("3", (1, 0, 0), (2, 1)), (3.0, (1, 0, 0), (2, 1)),
+            (3, (1, 0, 0), (2, 1)),
+        ),
+        "weyl_dim rank": (weyl_dim, ((1, 0), 2.5), ((1, 0), 2.0), ((1, 0), 2)),
+        "weyl_dim rank string": (weyl_dim, ((1, 0), "2"), ((1, 0), F(2)), ((1, 0), 2)),
     }
 
     @pytest.mark.parametrize("site", sorted(CASES))

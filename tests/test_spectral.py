@@ -452,18 +452,49 @@ class TestVerifyEigenWork:
         )
         for cls in (weights.WeilSymbol, BundleSpec):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-        before = weights.levi_branching.cache_info()
+        caches = (weights.isotypic_slices, weights.levi_branching)
+        before = [cache.cache_info() for cache in caches]
         assert verify_eigen(shape, lam, strata)
-        after = weights.levi_branching.cache_info()
+        after = [cache.cache_info() for cache in caches]
         assert calls["pairing"] == 0
         # strata and symbols are integer tuples: no Fraction is built or hashed
         assert calls["hash"] == 0
         assert calls["new"] == 0
-        # the slice characters come from one branching lookup, no slice
-        # symbol is built, and no symbol goes through a bundle
+        # the slice characters come from one cached lookup of the slices,
+        # which hecke filled, so the branching is not read; no slice symbol
+        # is built, and no symbol goes through a bundle
         assert len(dec.terms) == 14 and calls["WeilSymbol"] == 0
-        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [
+            (1, 0),
+            (0, 0),
+        ]
         assert calls["BundleSpec"] == 0
+
+    def test_one_round_trip_per_source(self, monkeypatch):
+        # each distinct source reads its character back once, and the check
+        # compares that character with the source, not two symbols
+        shape = LParamShape.from_dims((1, 2, 2))
+        lam = (3, 1, 0, 0, 0)
+        strata = hecke_window(shape, lam)
+        read: Counter = Counter()
+        original = spectral.character_of_rep
+
+        def counting_character_of_rep(shape_, rep):
+            chi = original(shape_, rep)
+            read[chi] += 1
+            return chi
+
+        monkeypatch.setattr(spectral, "character_of_rep", counting_character_of_rep)
+        assert verify_eigen(shape, lam, strata)
+        slices = [chi for chi, _ in weights.isotypic_slices(shape, lam)]
+        sources = {
+            chi_mul(eta, chi_inv(chi))
+            for b in dict.fromkeys(strata)
+            for eta in b_to_chis(shape, b)
+            for chi in slices
+        }
+        assert set(read) == sources
+        assert sum(read.values()) == len(sources)
 
     def test_non_canonical_source_rejected(self, monkeypatch):
         # the source (-1, 0) of O^3 gets a symbol whose members list the

@@ -12,7 +12,9 @@ from bunncalc import (
     ascii_text,
     dual_weight,
     harris_viehmann,
+    hecke,
     levi_branching,
+    make_F,
     sigma_chi,
     weight_multiplicities,
     weyl_dim,
@@ -28,6 +30,7 @@ from oracles import (
     levi_branching_oracle,
     schur_monomials,
     sigma_chi_oracle,
+    slices_oracle,
     weight_mults_oracle,
     weight_mults_rows_oracle,
 )
@@ -230,12 +233,13 @@ class TestKostkaTable:
 
 
 class TestCacheBounds:
-    """Both weight caches hold a fixed number of entries, and an evicted
+    """The weight caches hold a fixed number of entries, and an evicted
     entry is recomputed to the same result."""
 
     def test_both_caches_are_bounded(self):
         assert weight_multiplicities.cache_info().maxsize == weights.CACHE_SIZE == 256
         assert levi_branching.cache_info().maxsize == 256
+        assert isotypic_slices.cache_info().maxsize == 256
         assert weight_multiplicities.cache_info == _weight_mults_cached.cache_info
 
     def test_table_unchanged_after_eviction(self):
@@ -582,9 +586,58 @@ class TestSigmaChi:
                 hits += bool(harris_viehmann(shape, chi, lam).pieces)
         assert hits and not calls
         assert weights._levi_branching_cached.cache_info() == before
-        # the slices, by contrast, do branch
+        # the slices, by contrast, do branch on a miss of their own cache
+        isotypic_slices.cache_clear()
         isotypic_slices(LParamShape.from_dims((1, 1)), (4, 0))
         assert calls == [(2, (4, 0), (1, 1))]
+
+
+class TestIsotypicSlices:
+    """The cached (chi, slice) pairs against the filter oracle and the
+    one-slice peel, and the cache that holds them."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_against_the_oracles(self, n):
+        for dims in all_compositions(n):
+            shape = LParamShape.from_dims(dims)
+            for norm in normalized_weights(n, 4):
+                for c in (0, -1):
+                    lam = tuple(x + c for x in norm)
+                    pairs = isotypic_slices(shape, lam)
+                    assert pairs == tuple(slices_oracle(shape, lam)), (dims, lam)
+                    for chi, sym in pairs:
+                        assert sym == sigma_chi(shape, lam, chi), (dims, lam, chi)
+
+    def test_second_hecke_shares_the_symbols(self):
+        shape = LParamShape.from_dims((1, 2))
+        lam = (2, 1, 0)
+        isotypic_slices.cache_clear()
+        first = hecke(shape, lam, make_F(shape, (0, 0)))
+        before = isotypic_slices.cache_info()
+        second = hecke(shape, lam, make_F(shape, (1, -1)))
+        after = isotypic_slices.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert [sym for _, _, sym in first.terms] == [sym for _, _, sym in second.terms]
+        assert all(a[2] is b[2] for a, b in zip(first.terms, second.terms))
+
+    def test_labels_key_the_cache_and_torsion_does_not(self):
+        lam = (1, 0, 0)
+        isotypic_slices.cache_clear()
+        plain = isotypic_slices(LParamShape.from_dims((1, 2)), lam)
+        named = isotypic_slices(LParamShape.from_dims((1, 2), labels=("a", "b")), lam)
+        twisted = isotypic_slices(LParamShape.from_dims((1, 2), torsion=(2, 3)), lam)
+        assert isotypic_slices.cache_info().currsize == 2
+        assert twisted is plain
+        assert [chi for chi, _ in named] == [chi for chi, _ in plain] == [(1, 0), (0, 1)]
+        assert [sym.describe() for _, sym in plain] == ["phi1", "phi2"]
+        assert [sym.describe() for _, sym in named] == ["a", "b"]
+
+    def test_cache_clear_empties_the_cache(self):
+        isotypic_slices(LParamShape.from_dims((1, 1)), (2, 0))
+        assert isotypic_slices.cache_info().currsize >= 1
+        isotypic_slices.cache_clear()
+        info = isotypic_slices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestDuals:
