@@ -162,7 +162,8 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 EXIT_BROKEN_PIPE = 141
 
-_VECTOR_FLAGS = {"--mu", "--mu-inv", "--chi", "--xi", "--lambda", "--torsion", "--blocks"}
+_VECTOR_FLAGS = {"--mu", "--mu-inv", "--chi", "--xi", "--lambda", "--torsion", "--blocks",
+                 "--dims"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:

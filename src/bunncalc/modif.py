@@ -12,6 +12,7 @@ from .bundles import (
     BudgetError,
     BundleSpec,
     DomainError,
+    as_int,
     check_dominant,
     enumeration_budget,
     is_minuscule,
@@ -84,7 +85,7 @@ class BoyerFactorization:
 
 
 def _boyer_conditions(eb: BundleSpec, ebp: BundleSpec, mu, m: int):
-    """Common validation; returns (n, mu, split of eb, split of ebp)."""
+    """Common validation; returns (n, mu, m, split of eb, split of ebp)."""
     mu = check_dominant(mu)
     n = len(mu)
     if eb.rank != n or ebp.rank != n:
@@ -97,6 +98,7 @@ def _boyer_conditions(eb: BundleSpec, ebp: BundleSpec, mu, m: int):
         raise DomainError(
             f"degree mismatch: deg(mu) = {sum(mu)} but target - source = {ebp.deg - eb.deg}"
         )
+    m = as_int(m, "split rank m")
     if not 1 <= m < n:
         raise DomainError("split must be proper: need 1 <= m < n")
     sb = _split_at(eb, m)
@@ -105,7 +107,7 @@ def _boyer_conditions(eb: BundleSpec, ebp: BundleSpec, mu, m: int):
     sbp = _split_at(ebp, m)
     if sbp is None:
         raise DomainError(f"target bundle does not split at rank {m}")
-    return n, mu, sb, sbp
+    return n, mu, m, sb, sbp
 
 
 def _kappa_twist(whole: BundleSpec, part1: BundleSpec, part2: BundleSpec) -> CharacterExponents:
@@ -132,7 +134,7 @@ def boyer_factorize(eb: BundleSpec, ebp: BundleSpec, mu, m: int) -> BoyerFactori
     top parts agree.  Inapplicable inputs are rejected with the violated
     condition named.
     """
-    n, mu, (eb1, eb2), (ebp1, ebp2) = _boyer_conditions(eb, ebp, mu, m)
+    n, mu, m, (eb1, eb2), (ebp1, ebp2) = _boyer_conditions(eb, ebp, mu, m)
     source, target = (eb, eb1, eb2), (ebp, ebp1, ebp2)
     # (direction, side defining d, other side, mu1, mu2, (condition, reason)s)
     variants = (
@@ -199,6 +201,7 @@ def modification_targets_rank_one(n: int, nprime: int) -> list[BundleSpec]:
     tail: slope-1/n' piece, trivial middle, and a single slope -1/m' piece
     with n' + middle + m' = n.
     """
+    n, nprime = as_int(n, "rank n"), as_int(nprime, "rank n'")
     if not 1 <= nprime <= n:
         raise DomainError(f"need 1 <= n' <= n, got n'={nprime}, n={n}")
     budget = enumeration_budget()

@@ -12,8 +12,8 @@ recurses on the remainder with a memo that lives for one call; a tail of
 size-1 blocks is the torus, whose terms are the weights themselves.  The
 isotypic slices group that branching's terms by their per-block central
 characters into (character, symbol) pairs, cached per weight and shape.  One
-slice alone (sigma_chi) is branched by the same peel with the size of each
-block's weight fixed by the character, so the other slices are never built.
+slice alone (sigma_chi) is branched by that one peel, each block's weight
+sized by the character, so the other slices are never built.
 Everything is exact and desk scale by design.
 """
 
@@ -196,7 +196,7 @@ weight_multiplicities.cache_info = _weight_mults_cached.cache_info
 weight_multiplicities.cache_clear = _weight_mults_cached.cache_clear
 
 
-def _lr_rows(lam, a, i, alpha, ends, content, out, left=None) -> None:
+def _lr_rows(lam, a, i, alpha, ends, content, out, left) -> None:
     """Fill rows i, i + 1, ... of an LR tableau of shape lam/alpha and count
     each finished filling in ``out`` under (alpha, content).
 
@@ -247,63 +247,54 @@ def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out,
         )
 
 
-def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict):
+def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict, sizes=None):
     """Branching of the partition ``lam`` to ``blocks`` as (block weights,
-    multiplicity) pairs.  ``memo`` maps each peeled remainder met so far to
-    its branching; the remainder's length fixes which tail of ``blocks`` it
-    meets.  A torus tail lists the weights of its remainder, each weight
-    one block per entry, from the cached Kostka table each time; the
-    one-entry blocks (v,) are built once per call and shared by its terms.
+    multiplicity) pairs; with ``sizes``, only the terms whose block weights
+    have those sizes: each block is peeled with |alpha| = sizes[0], and not
+    at all when that lies outside 0..lam_1 + ... + lam_a (|lam| = sum(sizes)
+    is the caller's to check).  ``memo`` maps each peeled remainder to its
+    terms for this call; the remainder's length fixes the blocks and sizes it
+    still meets.  Without sizes, a torus tail lists the weights of its
+    remainder, one block per entry, from the cached Kostka table; the blocks
+    (v,) are built once per call and shared by its terms.
     """
     if len(blocks) == 1:
         return (((lam,), 1),)
-    if len(blocks) == len(lam):
+    if sizes is None and len(blocks) == len(lam):
         one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
         return ((tuple(map(one, w)), mult) for w, mult in reversed(_weights(lam)))
     out = memo.get(lam)
     if out is None:
         a = blocks[0]
         m = len(lam) - a
+        left, rest = (None, None) if sizes is None else (sizes[0], sizes[1:])
         peel: dict = {}
-        # the first row has no row above it to bound its columns
-        _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel)
+        if left is None or 0 <= left <= sum(lam[:a]):
+            # the first row has no row above it to bound its columns
+            _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel, left)
         out = memo[lam] = {}
         for (alpha, beta), c in peel.items():
-            for rest, mult in _branch(beta, blocks[1:], memo):
-                key = (alpha,) + rest
+            for tail, mult in _branch(beta, blocks[1:], memo, rest):
+                key = (alpha,) + tail
                 out[key] = out.get(key, 0) + c * mult
     return out.items()
 
 
-def _slice(lam: HighestWeight, blocks: tuple[int, ...], sizes: tuple[int, ...], memo: dict):
-    """The terms of ``_branch(lam, blocks, ...)`` whose block weights have
-    the sizes ``sizes``, as a mapping (block weights) -> multiplicity.  The
-    first block is peeled with |alpha| = sizes[0], and not at all when that
-    lies outside 0..lam_1 + ... + lam_a.  ``memo`` maps each peeled
-    remainder to its terms for this call; as in ``_branch``, the
-    remainder's length fixes the blocks and sizes it still meets.  |lam| =
-    sum(sizes) is the caller's to check."""
-    if len(blocks) == 1:
-        return {(lam,): 1}
-    out = memo.get(lam)
-    if out is None:
-        a = blocks[0]
-        m = len(lam) - a
-        peel: dict = {}
-        if 0 <= sizes[0] <= sum(lam[:a]):
-            _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel, sizes[0])
-        out = memo[lam] = {}
-        for (alpha, beta), c in peel.items():
-            for rest, mult in _slice(beta, blocks[1:], sizes[1:], memo).items():
-                ws = (alpha,) + rest
-                out[ws] = out.get(ws, 0) + c * mult
-    return out
-
-
-def _descending(terms, c: int) -> tuple:
-    """Branching terms of a normalized weight, sorted descending, with the
-    shift c added back to every block weight."""
-    terms = sorted(terms, reverse=True)
+def _terms(lam: HighestWeight, blocks: tuple[int, ...], chi=None) -> tuple:
+    """Branching terms of the dominant ``lam`` to ``blocks``, descending;
+    with ``chi``, only those whose per-block central characters are chi.
+    After the budget check on the partition lam - c, c = lam_n, chi fixes
+    each block's size d_i - n_i c (none fit unless they add up to |lam - c|),
+    and c is added back to every block weight."""
+    c = lam[-1]
+    norm = tuple(x - c for x in lam)
+    _check_budget(len(lam), norm)
+    sizes = None
+    if chi is not None:
+        sizes = tuple(d - m * c for d, m in zip(chi, blocks))
+        if sum(sizes) != sum(norm):
+            return ()
+    terms = sorted(_branch(norm, blocks, {}, sizes), reverse=True)
     if c == 0:
         return tuple(terms)
     return tuple((tuple(tuple(x + c for x in w) for w in ws), mult) for ws, mult in terms)
@@ -342,11 +333,8 @@ def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     # n blocks partitioning n are the torus
     if len(blocks) == n:
         return tuple(_branch(lam, blocks, {}))
-    c = lam[-1]
-    norm = tuple(x - c for x in lam)
-    _check_budget(n, norm)
-    # one cache entry per request: the normalized terms are shifted here
-    return _descending(_branch(norm, blocks, {}), c)
+    # one cache entry per request: _terms shifts the normalized terms back
+    return _terms(lam, blocks)
 
 
 levi_branching.cache_info = _levi_branching_cached.cache_info
@@ -438,23 +426,13 @@ def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
     """Isotypic slice of r_lam for the centralizer character chi: the terms
     of the branching whose per-block central characters match the exponents
     d_i, descending, none if no term does; the slice that
-    ``isotypic_slices(shape, lam)`` pairs with chi, if it has one.
-
-    Only this slice is branched, and no cache is read.  After the shift
-    c = lam_n, chi fixes the size d_i - n_i c of every block's weight, so
-    each block is peeled with its size fixed and the rest of the branching is
-    never built.
+    ``isotypic_slices(shape, lam)`` pairs with chi, if it has one.  No cache
+    is read, and only this slice is branched: chi fixes the size of every
+    block's weight, and the one peel of ``_branch`` keeps to those sizes.
     """
     chi = shape.check_chi(chi)
     lam = check_dominant(lam, shape.n)
-    c = lam[-1]
-    norm = tuple(x - c for x in lam)
-    _check_budget(shape.n, norm)
-    sizes = tuple(d - m * c for d, m in zip(chi, shape.dims))
-    terms = ()
-    if sum(sizes) == sum(norm):
-        terms = _descending(_slice(norm, shape.dims, sizes, {}).items(), c)
-    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=terms)
+    return WeilSymbol(blocks=shape.dims, labels=shape.labels, terms=_terms(lam, shape.dims, chi))
 
 
 def dualize_symbol(sym: WeilSymbol) -> WeilSymbol:

@@ -13,6 +13,7 @@ from bunncalc import (
     LParamShape,
     ParseError,
     b_to_bundle,
+    boyer_factorize,
     bundle,
     bundle_to_b,
     chi_to_bundle,
@@ -86,6 +87,12 @@ class TestSlopeGroups:
         assert merge_segments(segments).segments == merge_segments_oracle(segments)
 
 
+# a Boyer configuration that splits at rank 4
+BOYER = (
+    parse_bundle("O(3/4)+O(1/3)+O^3"), parse_bundle("O(3/2)+O(1/2)+O(1/3)+O^3"), (1,) + (0,) * 9
+)
+
+
 class TestIntegerEntries:
     """Integer inputs are checked, not truncated: integral values of any
     numeric type pass, anything with a fractional part is refused."""
@@ -124,6 +131,21 @@ class TestIntegerEntries:
         ),
         "weyl_dim rank": (weyl_dim, ((1, 0), 2.5), ((1, 0), 2.0), ((1, 0), 2)),
         "weyl_dim rank string": (weyl_dim, ((1, 0), "2"), ((1, 0), F(2)), ((1, 0), 2)),
+        "modification_targets_rank_one rank": (
+            modification_targets_rank_one, (5.5, 3), (F(5), 3.0), (5, 3)
+        ),
+        "modification_targets_rank_one n'": (
+            modification_targets_rank_one, (5, 2.5), (5.0, F(2)), (5, 2)
+        ),
+        "modification_targets_rank_one rank string": (
+            modification_targets_rank_one, ("5", 3), (5.0, 3), (5, 3)
+        ),
+        "boyer_factorize split rank": (
+            lambda m: boyer_factorize(*BOYER, m).split_rank, (4.5,), (4.0,), (4,)
+        ),
+        "boyer_factorize split rank string": (
+            lambda m: boyer_factorize(*BOYER, m).split_rank, ("4",), (F(4),), (4,)
+        ),
     }
 
     @pytest.mark.parametrize("site", sorted(CASES))
@@ -132,6 +154,11 @@ class TestIntegerEntries:
         with pytest.raises(DomainError, match="is not an integer"):
             fn(*bad)
         assert fn(*integral) == fn(*plain)
+
+    def test_bool_rank_is_its_integer(self):
+        assert modification_targets_rank_one(5, True) == modification_targets_rank_one(5, 1)
+        assert all(type(rank) is int for b in modification_targets_rank_one(5, True)
+                   for _, rank in b.segments)
 
     def test_as_int(self):
         assert as_int(F(6, 2), "entry") == 3 and type(as_int(3.0, "entry")) is int

@@ -126,6 +126,16 @@ class TestCharacterCommands:
         code, out, err = run(capsys, "shape", "--dims", "2,3", "--torsion", "1")
         assert code == 1 and out == "" and "torsion" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["shape", "--dims", "-1,2"], ["chi-to-b", "--dims", "-1,1", "--chi", "2,0"]],
+        ids=["shape", "chi-to-b"],
+    )
+    def test_negative_dims_reach_the_domain_check(self, capsys, argv):
+        # like --torsion -1,2: the value is read, not taken for an option
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: component dimension must be >= 1, got -1\n"
+
 
 class TestWeights:
     def test_mult(self, capsys):

@@ -1,6 +1,6 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no private names imported across modules, no glyph switch outside the one
-ASCII table."""
+no private names imported across modules, no unbounded cache, no glyph switch
+outside the one ASCII table."""
 
 import ast
 from pathlib import Path
@@ -187,6 +187,44 @@ def test_budget_read_once_per_function():
         if len(reads) > 1 or any(reads)
     ]
     assert offenders == []
+
+
+def unbounded_caches(tree: ast.AST) -> list[str]:
+    """``functools.cache``, imported or read, and ``lru_cache`` with maxsize
+    None, each by its line."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [f"{node.lineno}: cache" for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+            out.append(f"{node.lineno}: functools.cache")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lru_cache"):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                out.append(f"{node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_every_cache_is_bounded():
+    """A cache keyed by request grows with every distinct request a session
+    sends, so each one names its bound."""
+    offenders = [f"{p.name}:{hit}" for p in SRC.glob("*.py") for hit in unbounded_caches(parse(p))]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("from functools import cache", 1),
+        ("import functools\n@functools.cache\ndef f(): pass", 1),
+        ("@lru_cache(maxsize=None)\ndef f(): pass", 1),
+        ("@functools.lru_cache(None)\ndef f(): pass", 1),
+        ("@lru_cache(maxsize=CACHE_SIZE)\ndef f(): pass", 0),
+        ("@lru_cache\ndef f(): pass", 0),
+    ],
+)
+def test_unbounded_cache_rule(source, hits):
+    assert len(unbounded_caches(ast.parse(source))) == hits
 
 
 def test_no_ascii_mode_parameter():

@@ -419,6 +419,16 @@ class TestLeviBranching:
         assert set(terms) == expect
 
 
+# the (dims, lam) groups of the benchmark's eigen deck
+EIGEN_GROUPS = [
+    ((1, 1), (4, 0)),
+    ((1, 2), (6, 0, 0)),
+    ((1, 1, 1), (3, 0, 0)),
+    ((1, 2, 2), (3, 1, 0, 0, 0)),
+    ((1, 1, 1, 1), (2, 0, 0, 0)),
+]
+
+
 class TestSigmaChi:
     def test_sym3_lines(self):
         shape = LParamShape.from_dims((1, 1))
@@ -570,14 +580,7 @@ class TestSigmaChi:
 
         monkeypatch.setattr(weights, "levi_branching", counting)
         before = weights._levi_branching_cached.cache_info()
-        groups = [
-            ((1, 1), (4, 0)),
-            ((1, 2), (6, 0, 0)),
-            ((1, 1, 1), (3, 0, 0)),
-            ((1, 2, 2), (3, 1, 0, 0, 0)),
-            ((1, 1, 1, 1), (2, 0, 0, 0)),
-            ((4, 4), (6, 3, 0, -1, -1, -1, -1, -1)),
-        ]
+        groups = EIGEN_GROUPS + [((4, 4), (6, 3, 0, -1, -1, -1, -1, -1))]
         hits = 0
         for dims, lam in groups:
             shape = LParamShape.from_dims(dims)
@@ -590,6 +593,32 @@ class TestSigmaChi:
         isotypic_slices.cache_clear()
         isotypic_slices(LParamShape.from_dims((1, 1)), (4, 0))
         assert calls == [(2, (4, 0), (1, 1))]
+
+    def test_peels_sized_and_lists_no_weights(self, monkeypatch):
+        # the whole peel filtered by character would pass the oracles; here
+        # every first-row call of the LR peel carries the block size, and no
+        # weight is listed from a Kostka table, not even on the torus
+        groups = EIGEN_GROUPS + [((1,) * n, (2, 1) + (0,) * (n - 3) + (-1,)) for n in range(3, 7)]
+        cases = []
+        for dims, lam in groups:
+            shape = LParamShape.from_dims(dims)
+            cases += [(shape, lam, chi, sym) for chi, sym in isotypic_slices(shape, lam)]
+        rows = weights._lr_rows
+        sizes = []
+
+        def sized_rows(lam, a, i, alpha, ends, content, out, left):
+            if i == 0:
+                sizes.append(left)
+            rows(lam, a, i, alpha, ends, content, out, left)
+
+        def no_weights(lam):
+            raise AssertionError(f"weights of {lam} listed")
+
+        monkeypatch.setattr(weights, "_lr_rows", sized_rows)
+        monkeypatch.setattr(weights, "_weights", no_weights)
+        for shape, lam, chi, sym in cases:
+            assert sigma_chi(shape, lam, chi) == sym
+        assert sizes and None not in sizes
 
 
 class TestIsotypicSlices:
