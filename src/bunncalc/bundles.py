@@ -14,6 +14,9 @@ Every stored value of the package is a frozen record made by ``record``: one
 compiled source per class gives it ``__init__``, ``__eq__``, ``__hash__`` and
 ``__repr__`` over its fields, as ``dataclasses.dataclass(frozen=True)`` would,
 without loading ``dataclasses`` (and with it ``inspect``) on a CLI start.
+
+Every enumeration charges its work to a ``Meter``, which reads the budget
+once and words each ``BudgetError`` the same way.
 """
 
 from __future__ import annotations
@@ -53,8 +56,24 @@ def enumeration_budget() -> int:
     return 1_000_000
 
 
+class Meter:
+    """Work charged against the budget read when the meter is made; the charge
+    that takes ``used`` past it raises "<stem with used> budget of <limit>"."""
+
+    __slots__ = ("stem", "limit", "used")
+
+    def __init__(self, stem: str) -> None:
+        self.stem, self.limit, self.used = stem, enumeration_budget(), 0
+
+    def charge(self, k: int = 1) -> None:
+        self.used += k
+        if self.used > self.limit:
+            raise BudgetError(f"{self.stem.format(self.used)} budget of {self.limit}")
+
+
 def reduce_slope(num: int, den: int) -> Slope:
     """Return num/den in lowest terms.  The denominator must be >= 1."""
+    num, den = as_int(num, "slope numerator"), as_int(den, "slope denominator")
     if den < 1:
         raise DomainError(f"slope denominator must be >= 1, got {den}")
     return Fraction(num, den)
@@ -89,12 +108,12 @@ def slope_groups(segments: Sequence[tuple[int, int]]) -> list[tuple[int, int, li
 
 
 def check_segments(segments: Sequence[tuple[int, int]]) -> None:
-    """Integer segments (rise, run), run >= 1, slopes rise/run strictly
-    decreasing: the storage of bundles and of Newton points alike."""
+    """Segments (rise, run) of ints, not bools, run >= 1, slopes rise/run
+    strictly decreasing: the storage of bundles and of Newton points alike."""
     if not segments:
         raise DomainError("at least one slope class is needed")
     for rise, run in segments:
-        if not (isinstance(rise, int) and isinstance(run, int)):
+        if not (type(rise) is int and type(run) is int):
             raise DomainError(f"segment ({rise!r}, {run!r}) is not a pair of integers")
         if run < 1:
             raise DomainError(f"class count must be >= 1, got {run}")
@@ -190,9 +209,7 @@ def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
     """The bundle of segments (deg, rank) in any order: equal slopes merge.
     Its rank may not exceed the enumeration budget."""
     spec = BundleSpec(tuple((deg, rank) for deg, rank, _ in slope_groups(segments)))
-    budget = enumeration_budget()
-    if spec.rank > budget:
-        raise BudgetError(f"bundle rank {spec.rank} exceeds budget of {budget}")
+    Meter("bundle rank {} exceeds").charge(spec.rank)
     return spec
 
 

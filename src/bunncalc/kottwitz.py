@@ -16,13 +16,12 @@ from math import gcd
 from operator import le, or_
 
 from .bundles import (
-    BudgetError,
     BundleSpec,
     DomainError,
+    Meter,
     Slope,
     as_int,
     check_segments,
-    enumeration_budget,
     lattice_tops,
     record,
     segment_pairing,
@@ -157,10 +156,9 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
         raise DomainError("mu must be weakly decreasing (dominant)")
     total = sum(mu)
     prefix = list(accumulate(mu, initial=0))
-    budget = enumeration_budget()
+    meter = Meter("{} search nodes exceed")
 
     results: list[NewtonPoint] = []
-    pushed = 0
     # depth-first over partial paths: segments acc of (rise, run) with tops reach (x, y)
     stack = [(0, 0, (), (0,))]
     while stack:
@@ -177,9 +175,7 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
             if lo <= hi:
                 ranges.append((dx, lo, hi))
         # charged before anything is pushed, the chord leaf included
-        pushed += 1 + sum(hi - lo + 1 for _, lo, hi in ranges)
-        if pushed > budget:
-            raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
+        meter.charge(1 + sum(hi - lo + 1 for _, lo, hi in ranges))
         chord = tuple([y + left * k // rest for k in range(1, rest + 1)])
         results.append(_with_tops(NewtonPoint(acc + ((left, rest),)), tops + chord))
         for dx, lo, hi in ranges:
@@ -214,9 +210,7 @@ def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
         return []
     kibibits = len(pts) ** 2 // 1024
     if kibibits:
-        budget = enumeration_budget()
-        if kibibits > budget:
-            raise BudgetError(f"{kibibits} kibibits of down-set masks exceed budget of {budget}")
+        Meter("{} kibibits of down-set masks exceed").charge(kibibits)
     sums = [p.tops for p in pts]
     if len({(len(s), s[-1]) for s in sums}) > 1:
         raise DomainError("hasse requires points of equal rank and endpoint")

@@ -28,11 +28,10 @@ from operator import add, itemgetter
 from typing import ClassVar
 
 from .bundles import (
-    BudgetError,
     BundleSpec,
     DomainError,
+    Meter,
     as_int,
-    enumeration_budget,
     record,
     slope_groups,
     slope_str,
@@ -50,6 +49,9 @@ Character = tuple[int, ...]
 
 
 def chi_id(r: int) -> Character:
+    r = as_int(r, "component count")
+    if r < 1:
+        raise DomainError(f"component count must be >= 1, got {r}")
     return (0,) * r
 
 
@@ -92,9 +94,7 @@ class LParamShape:
                 raise DomainError(f"component label {label!r} is not a string")
         if len(set(self.labels)) != r:
             raise DomainError("component labels must be pairwise distinct")
-        budget = enumeration_budget()
-        if self.n > budget:
-            raise BudgetError(f"shape rank {self.n} exceeds budget of {budget}")
+        Meter("shape rank {} exceeds").charge(self.n)
 
     @classmethod
     def from_dims(cls, dims, labels=None, torsion=None) -> "LParamShape":
@@ -241,10 +241,9 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
     at a segment may not exceed its run."""
     box = stratum_box(shape, b)
     order = sorted(range(shape.r), key=lambda i: -shape.dims[i])
-    budget = enumeration_budget()
+    meter = Meter("{} search nodes exceed")
 
     out: list[Character] = []
-    pushed = 0
     # depth-first: the first len(chi) components of order are placed, and
     # remaining is the rank each segment still has to host; the ranks sum to
     # n, so a node with every component placed has filled every segment
@@ -260,9 +259,7 @@ def b_to_chis(shape: LParamShape, b: NewtonPoint) -> list[Character]:
         for d, j in box[i].items():
             if remaining[j] >= ni:
                 # every character is a pushed node, so this also bounds the output
-                pushed += 1
-                if pushed > budget:
-                    raise BudgetError(f"{pushed} search nodes exceed budget of {budget}")
+                meter.charge()
                 rest = remaining[:j] + (remaining[j] - ni,) + remaining[j + 1 :]
                 stack.append((chi + (d,), rest))
     # segment slopes are distinct, so distinct placements give distinct characters
@@ -281,9 +278,8 @@ def count_chis(shape: LParamShape, b: NewtonPoint) -> tuple[int, int]:
     is charged to the enumeration budget as it is made.
     """
     box = stratum_box(shape, b)
-    budget = enumeration_budget()
+    meter = Meter("{} count states exceed")
     layer = {tuple(run for _, run in b.segments): 1}
-    states = 0
     # a stable sort, so equal dimensions keep b_to_chis's order too
     for ni, row in sorted(zip(shape.dims, box), key=itemgetter(0), reverse=True):
         nxt: dict[tuple[int, ...], int] = {}
@@ -293,14 +289,12 @@ def count_chis(shape: LParamShape, b: NewtonPoint) -> tuple[int, int]:
                     rest = remaining[:j] + (remaining[j] - ni,) + remaining[j + 1 :]
                     reached = nxt.get(rest)
                     if reached is None:
-                        states += 1
-                        if states > budget:
-                            raise BudgetError(f"{states} count states exceed budget of {budget}")
+                        meter.charge()
                         reached = 0
                     nxt[rest] = reached + ways
         layer = nxt
     # the ranks sum to n, so every state of the last layer has filled every segment
-    return sum(layer.values()), states
+    return sum(layer.values()), meter.used
 
 
 @record

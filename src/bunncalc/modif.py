@@ -9,12 +9,11 @@ from __future__ import annotations
 from operator import le
 
 from .bundles import (
-    BudgetError,
     BundleSpec,
     DomainError,
+    Meter,
     as_int,
     check_dominant,
-    enumeration_budget,
     is_minuscule,
     lattice_tops,
     pairing_note,
@@ -204,9 +203,7 @@ def modification_targets_rank_one(n: int, nprime: int) -> list[BundleSpec]:
     n, nprime = as_int(n, "rank n"), as_int(nprime, "rank n'")
     if not 1 <= nprime <= n:
         raise DomainError(f"need 1 <= n' <= n, got n'={nprime}, n={n}")
-    budget = enumeration_budget()
-    if n - nprime + 1 > budget:
-        raise BudgetError(f"{n - nprime + 1} modification sources exceed budget of {budget}")
+    Meter("{} modification sources exceed").charge(n - nprime + 1)
     out = [BundleSpec(((0, n),))]
     for mprime in range(1, n - nprime + 1):
         segments = ((1, nprime), (0, n - nprime - mprime), (-1, mprime))

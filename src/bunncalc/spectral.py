@@ -20,7 +20,7 @@ characters of b as are listed, so the list holds every character of b.
 
 from __future__ import annotations
 
-from .bundles import BudgetError, DomainError, check_dominant, enumeration_budget, record
+from .bundles import DomainError, Meter, check_dominant, record
 from .kottwitz import NewtonPoint, check_rank
 from .lparams import (
     Character,
@@ -161,9 +161,7 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     window = {b: b_to_chis(shape, b) for b in dict.fromkeys(strata)}
     counts = {b: count_chis(shape, b) for b in window}
     lookups = sum(len(inverses) * len(chis) + counts[b][1] for b, chis in window.items())
-    budget = enumeration_budget()
-    if lookups > budget:
-        raise BudgetError(f"{lookups} window lookups exceed budget of {budget}")
+    Meter("{} window lookups exceed").charge(lookups)
     memo: dict[Character, SheafSymbol] = {}
 
     def sheaf_of(chi: Character) -> SheafSymbol:

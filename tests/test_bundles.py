@@ -10,12 +10,15 @@ from bunncalc import (
     BudgetError,
     BundleSpec,
     DomainError,
+    InnerFormGroup,
     LParamShape,
+    NewtonPoint,
     ParseError,
     b_to_bundle,
     boyer_factorize,
     bundle,
     bundle_to_b,
+    chi_id,
     chi_to_bundle,
     enumerate_B,
     format_bundle,
@@ -146,6 +149,11 @@ class TestIntegerEntries:
         "boyer_factorize split rank string": (
             lambda m: boyer_factorize(*BOYER, m).split_rank, ("4",), (F(4),), (4,)
         ),
+        "chi_id": (chi_id, (2.5,), (2.0,), (2,)),
+        "chi_id string": (chi_id, ("2",), (F(2),), (2,)),
+        "reduce_slope numerator": (reduce_slope, (1.5, 2), (F(1), 2.0), (1, 2)),
+        "reduce_slope denominator": (reduce_slope, (1, 2.5), (1.0, F(2)), (1, 2)),
+        "reduce_slope denominator string": (reduce_slope, (1, "2"), (True, 2), (1, 2)),
     }
 
     @pytest.mark.parametrize("site", sorted(CASES))
@@ -154,6 +162,11 @@ class TestIntegerEntries:
         with pytest.raises(DomainError, match="is not an integer"):
             fn(*bad)
         assert fn(*integral) == fn(*plain)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_chi_id_needs_a_component(self, r):
+        with pytest.raises(DomainError, match=f"component count must be >= 1, got {r}"):
+            chi_id(r)
 
     def test_bool_rank_is_its_integer(self):
         assert modification_targets_rank_one(5, True) == modification_targets_rank_one(5, 1)
@@ -444,6 +457,13 @@ class TestSegments:
     def test_checked_as_newton_points_are(self, segments, message):
         with pytest.raises(DomainError, match=message):
             BundleSpec(segments)
+
+    @pytest.mark.parametrize("record", [BundleSpec, NewtonPoint, InnerFormGroup])
+    @pytest.mark.parametrize("segments", [((True, True),), ((1, 2), (0, True)), ((False, 1),)])
+    def test_bool_segment_rejected(self, record, segments):
+        # a stored bool would print as True and serialize as "count": true
+        with pytest.raises(DomainError, match="is not a pair of integers"):
+            record(segments)
 
     def test_views_match_fraction_oracles(self):
         for e in small_bundles():

@@ -1,6 +1,6 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
-no private names imported across modules, no unbounded cache, no glyph switch
-outside the one ASCII table."""
+no private names imported across modules, no budget read outside bundles.Meter,
+no unbounded cache, no glyph switch outside the one ASCII table."""
 
 import ast
 from pathlib import Path
@@ -161,17 +161,19 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictCo
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
+def call_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def budget_reads(node: ast.AST, in_loop: bool = False):
     """in_loop for every ``enumeration_budget()`` call in the body of node,
     not counting the bodies of the functions and classes it defines."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, SCOPES):
             continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "enumeration_budget":
-                yield in_loop
+        if isinstance(child, ast.Call) and call_name(child) == "enumeration_budget":
+            yield in_loop
         yield from budget_reads(child, in_loop or isinstance(child, LOOPS))
 
 
@@ -187,6 +189,55 @@ def test_budget_read_once_per_function():
         if len(reads) > 1 or any(reads)
     ]
     assert offenders == []
+
+
+def budget_policy_breaches(tree: ast.AST, module: str) -> list[str]:
+    """``enumeration_budget()`` called outside bundles.py, and a ``Meter`` made
+    in a loop body, where each pass would reread the budget and restart its
+    count; each by its line."""
+    out = []
+
+    def walk(node: ast.AST, in_loop: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, SCOPES):
+                walk(child, False)
+                continue
+            if isinstance(child, ast.Call):
+                name = call_name(child)
+                if name == "enumeration_budget" and module != "bundles.py":
+                    out.append(f"{child.lineno}: enumeration_budget()")
+                elif name == "Meter" and in_loop:
+                    out.append(f"{child.lineno}: Meter in a loop")
+            walk(child, in_loop or isinstance(child, LOOPS))
+
+    walk(tree, False)
+    return out
+
+
+def test_budget_policy_in_one_place():
+    """How the budget is read, compared and worded is decided by bundles.Meter."""
+    offenders = [
+        f"{p.name}:{hit}" for p in SRC.glob("*.py") for hit in budget_policy_breaches(parse(p), p.name)
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, module, hits",
+    [
+        ("def f():\n    return enumeration_budget()", "bundles.py", 0),
+        ("def f():\n    return enumeration_budget()", "lparams.py", 1),
+        ("import bundles\nlimit = bundles.enumeration_budget()", "spectral.py", 1),
+        ("def f(xs):\n    meter = Meter('{} nodes exceed')\n    for x in xs:\n"
+         "        meter.charge(x)", "kottwitz.py", 0),
+        ("def f(xs):\n    for x in xs:\n        Meter('{} nodes exceed').charge(x)", "modif.py", 1),
+        ("def f(xs):\n    while xs:\n        if xs.pop():\n            m = Meter('{}')", "modif.py", 1),
+        ("def f(xs):\n    return [Meter('{}') for x in xs]", "lparams.py", 1),
+        ("def f(xs):\n    for x in xs:\n        def g():\n            return Meter('{}')", "lparams.py", 0),
+    ],
+)
+def test_budget_policy_rule(source, module, hits):
+    assert len(budget_policy_breaches(ast.parse(source), module)) == hits
 
 
 def unbounded_caches(tree: ast.AST) -> list[str]:

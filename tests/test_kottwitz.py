@@ -291,6 +291,19 @@ class TestEnumerate:
             monkeypatch.setenv("BUNNCALC_BUDGET", str(count * n))
             assert len(enumerate_B(n, mu)) == count, mu
 
+    @pytest.mark.parametrize(
+        "mu,count",
+        [((2, 1, 0), 4), ((3, 1, 0, 0), 11), ((2, 1, 0, 0, -1), 23), ((3, 2, 1, 0, 0, 0), 47)],
+    )
+    def test_search_charge_at_its_boundary(self, monkeypatch, mu, count):
+        # each popped node emits one point, so the search charges 2 * count - 1
+        nodes = 2 * count - 1
+        monkeypatch.setenv("BUNNCALC_BUDGET", str(nodes))
+        assert len(enumerate_B(len(mu), mu)) == count
+        monkeypatch.setenv("BUNNCALC_BUDGET", str(nodes - 1))
+        with pytest.raises(BudgetError, match=f"^{nodes} search nodes exceed budget of {nodes - 1}$"):
+            enumerate_B(len(mu), mu)
+
     def test_central_mu_is_singleton(self):
         pts = enumerate_B(4, (0, 0, 0, 0))
         assert len(pts) == 1 and pts[0].slope_vector() == (F(0),) * 4

@@ -37,7 +37,7 @@ import bunncalc.kottwitz as kottwitz
 import bunncalc.spectral as spectral
 import bunncalc.weights as weights
 import oracles
-from bunncalc.bundles import enumeration_budget
+from bunncalc.bundles import Meter
 from bunncalc.cli import main
 from bunncalc.lparams import LParamShape, RepSymbol, SheafSymbol, chi_to_rep, count_chis
 from bunncalc.spectral import hecke_stalk
@@ -568,17 +568,17 @@ class TestVerifyEigenWork:
     def test_wrong_rank_stratum_rejected_before_charge(self, monkeypatch):
         shape = LParamShape.from_dims((2, 1))
         strata = [bundle_to_b(parse_bundle("O^3")), bundle_to_b(parse_bundle("O^4"))]
-        reads: Counter = Counter()
+        meters: Counter = Counter()
 
-        def counting_budget():
-            reads["budget"] += 1
-            return enumeration_budget()
+        def counting_meter(stem):
+            meters[stem] += 1
+            return Meter(stem)
 
-        monkeypatch.setattr(spectral, "enumeration_budget", counting_budget)
+        monkeypatch.setattr(spectral, "Meter", counting_meter)
         built = count_symbols(monkeypatch)
         with pytest.raises(DomainError, match="rank mismatch"):
             verify_eigen(shape, (1, 0, 0), strata)
-        assert not reads and not built
+        assert not meters and not built
 
 
 EIGEN_DECK = [

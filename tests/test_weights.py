@@ -19,8 +19,8 @@ from bunncalc import (
     weight_multiplicities,
     weyl_dim,
 )
+from bunncalc.bundles import BudgetError
 from bunncalc.cli import main
-from bunncalc.kottwitz import BudgetError
 from bunncalc.lparams import LParamShape
 from bunncalc.weights import _weight_mults_cached, check_dominant, isotypic_slices
 from conftest import all_compositions, normalized_weights
