@@ -214,10 +214,11 @@ def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
 
 
 def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
-    """Merge equal slopes and sort strictly decreasing; the rank may not
-    exceed the enumeration budget."""
+    """Merge equal slopes and sort strictly decreasing; each multiplicity is
+    an integer >= 1, and the rank may not exceed the enumeration budget."""
     segments = []
     for s, m in raw:
+        m = as_int(m, "multiplicity")
         if m < 1:
             raise DomainError(f"multiplicity must be >= 1, got {m}")
         s = Fraction(s)

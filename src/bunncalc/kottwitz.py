@@ -95,8 +95,16 @@ def point_label(b: NewtonPoint) -> str:
 
 
 def point_from_vector(vec) -> NewtonPoint:
-    """Build a point from a weakly decreasing slope vector, one segment per run."""
-    entries = [v if isinstance(v, int) else Fraction(v) for v in vec]
+    """Build a point from a weakly decreasing slope vector, one segment per run;
+    an entry that is not a rational number is refused."""
+    entries = []
+    for v in vec:
+        if not isinstance(v, int):
+            try:
+                v = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise DomainError(f"slope entry {v!r} is not a rational number") from None
+        entries.append(v)
     if any(a < b for a, b in zip(entries, entries[1:])):
         raise DomainError("slope vector must be weakly decreasing")
     segments = []

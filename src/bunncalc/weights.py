@@ -3,9 +3,10 @@ highest-weight representations of GL_n.
 
 After the determinant twist that makes lam a partition, the multiplicity of
 a weight is a Kostka number K_{lam, mu}, mu the weight sorted, and so is the
-same on every S_n-orbit.  Only the dominant weights are counted, by peeling
-horizontal strips, into one cached table per partition; every other weight
-is listed from the orbit of a dominant one, with the twist put back once.
+same on every S_n-orbit.  Only the dominant weights are counted, into one
+cached table per partition, by one walk that builds each a part at a time
+and peels each part as a horizontal strip; every other weight is listed
+from the orbit of a dominant one, with the twist put back once.
 Branching to a block Levi peels off one block at a time by the
 Littlewood-Richardson rule, counting LR fillings rather than weights, and
 recurses on the remainder with a memo that lives for one call; a tail of
@@ -20,7 +21,7 @@ Everything is exact and desk scale by design.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -69,20 +70,6 @@ def _check_budget(n: int, norm: HighestWeight) -> None:
         )
 
 
-def _dominated(bounds: tuple[int, ...], mu: tuple, cap: int, left: int, out: list) -> None:
-    """Append to ``out`` every partition that extends ``mu`` by parts of at
-    most ``cap`` summing to ``left``, has at most len(bounds) parts, and is
-    dominated by the partition whose partial sums are ``bounds``."""
-    if left == 0:
-        out.append(mu)
-        return
-    i = len(mu)
-    top = min(cap, left, bounds[i] - bounds[-1] + left)
-    # the parts still to come are at most v each and fill the other slots
-    for v in range(top, -(-left // (len(bounds) - i)) - 1, -1):
-        _dominated(bounds, mu + (v,), v, left - v, out)
-
-
 def _strips(lam: tuple, i: int, left: int, nu: tuple, out: list) -> None:
     """Append to ``out`` every nu (trailing zeros dropped) with lam/nu a
     horizontal strip that takes ``left`` cells from rows i, i + 1, ...
@@ -93,50 +80,52 @@ def _strips(lam: tuple, i: int, left: int, nu: tuple, out: list) -> None:
     """
     if i == len(lam) - 1:
         last = lam[i] - left
-        out.append(nu + (last,) if last else nu)
+        if last >= 0:
+            out.append(nu + (last,) if last else nu)
         return
     below = lam[i + 1]
     for r in range(min(left, lam[i] - below), max(0, left - below) - 1, -1):
         _strips(lam, i + 1, left - r, nu + (lam[i] - r,), out)
 
 
-def _kostka(nu: tuple, rest: tuple, memo: dict) -> int:
-    """K_{nu, rest}, the semistandard tableaux of shape nu and content rest
-    (both partitions, with |nu| = |rest|).
-
-    The count does not depend on the order of the content, so the entries
-    rest[0] may be taken as the largest: they fill a horizontal strip at the
-    rim of nu.  Peel every such strip and count the rest, memoised by (shape,
-    remaining content).  This is the one-row case of the LR peel below.
-    """
-    if len(nu) <= 1:
-        return 1
-    # a tableau with entries 1..len(rest) has at most len(rest) rows
-    if len(nu) > len(rest):
-        return 0
-    key = (nu, rest)
-    count = memo.get(key)
-    if count is None:
-        strips: list = []
-        _strips(nu, 0, rest[0], (), strips)
-        tail = rest[1:]
-        count = memo[key] = sum(_kostka(sub, tail, memo) for sub in strips)
-    return count
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _weight_mults_cached(n: int, norm: HighestWeight) -> tuple[tuple[HighestWeight, int], ...]:
     """(mu, K_{norm, mu}) for every dominant weight mu of r_norm, that is,
     every partition mu dominated by the partition ``norm`` with at most n
-    parts, padded to length n.  Every other weight is a permutation of one of
-    these, with the same multiplicity."""
+    parts, padded to length n, descending lexicographically.  Every other
+    weight is a permutation of one of these, with the same multiplicity.
+
+    K_{norm, mu} counts the semistandard tableaux of shape norm and content
+    mu.  The count does not depend on the order of the content, so the
+    largest entries may be taken first: they fill a horizontal strip at the
+    rim.  One walk builds mu a part at a time, each part at most the one
+    before, and each prefix carries the shapes its parts leave when peeled
+    as strips, with the number of ways to reach each.  A prefix that leaves
+    no shape is dropped, so only the mu dominated by norm are reached, and a
+    finished one leaves the empty shape alone, reached K_{norm, mu} ways.
+    """
     _check_budget(n, norm)
-    bounds = tuple(accumulate(norm))
-    mus: list = []
-    _dominated(bounds, (), norm[0], bounds[-1], mus)
-    shape = tuple(x for x in norm if x)
-    memo: dict = {}
-    return tuple((mu + (0,) * (n - len(mu)), _kostka(shape, mu, memo)) for mu in mus)
+    out: list = []
+    # (parts so far, cells left to peel, {shape left: ways to reach it})
+    stack = [((), sum(norm), {tuple(x for x in norm if x): 1})]
+    while stack:
+        mu, left, shapes = stack.pop()
+        if not left:
+            out.append((mu + (0,) * (n - len(mu)), shapes[()]))
+            continue
+        top = min(mu[-1], left) if mu else norm[0]
+        # the parts still to come are at most v each and fill the other
+        # slots; pushed ascending, so the largest is popped first
+        for v in range(-(-left // (n - len(mu))), top + 1):
+            peeled: dict = {}
+            for nu, ways in shapes.items():
+                strips: list = []
+                _strips(nu, 0, v, (), strips)
+                for sub in strips:
+                    peeled[sub] = peeled.get(sub, 0) + ways
+            if peeled:
+                stack.append((mu + (v,), left - v, peeled))
+    return tuple(out)
 
 
 def _orbit(mu: HighestWeight, memo: dict) -> list[HighestWeight]:

@@ -154,6 +154,8 @@ class TestIntegerEntries:
         "reduce_slope numerator": (reduce_slope, (1.5, 2), (F(1), 2.0), (1, 2)),
         "reduce_slope denominator": (reduce_slope, (1, 2.5), (1.0, F(2)), (1, 2)),
         "reduce_slope denominator string": (reduce_slope, (1, "2"), (True, 2), (1, 2)),
+        "bundle multiplicity": (bundle, ((1, 2, 1.5),), ((1, 2, 2.0),), ((1, 2, 2),)),
+        "bundle multiplicity string": (bundle, ((1, 2, "2"),), ((1, 2, F(2)),), ((1, 2, 2),)),
     }
 
     @pytest.mark.parametrize("site", sorted(CASES))

@@ -1,6 +1,7 @@
 """Static checks on the package source: no dead imports, no dead private helpers,
 no private names imported across modules, no budget read outside bundles.Meter,
-no unbounded cache, no glyph switch outside the one ASCII table."""
+no unbounded cache, no glyph switch outside the one ASCII table, no recursion
+beyond the pinned list."""
 
 import ast
 from pathlib import Path
@@ -276,6 +277,74 @@ def test_every_cache_is_bounded():
 )
 def test_unbounded_cache_rule(source, hits):
     assert len(unbounded_caches(ast.parse(source))) == hits
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def direct_calls(fn: ast.AST) -> set[str]:
+    """The names fn's body calls, not counting the bodies of functions it defines."""
+    out = set()
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, FUNCTIONS):
+            continue
+        if isinstance(node, ast.Call) and call_name(node):
+            out.add(call_name(node))
+        todo += ast.iter_child_nodes(node)
+    return out
+
+
+def recursive_functions(tree: ast.AST) -> set[str]:
+    """The functions of a module that reach themselves by direct calls to
+    functions of the same module, matched by name: functions, methods and
+    nested functions of one name are one node."""
+    graph: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            graph.setdefault(node.name, set()).update(direct_calls(node))
+    out = set()
+    for name, calls in graph.items():
+        seen: set[str] = set()
+        todo = list(calls)
+        while todo:
+            callee = todo.pop()
+            if callee in graph and callee not in seen:
+                seen.add(callee)
+                todo += graph[callee]
+        if name in seen:
+            out.add(name)
+    return out
+
+
+# each must become a loop before the weight caps can go, and is struck off then
+RECURSIVE = {"weights._branch", "weights._lr_cells", "weights._lr_rows", "weights._orbit",
+             "weights._strips"}
+
+
+def test_recursion_is_pinned():
+    """Recursion depth grows with the input, so no new recursion lands unlisted."""
+    found = {f"{p.stem}.{name}" for p in MODULES for name in recursive_functions(parse(p))}
+    assert found == RECURSIVE
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("def f(n):\n    return f(n - 1) if n else 0", {"f"}),
+        ("def f(n):\n    return g(n)\ndef g(n):\n    return f(n) + h(n)\ndef h(n):\n    return n",
+         {"f", "g"}),
+        ("def f(n):\n    def g(m):\n        return g(m)\n    return g(n)", {"g"}),
+        ("def f(n):\n    def g(m):\n        return f(m)\n    return g(n)", {"f", "g"}),
+        ("class A:\n    def walk(self):\n        return self.walk()", {"walk"}),
+        ("def f(xs):\n    stack = [xs]\n    while stack:\n        stack.pop()\n    return len(xs)",
+         set()),
+        ("def f(n):\n    return [f for f in range(n)]", set()),
+    ],
+)
+def test_recursion_rule(source, names):
+    assert recursive_functions(ast.parse(source)) == names
 
 
 def test_no_ascii_mode_parameter():

@@ -82,6 +82,15 @@ class TestConversion:
         with pytest.raises(DomainError, match="slope vector must be weakly decreasing"):
             point_from_vector((0, 1))
 
+    @pytest.mark.parametrize("entry", [None, "1/0", float("inf"), float("nan"), "a"])
+    def test_non_rational_entry_rejected(self, entry):
+        with pytest.raises(DomainError, match="is not a rational number"):
+            point_from_vector((1, entry))
+
+    def test_rational_entries_of_any_type_accepted(self):
+        want = point_from_vector((1, F(1, 2), F(1, 2), 0))
+        assert point_from_vector((1.0, "1/2", 0.5, F(0))) == want
+
     def test_inexact_slopes_rejected(self):
         with pytest.raises(DomainError, match="not a pair of integers"):
             NewtonPoint(((0.5, 2),))

@@ -168,6 +168,13 @@ def orbit_size(mu):
     return factorial(len(mu)) // prod(factorial(mu.count(v)) for v in set(mu))
 
 
+def hook_count(lam):
+    """f^lam, the standard tableaux of shape lam, by the hook length formula."""
+    cols = [sum(1 for x in lam if x > j) for j in range(lam[0])] if lam else []
+    hooks = prod(x - j + cols[j] - i - 1 for i, x in enumerate(lam) for j in range(x))
+    return factorial(sum(lam)) // hooks
+
+
 def table_weights():
     """Every normalized dominant weight with n <= 6 and size <= 8, and with
     n = 7, 8 and size <= 6: 249 weights."""
@@ -216,6 +223,23 @@ class TestKostkaTable:
             assert len(table) == len(want) <= len(partitions(size))
             assert {mu for mu, _ in table} == want
             assert all(k >= 1 for _, k in table)
+
+    def test_rsk_identity_at_the_caps(self):
+        """sum over lam |- k of f^lam K_{lam, mu} = k!/prod mu_i!, both sides
+        counting words of content mu (RSK), for every mu |- k <= 12 with at
+        most 8 parts: every table at n = 8, whatever the size."""
+        for k in range(13):
+            got: dict = {}
+            for lam in partitions(k):
+                if len(lam) <= 8:
+                    for mu, mult in _weight_mults_cached(8, lam + (0,) * (8 - len(lam))):
+                        got[mu] = got.get(mu, 0) + hook_count(lam) * mult
+            want = {
+                mu + (0,) * (8 - len(mu)): factorial(k) // prod(map(factorial, mu))
+                for mu in partitions(k)
+                if len(mu) <= 8
+            }
+            assert got == want
 
     @pytest.mark.parametrize("lam", [(7, 4, 1, 0, 0, 0, 0, 0), (12, 0, 0, 0, 0, 0, 0, 0)])
     def test_orbit_sizes_sum_to_weyl_dim(self, lam):
