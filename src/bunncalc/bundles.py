@@ -214,14 +214,15 @@ def merge_segments(segments: Sequence[tuple[int, int]]) -> BundleSpec:
 
 
 def normalize_bundle(raw: Iterable[tuple[Slope, int]]) -> BundleSpec:
-    """Merge equal slopes and sort strictly decreasing; each multiplicity is
-    an integer >= 1, and the rank may not exceed the enumeration budget."""
+    """Merge equal slopes and sort strictly decreasing; each slope is a
+    rational number, each multiplicity an integer >= 1, and the rank may not
+    exceed the enumeration budget."""
     segments = []
     for s, m in raw:
         m = as_int(m, "multiplicity")
         if m < 1:
             raise DomainError(f"multiplicity must be >= 1, got {m}")
-        s = Fraction(s)
+        s = as_rational(s, "slope")
         segments.append((s.numerator * m, s.denominator * m))
     if not segments:
         raise DomainError("empty summand list")
@@ -252,6 +253,14 @@ def as_int(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{what} {x if isinstance(x, Number) else repr(x)} is not an integer")
+
+
+def as_rational(x, what: str) -> Fraction:
+    """x as a Fraction; any value Fraction() refuses is named by its repr."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"{what} {x!r} is not a rational number") from None
 
 
 def check_dominant(lam, n: int | None = None) -> tuple[int, ...]:

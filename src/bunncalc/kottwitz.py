@@ -21,6 +21,7 @@ from .bundles import (
     Meter,
     Slope,
     as_int,
+    as_rational,
     check_segments,
     lattice_tops,
     record,
@@ -97,14 +98,7 @@ def point_label(b: NewtonPoint) -> str:
 def point_from_vector(vec) -> NewtonPoint:
     """Build a point from a weakly decreasing slope vector, one segment per run;
     an entry that is not a rational number is refused."""
-    entries = []
-    for v in vec:
-        if not isinstance(v, int):
-            try:
-                v = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise DomainError(f"slope entry {v!r} is not a rational number") from None
-        entries.append(v)
+    entries = [v if isinstance(v, int) else as_rational(v, "slope entry") for v in vec]
     if any(a < b for a, b in zip(entries, entries[1:])):
         raise DomainError("slope vector must be weakly decreasing")
     segments = []

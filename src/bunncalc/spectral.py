@@ -150,11 +150,13 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     character missing from the list fails the check even when no source hits
     it.
 
-    Symbols come from one memo that lives only as long as the call; every
-    source's symbol must read back as the source (the canonical check).  The
-    lookups, slices times the listed characters plus the count's states for
-    each stratum, are charged to the enumeration budget before the first
-    symbol is built.
+    Each symbol is built by ``make_F`` where it is used, with no memo: a
+    source's degree is |lam| off that of the listed character it comes from,
+    so a source is listed too only when window strata differ in degree by
+    |lam|.  Every source's symbol must read back as the source (the
+    canonical check).  The lookups, slices times the listed characters plus
+    the count's states for each stratum, are charged to the enumeration
+    budget before the first symbol is built.
     """
     lam = check_dominant(lam, shape.n)
     inverses = [chi_inv(chi) for chi, _ in isotypic_slices(shape, lam)]
@@ -162,20 +164,12 @@ def verify_eigen(shape: LParamShape, lam, strata) -> bool:
     counts = {b: count_chis(shape, b) for b in window}
     lookups = sum(len(inverses) * len(chis) + counts[b][1] for b, chis in window.items())
     Meter("{} window lookups exceed").charge(lookups)
-    memo: dict[Character, SheafSymbol] = {}
-
-    def sheaf_of(chi: Character) -> SheafSymbol:
-        sheaf = memo.get(chi)
-        if sheaf is None:
-            sheaf = memo[chi] = make_F(shape, chi)
-        return sheaf
-
     sources = {chi_mul(eta, inv) for chis in window.values() for eta in chis for inv in inverses}
     for src in sorted(sources):
-        if character_of_rep(shape, sheaf_of(src).rep) != src:
+        if character_of_rep(shape, make_F(shape, src).rep) != src:
             raise DomainError("sheaf symbol is not of the canonical translated shape")
     return all(
         len(set(chis)) == len(chis) == counts[b][0]
-        and all(sheaf_of(eta).stratum == b for eta in chis)
+        and all(make_F(shape, eta).stratum == b for eta in chis)
         for b, chis in window.items()
     )

@@ -8,13 +8,13 @@ cached table per partition, by one walk that builds each a part at a time
 and peels each part as a horizontal strip; every other weight is listed
 from the orbit of a dominant one, with the twist put back once.
 Branching to a block Levi peels off one block at a time by the
-Littlewood-Richardson rule, counting LR fillings rather than weights, and
-recurses on the remainder with a memo that lives for one call; a tail of
-size-1 blocks is the torus, whose terms are the weights themselves.  The
-isotypic slices group that branching's terms by their per-block central
-characters into (character, symbol) pairs, cached per weight and shape.  One
-slice alone (sigma_chi) is branched by that one peel, each block's weight
-sized by the character, so the other slices are never built.
+Littlewood-Richardson rule, counting LR fillings rather than weights, in
+one loop that branches each remainder it reaches once; a tail of size-1
+blocks is the torus, whose terms are the weights themselves.  The isotypic
+slices group that branching's terms by their per-block central characters
+into (character, symbol) pairs, cached per weight and shape.  One slice
+alone (sigma_chi) is branched by that one peel, each block's weight sized
+by the character, so the other slices are never built.
 Everything is exact and desk scale by design.
 """
 
@@ -185,87 +185,86 @@ weight_multiplicities.cache_info = _weight_mults_cached.cache_info
 weight_multiplicities.cache_clear = _weight_mults_cached.cache_clear
 
 
-def _lr_rows(lam, a, i, alpha, ends, content, out, left) -> None:
-    """Fill rows i, i + 1, ... of an LR tableau of shape lam/alpha and count
-    each finished filling in ``out`` under (alpha, content).
-
-    ``ends[v]`` is the column just past the entries <= v of row i - 1 (the
-    cells of alpha count as entries 0), so an entry v + 1 of row i must stand
-    left of it; ``content[v]`` counts the entries v + 1 in rows above i.
-    ``left``, when given, is the number of cells of alpha still to place:
-    row i takes at most that many, and at least what rows i + 1, ..., a - 1
-    cannot hold, so every alpha filled has the size asked for.
-    """
-    if i == len(lam) or lam[i] == 0:
-        key = (alpha + (0,) * (a - len(alpha)), content)
-        out[key] = out.get(key, 0) + 1
-        return
-    if i >= a:
-        _lr_cells(lam, a, i, alpha, ends, content, 0, 0, (0,), (), out, left)
-        return
-    top, low = min(lam[i], ends[0]), 0
-    if left is not None:
-        top, low = min(top, left), max(0, left - sum(lam[i + 1:a]))
-    for s in range(top, low - 1, -1):
-        rest = None if left is None else left - s
-        _lr_cells(lam, a, i, alpha + (s,), ends, content, 0, s, (s,), (), out, rest)
-
-
-def _lr_cells(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out, left) -> None:
-    """Place the entries v + 1 of row i from column q on, then the larger ones.
-
-    Rows weakly increase, so the entries v + 1 are one run; columns strictly
-    increase, so the run ends by ``ends[v]``; and the reading word (rows top
-    down, each right to left) stays a lattice word exactly when no row holds
-    more entries v + 1 than the rows above hold entries v beyond entries v + 1.
+def _lr_peel(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out, left) -> None:
+    """Count in ``out``, under (alpha, content), each LR filling of lam/alpha,
+    alpha of at most a rows, that extends the rows above i and the runs of
+    row i before run v, which starts at column q.  Run v = -1 is the row's
+    cells of alpha: at most ``left`` when that is given, and at least what
+    rows i + 1, ..., a - 1 cannot hold, so every alpha has the size asked
+    for.  Run v >= 0 is the row's entries v + 1, which end by ``ends[v]``,
+    the column just past the entries <= v of row i - 1 (cells of alpha count
+    as entries 0), so columns strictly increase.  With ``content[v]`` the
+    entries v + 1 above row i, the reading word (rows top down, each right
+    to left) stays a lattice word exactly when no row holds more entries
+    v + 1 than the rows above hold entries v beyond entries v + 1.
+    ``row_ends`` and ``row_content`` are row i's so far.
     """
     m = len(content)
-    end = lam[i]
     if v == m:
-        _lr_rows(lam, a, i + 1, alpha, row_ends[:m], row_content, out, left)
-        return
-    top = min(end, max(q, ends[v]))
+        i, v, ends, content = i + 1, -1, row_ends[:m], row_content
+    if v < 0:
+        if i == len(lam) or lam[i] == 0:
+            if not left:  # an empty lam has only the empty alpha
+                key = (alpha + (0,) * (a - len(alpha)), content)
+                out[key] = out.get(key, 0) + 1
+            return
+        if i < a:
+            top, low = min(lam[i], ends[0]), 0
+            if left is not None:
+                top, low = min(top, left), max(0, left - sum(lam[i + 1:a]))
+            for s in range(top, low - 1, -1):
+                rest = None if left is None else left - s
+                _lr_peel(lam, a, i, alpha + (s,), ends, content, 0, s, (s,), (), out, rest)
+            return
+        v, q, row_ends, row_content = 0, 0, (0,), ()
+    top = min(lam[i], max(q, ends[v]))
     if v:
         top = min(top, q + content[v - 1] - content[v])
     # the largest entry fills the rest of the row
-    low = end if v == m - 1 else q
+    low = lam[i] if v == m - 1 else q
     for stop in range(top, low - 1, -1):
-        _lr_cells(
-            lam, a, i, alpha, ends, content, v + 1, stop,
-            row_ends + (stop,), row_content + (content[v] + stop - q,), out, left,
-        )
+        _lr_peel(lam, a, i, alpha, ends, content, v + 1, stop, row_ends + (stop,),
+                 row_content + (content[v] + stop - q,), out, left)
 
 
-def _branch(lam: HighestWeight, blocks: tuple[int, ...], memo: dict, sizes=None):
+def _branch(lam: HighestWeight, blocks: tuple[int, ...], sizes=None):
     """Branching of the partition ``lam`` to ``blocks`` as (block weights,
     multiplicity) pairs; with ``sizes``, only the terms whose block weights
-    have those sizes: each block is peeled with |alpha| = sizes[0], and not
-    at all when that lies outside 0..lam_1 + ... + lam_a (|lam| = sum(sizes)
-    is the caller's to check).  ``memo`` maps each peeled remainder to its
-    terms for this call; the remainder's length fixes the blocks and sizes it
-    still meets.  Without sizes, a torus tail lists the weights of its
-    remainder, one block per entry, from the cached Kostka table; the blocks
-    (v,) are built once per call and shared by its terms.
+    have those sizes: block k is peeled off each remainder with |alpha| =
+    sizes[k] (|lam| = sum(sizes) is the caller's to check).  Each layer maps
+    every remainder to {block weights peeled above it: multiplicity}, so a
+    remainder reached twice is branched once.  Without sizes, a tail of
+    size-1 blocks lists each remainder's weights from the cached Kostka
+    table, with one (v,) per entry v shared by all the terms.
     """
-    if len(blocks) == 1:
-        return (((lam,), 1),)
-    if sizes is None and len(blocks) == len(lam):
-        one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
-        return ((tuple(map(one, w)), mult) for w, mult in reversed(_weights(lam)))
-    out = memo.get(lam)
-    if out is None:
-        a = blocks[0]
-        m = len(lam) - a
-        left, rest = (None, None) if sizes is None else (sizes[0], sizes[1:])
-        peel: dict = {}
-        if left is None or 0 <= left <= sum(lam[:a]):
+    layer, k, m = {lam: {(): 1}}, 0, len(lam)
+    # the last peel writes the terms; one block is lam itself
+    out: dict = {} if len(blocks) > 1 else {(lam,): 1}
+    # peel every block but the last; without sizes, stop at a torus tail
+    while k < len(blocks) - 1 and (sizes is not None or len(blocks) - k < m):
+        a, left, m = blocks[k], None if sizes is None else sizes[k], m - blocks[k]
+        k += 1
+        last = k == len(blocks) - 1
+        peeled: dict = {}
+        for beta, heads in layer.items():
+            peel: dict = {}
             # the first row has no row above it to bound its columns
-            _lr_rows(lam, a, 0, (), (lam[0],) * m, (0,) * m, peel, left)
-        out = memo[lam] = {}
-        for (alpha, beta), c in peel.items():
-            for tail, mult in _branch(beta, blocks[1:], memo, rest):
-                key = (alpha,) + tail
-                out[key] = out.get(key, 0) + c * mult
+            _lr_peel(beta, a, 0, (), (beta[0],) * m, (0,) * m, -1, 0, (), (), peel, left)
+            for (alpha, rest), c in peel.items():
+                below = out if last else peeled.setdefault(rest, {})
+                piece = (alpha, rest) if last else (alpha,)
+                for head, mult in heads.items():
+                    key = head + piece
+                    below[key] = below.get(key, 0) + c * mult
+        layer = peeled
+    if k < len(blocks) - 1:
+        one = {v: (v,) for v in range(lam[0] + 1)}.__getitem__
+        for beta, heads in layer.items():
+            for w, mult in _weights(beta):
+                tail = tuple(map(one, w))
+                for head, c in heads.items():
+                    key = head + tail
+                    out[key] = out.get(key, 0) + c * mult
     return out.items()
 
 
@@ -283,7 +282,7 @@ def _terms(lam: HighestWeight, blocks: tuple[int, ...], chi=None) -> tuple:
         sizes = tuple(d - m * c for d, m in zip(chi, blocks))
         if sum(sizes) != sum(norm):
             return ()
-    terms = sorted(_branch(norm, blocks, {}, sizes), reverse=True)
+    terms = sorted(_branch(norm, blocks, sizes), reverse=True)
     if c == 0:
         return tuple(terms)
     return tuple((tuple(tuple(x + c for x in w) for w in ws), mult) for ws, mult in terms)
@@ -299,12 +298,12 @@ def levi_branching(
     lam a partition, peel off the first block by the Littlewood-Richardson
     rule: alpha (x) beta occurs c^lam_{alpha,beta} times, one for each LR
     filling of lam/alpha with content beta and entries at most n - n_1.  Then
-    branch each beta to the remaining blocks the same way, memoised for this
-    call only.  A remainder of size-1 blocks is the torus, whose terms are
-    the weights with their multiplicities, listed from the orbits of the
-    dominant ones.  Branching to the torus itself skips the shift: it lists
-    the weights of lam, twist included, in the order of the result.  Each
-    request's terms are kept in a cache of ``CACHE_SIZE`` entries that
+    branch each distinct beta to the remaining blocks the same way.  A
+    remainder of size-1 blocks is the torus, whose terms are the weights
+    with their multiplicities, listed from the orbits of the dominant ones.
+    Branching to the torus itself skips the shift: it lists the weights of
+    lam, twist included, in the order of the result.  Each request's terms
+    are kept in a cache of ``CACHE_SIZE`` entries that
     ``levi_branching.cache_info`` and ``cache_clear`` expose.
     """
     n = as_int(n, "rank n")
@@ -319,9 +318,10 @@ def levi_branching(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
-    # n blocks partitioning n are the torus
+    # n blocks partitioning n are the torus: the weights, twist included
     if len(blocks) == n:
-        return tuple(_branch(lam, blocks, {}))
+        one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
+        return tuple((tuple(map(one, w)), mult) for w, mult in reversed(_weights(lam)))
     # one cache entry per request: _terms shifts the normalized terms back
     return _terms(lam, blocks)
 
@@ -417,7 +417,7 @@ def sigma_chi(shape: LParamShape, lam, chi: Character) -> WeilSymbol:
     d_i, descending, none if no term does; the slice that
     ``isotypic_slices(shape, lam)`` pairs with chi, if it has one.  No cache
     is read, and only this slice is branched: chi fixes the size of every
-    block's weight, and the one peel of ``_branch`` keeps to those sizes.
+    block's weight, and the one LR peel, ``_lr_peel``, keeps to those sizes.
     """
     chi = shape.check_chi(chi)
     lam = check_dominant(lam, shape.n)

@@ -266,6 +266,26 @@ class TestRejections:
         "normalize-multiplicity": (
             lambda: normalize_bundle([(F(1), 0)]), DomainError, "multiplicity must be >= 1, got 0"
         ),
+        "normalize-slope-none": (
+            lambda: normalize_bundle([(None, 1)]), DomainError,
+            "slope None is not a rational number",
+        ),
+        "normalize-slope-string": (
+            lambda: normalize_bundle([("a", 1)]), DomainError,
+            "slope 'a' is not a rational number",
+        ),
+        "normalize-slope-inf": (
+            lambda: normalize_bundle([(float("inf"), 1)]), DomainError,
+            "slope inf is not a rational number",
+        ),
+        "normalize-slope-nan": (
+            lambda: normalize_bundle([(float("nan"), 1)]), DomainError,
+            "slope nan is not a rational number",
+        ),
+        "normalize-slope-zero-denominator": (
+            lambda: normalize_bundle([("1/0", 1)]), DomainError,
+            "slope '1/0' is not a rational number",
+        ),
         "dominant-length": (
             lambda: check_dominant((1, 0), 3), DomainError, "weight must have length 3, got 2"
         ),

@@ -319,8 +319,7 @@ def recursive_functions(tree: ast.AST) -> set[str]:
 
 
 # each must become a loop before the weight caps can go, and is struck off then
-RECURSIVE = {"weights._branch", "weights._lr_cells", "weights._lr_rows", "weights._orbit",
-             "weights._strips"}
+RECURSIVE = {"weights._lr_peel", "weights._orbit", "weights._strips"}
 
 
 def test_recursion_is_pinned():

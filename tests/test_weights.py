@@ -308,6 +308,10 @@ class TestAgainstPatternOracles:
                     )
 
 
+# rank-8 Levis whose blocks after the first peel or two are a torus tail
+TORUS_TAILS = [(2,) + (1,) * 6, (3,) + (1,) * 5, (1, 2) + (1,) * 5]
+
+
 class TestAgainstExtractionOracle:
     """The LR peel against the walk over the block-dominant weights of the
     whole character that it replaced."""
@@ -318,6 +322,15 @@ class TestAgainstExtractionOracle:
             for blocks in splits:
                 assert levi_branching(7, lam, blocks) == levi_branching_extraction_oracle(
                     7, lam, blocks
+                )
+
+    @pytest.mark.parametrize("blocks", TORUS_TAILS, ids=str)
+    def test_rank_eight_torus_tails(self, blocks):
+        for norm in normalized_weights(8, 6):
+            for shift in (0, -1):
+                lam = tuple(x + shift for x in norm)
+                assert levi_branching(8, lam, blocks) == levi_branching_extraction_oracle(
+                    8, lam, blocks
                 )
 
 
@@ -337,6 +350,20 @@ class TestPeelCounts:
 
     def test_torus_counts_the_weight_once(self):
         assert self.misses((1,) * 8) == 1
+
+    @pytest.mark.parametrize("blocks", TORUS_TAILS, ids=str)
+    def test_torus_tail_lists_each_remainder_once(self, blocks, monkeypatch):
+        listed = []
+        original = weights._weights
+
+        def counting(beta):
+            listed.append(beta)
+            return original(beta)
+
+        monkeypatch.setattr(weights, "_weights", counting)
+        levi_branching.cache_clear()
+        levi_branching(8, self.LAM, blocks)
+        assert listed and len(listed) == len(set(listed))
 
 
 class TestBudgetEdge:
@@ -620,25 +647,25 @@ class TestSigmaChi:
 
     def test_peels_sized_and_lists_no_weights(self, monkeypatch):
         # the whole peel filtered by character would pass the oracles; here
-        # every first-row call of the LR peel carries the block size, and no
+        # every top-level call of the LR peel carries the block size, and no
         # weight is listed from a Kostka table, not even on the torus
         groups = EIGEN_GROUPS + [((1,) * n, (2, 1) + (0,) * (n - 3) + (-1,)) for n in range(3, 7)]
         cases = []
         for dims, lam in groups:
             shape = LParamShape.from_dims(dims)
             cases += [(shape, lam, chi, sym) for chi, sym in isotypic_slices(shape, lam)]
-        rows = weights._lr_rows
+        peel = weights._lr_peel
         sizes = []
 
-        def sized_rows(lam, a, i, alpha, ends, content, out, left):
-            if i == 0:
+        def sized_peel(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out, left):
+            if i == 0 and v < 0:
                 sizes.append(left)
-            rows(lam, a, i, alpha, ends, content, out, left)
+            peel(lam, a, i, alpha, ends, content, v, q, row_ends, row_content, out, left)
 
         def no_weights(lam):
             raise AssertionError(f"weights of {lam} listed")
 
-        monkeypatch.setattr(weights, "_lr_rows", sized_rows)
+        monkeypatch.setattr(weights, "_lr_peel", sized_peel)
         monkeypatch.setattr(weights, "_weights", no_weights)
         for shape, lam, chi, sym in cases:
             assert sigma_chi(shape, lam, chi) == sym
