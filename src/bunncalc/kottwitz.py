@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby
 from math import gcd
-from operator import le, or_
+from operator import le
 
 from .bundles import (
     BundleSpec,
@@ -190,56 +190,46 @@ def enumerate_B(n: int, mu) -> list[NewtonPoint]:
 
 
 def hasse(points) -> list[tuple[NewtonPoint, NewtonPoint]]:
-    """Covering relations (lower, upper) of the dominance order on the list.
+    """Covering relations (lower, upper) of the dominance order that join two
+    listed points.
 
-    Points are ranked descending on their lattice tops, which is a linear
-    extension of dominance, so only points ranked after i can lie below i.
-    Down-sets are bitmasks over that ranking, built one coordinate at a
-    time: for x = 2..n-1 the threshold mask M_x[v] holds the points whose top
-    at x is <= v (one bucket pass and a prefix OR), and down[i] is the AND
-    of M_x[tops_i[x]] over those x.  Its bits above i are the strict
-    down-set of i.  Coordinates 0 and n are equal on the list, and
-    coordinate 1 needs no mask: tops start at 0, so a point ranked after i
-    is lexicographically smaller and its top at 1 is already <= that of i.
-    Walking the down-set of u nearest first, a point is covered by u exactly
-    when it lies in the down-set of no cover of u found before it
-    (transitive reduction against a linear extension, Aho-Garey-Ullman 1972).
-    The P^2 bits of down-sets are charged to the budget in kibibits before
-    any mask is built.
+    The dominance order with a fixed endpoint is graded by the sum of the
+    lattice tops (C.-L. Chai, "Newton polygons as lattice points", Amer. J.
+    Math. 122 (2000)), and dominance compares the tops entry by entry, so v
+    covers u exactly when tops(v) = tops(u) + e_x for one interior x.  Each
+    point's interior tops are packed into one integer, with a field wide
+    enough that a unit step never carries, and every unit step up is one
+    dict lookup.  On a whole class, as enumerate_B lists it in any order,
+    these are the class's own covers.  On any other list they are covers
+    too, but a cover that skips points missing from the list is not
+    returned.  Edges are listed by the ranks of their ends, descending on
+    lattice tops, lower end first.
     """
-    pts = list(points)
+    # ranked descending on lattice tops, a linear extension of dominance
+    pts = sorted(points, key=lambda p: p.tops, reverse=True)
     if not pts:
         return []
-    kibibits = len(pts) ** 2 // 1024
-    if kibibits:
-        Meter("{} kibibits of down-set masks exceed").charge(kibibits)
-    sums = [p.tops for p in pts]
-    if len({(len(s), s[-1]) for s in sums}) > 1:
+    tops = [p.tops for p in pts]
+    if len({(len(t), t[-1]) for t in tops}) > 1:
         raise DomainError("hasse requires points of equal rank and endpoint")
-    order = sorted(range(len(pts)), key=sums.__getitem__, reverse=True)
-    pts = [pts[i] for i in order]
-    sums = [sums[i] for i in order]
-    if any(a == b for a, b in zip(sums, sums[1:])):
+    if any(a == b for a, b in zip(tops, tops[1:])):
         raise DomainError("hasse requires distinct points")
-    down = [(1 << len(sums)) - 1] * len(sums)
-    for column in islice(zip(*sums), 2, len(sums[0]) - 1):
-        lo = min(column)
-        masks = [0] * (max(column) - lo + 1)
-        for j, v in enumerate(column):
-            masks[v - lo] |= 1 << j
-        masks = list(accumulate(masks, or_))
-        down = [d & masks[v - lo] for d, v in zip(down, column)]
-    pairs = []
-    for i, below in enumerate(down):
-        rest = below >> i + 1 << i + 1
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            pairs.append((j, i))
-            # the bits up to j are clear, and above j down[j] is exact
-            rest &= (rest - 1) & ~down[j]
-    # ascending ranks = descending (lower, upper) slope vectors
-    pairs.sort()
-    return [(pts[j], pts[i]) for j, i in pairs]
+    lo = min(map(min, tops))
+    # every field keeps room for one more unit, so a step stays in its field
+    bits = (max(map(max, tops)) - lo + 1).bit_length()
+    keys = []
+    for t in tops:
+        key = 0
+        for v in t[1:-1]:
+            key = key << bits | v - lo
+        keys.append(key)
+    rank = {key: i for i, key in enumerate(keys)}
+    # coordinate 1 in the top field: a step at an earlier coordinate reaches
+    # larger tops, ranked first, so the edges come out ascending in (lower,
+    # upper) rank, that is descending in their slope vectors
+    steps = [1 << bits * x for x in reversed(range(len(tops[0]) - 2))]
+    return [(pts[j], pts[i]) for j, key in enumerate(keys) for step in steps
+            if (i := rank.get(key + step)) is not None]
 
 
 def dot_export(points) -> str:

@@ -320,8 +320,10 @@ def levi_branching(
 def _levi_branching_cached(n: int, lam: HighestWeight, blocks: tuple[int, ...]):
     # n blocks partitioning n are the torus: the weights, twist included
     if len(blocks) == n:
+        # listed first: _weights refuses an oversized lam before the map is sized by lam[0]
+        weights = _weights(lam)
         one = {v: (v,) for v in range(lam[-1], lam[0] + 1)}.__getitem__
-        return tuple((tuple(map(one, w)), mult) for w, mult in reversed(_weights(lam)))
+        return tuple((tuple(map(one, w)), mult) for w, mult in reversed(weights))
     # one cache entry per request: _terms shifts the normalized terms back
     return _terms(lam, blocks)
 

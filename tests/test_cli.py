@@ -562,8 +562,8 @@ class TestBudgetEnv:
             # the root alone has 1000001 completable children: the first
             # segments rising 1000001..2000000 and the chord to (2, 2000000)
             (("kottwitz", "enum", "-n", "2", "--mu", "2000000,0"), "1000001 search nodes"),
-            # 84335 points pass the search budget; their down-sets are refused
-            (("kottwitz", "hasse", "-n", "3", "--mu", "1000,0,0"), "6945695 kibibits"),
+            # hasse charges nothing of its own: its listing refuses
+            (("kottwitz", "hasse", "-n", "2", "--mu", "2000000,0"), "1000001 search nodes"),
         ],
     )
     def test_oversized_work_fails_before_it_starts(self, capsys, argv, quantity):
@@ -581,6 +581,26 @@ class TestBudgetEnv:
         finally:
             tracemalloc.stop()
         assert code == 1 and out == "" and "budget of 1000000" in err
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("weights", "branch", "-n", "2", "--lambda", "10000000,0", "--blocks", "1,1"),
+            ("hecke", "--dims", "1,1", "--lambda", "10000000,0", "--xi", "-1,0"),
+            ("spectral", "verify", "--dims", "1,1", "--lambda", "10000000,0", "--strata", "O^2"),
+        ],
+    )
+    def test_oversized_torus_weight_allocates_nothing(self, capsys, argv):
+        # refused by the weight caps before anything is sized by lambda_1:
+        # a map over 0..10^7 would take about 1 GB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and "normalized size 10000000 (max 12)" in err
         assert peak < 1_000_000
 
     def test_bad_budget_value(self, capsys, monkeypatch):
